@@ -86,7 +86,6 @@ class Variant:
 class MultiVariantUnit:
     id: str
     variants: list[Variant]
-    external_ports: list[str] = field(default_factory=list, compare=False)
 
 
 @dataclass
@@ -199,15 +198,6 @@ def enumerate_alternatives(
     raise CompactionError(f"unknown enumeration policy {policy!r}")
 
 
-def _ports(assembly: Assembly, repo: Repository) -> list[str]:
-    ports: list[str] = []
-    for cid in assembly.sources() + assembly.sinks():
-        function = repo.component(cid).function
-        if function not in ports:
-            ports.append(function)
-    return ports
-
-
 def compact(
     unit_id: str, alternatives: list[Assembly], repo: Repository
 ) -> MultiVariantUnit:
@@ -233,11 +223,7 @@ def compact(
                 assembly=assembly,
             )
         )
-    return MultiVariantUnit(
-        id=unit_id,
-        variants=variants,
-        external_ports=_ports(alternatives[0], repo),
-    )
+    return MultiVariantUnit(id=unit_id, variants=variants)
 
 
 def singleton_unit(comp: Component) -> MultiVariantUnit:
@@ -252,7 +238,6 @@ def singleton_unit(comp: Component) -> MultiVariantUnit:
     return MultiVariantUnit(
         id=comp.id,
         variants=[Variant(index=0, members=[comp.id], props=props)],
-        external_ports=[comp.function],
     )
 
 

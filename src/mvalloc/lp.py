@@ -20,7 +20,7 @@ from fractions import Fraction
 from .compaction import HighLayerModel
 from .model import Platform
 from .rationals import format_number
-from .solver import SolverConfig, SolverError, _check_config
+from .solver import SolverConfig, SolverError, _check_config, _check_unit_ids
 
 __all__ = ["export_lp"]
 
@@ -69,12 +69,7 @@ def export_lp(
         raise SolverError("nothing to export: the model has no units")
     if not platform.nodes:
         raise SolverError("nothing to export: the platform has no nodes")
-    unit_ids = [u.id for u in units]
-    if len(set(unit_ids)) != len(unit_ids):
-        raise SolverError("duplicate unit ids in the model")
-    unknown = set(cfg.unit_weights) - set(unit_ids)
-    if unknown:
-        raise SolverError(f"weights for unknown units: {', '.join(sorted(unknown))}")
+    _check_unit_ids(units, cfg)
 
     def var(u: int, v: int, h: int) -> str:
         return f"x_u{u}_v{v}_h{h}"

@@ -74,22 +74,35 @@ class Component:
     demand: ResourceDemand
 
 
+def _index(items: list) -> dict:
+    """Items by id; a duplicated id keeps its first declared item."""
+    return {item.id: item for item in reversed(items)}
+
+
 @dataclass
 class Repository:
     """All developed components plus the version groups that tie together
-    alternative realizations of the same function."""
+    alternative realizations of the same function.
+
+    Ids are indexed at construction: build a new Repository rather than
+    editing `components` in place.
+    """
 
     components: list[Component]
     version_groups: dict[str, list[str]] = field(default_factory=dict)
+    _by_id: dict[str, Component] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_id = _index(self.components)
 
     def component(self, component_id: str) -> Component:
-        for comp in self.components:
-            if comp.id == component_id:
-                return comp
-        raise UnknownIdError(component_id)
+        found = self._by_id.get(component_id)
+        if found is None:
+            raise UnknownIdError(component_id)
+        return found
 
     def has(self, component_id: str) -> bool:
-        return any(comp.id == component_id for comp in self.components)
+        return component_id in self._by_id
 
     def versions_of(self, function: str) -> list[str]:
         """Component ids realizing `function`, explicit group first.
@@ -133,13 +146,19 @@ class HardwareNode:
 
 @dataclass
 class Platform:
+    """Hardware nodes, indexed by id at construction like Repository."""
+
     nodes: list[HardwareNode]
+    _by_id: dict[str, HardwareNode] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_id = _index(self.nodes)
 
     def node(self, node_id: str) -> HardwareNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise UnknownIdError(node_id)
+        found = self._by_id.get(node_id)
+        if found is None:
+            raise UnknownIdError(node_id)
+        return found
 
 
 @dataclass

@@ -7,22 +7,28 @@ accelerator through its variant aggregation, while distinct units on one
 node contend for it.  The objective is the weighted sum of chosen
 variants' execution times, minimized exactly.
 
-All arithmetic is exact.  Demands and capacities are rationals; per
-resource, the solver multiplies through by the least common denominator
-of every value involved, so the kernels compare plain integers and two
-equal objectives are equal bit for bit, not within a tolerance.  The
-incumbent is replaced only on strict improvement and the tree is walked
-in a fixed order (units by descending normalized demand, then variant
-index, then platform node order), which pins the reported optimum to the
-lexicographically first one and makes solve deterministic.
+All arithmetic is exact.  Demands and capacities are rationals; `_scale`
+multiplies each resource through by the least common denominator of
+every value involved, once, so the kernels compare plain integers and two
+equal objectives are equal bit for bit, not within a tolerance.  The same
+pass takes each unit's cheapest demand per resource, which proves some
+instances infeasible before any search (cheapest total demand above total
+capacity) and orders the rest: units by descending max over resources of
+cheapest demand / total capacity, ties in declared order.  The kernels
+get their arrays already in that order.  The incumbent is replaced only
+on strict improvement and the tree is walked in a fixed order (search
+order of units, then variant index, then platform node order), which
+pins the reported optimum to the lexicographically first one and makes
+solve deterministic.
 
-`brute_force` enumerates every capacity-feasible assignment in model
+`brute_force` enumerates every capacity-feasible assignment in declared
 order with no cost bound, guarded against oversized instances.  It is an
 independent oracle for `solve`: the only code they share is the scaling.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -92,41 +98,39 @@ class SolverConfig:
     scheme has status "timeout" and, only when incumbent_on_timeout is
     set, the best placements found so far without any optimality claim.
     unit_order "demand" sorts units hardest-first before the search,
-    "declared" keeps model order; node_order has the single policy
-    "declared".  Neither affects which objective value is optimal, only
-    how fast it is reached.
+    "declared" keeps model order; nodes are always tried in platform
+    order.  The order does not affect which objective value is optimal,
+    only how fast it is reached.
     """
 
     unit_weights: dict[str, Fraction] = field(default_factory=dict)
     time_limit_ms: int | None = None
     unit_order: str = "demand"
-    node_order: str = "declared"
     incumbent_on_timeout: bool = False
 
 
 @dataclass
-class _Flat:
-    """One model, scaled to integers, in model (declared) unit order."""
+class _Scaled:
+    """One model scaled to integers, units in search order.
+
+    `kernel_args` are the arrays both kernels take (nv, off, vmem, vcpu,
+    vgpu, vcost, cap_mem, cap_cpu, cap_gpu); `unit_ids[i]` is the unit
+    searched i-th.  `overloaded` names the first resource whose cheapest
+    total demand exceeds total capacity, which proves infeasibility.
+    """
 
     unit_ids: list[str]
     node_ids: list[str]
-    nv: list[int]
-    off: list[int]
-    vmem: list[int]
-    vcpu: list[int]
-    vgpu: list[int]
-    vcost: list[int]
-    cap_mem: list[int]
-    cap_cpu: list[int]
-    cap_gpu: list[int]
+    kernel_args: tuple[list[int], ...]
+    suffix_min: list[int]
     cost_den: int
+    overloaded: str | None
+    int64_safe: bool
 
 
 def _check_config(cfg: SolverConfig) -> None:
     if cfg.unit_order not in ("demand", "declared"):
         raise SolverError(f"unknown unit_order {cfg.unit_order!r}")
-    if cfg.node_order != "declared":
-        raise SolverError(f"unknown node_order {cfg.node_order!r}")
     if cfg.time_limit_ms is not None and cfg.time_limit_ms < 0:
         raise SolverError("time_limit_ms must be non-negative")
     for unit_id, weight in cfg.unit_weights.items():
@@ -134,140 +138,115 @@ def _check_config(cfg: SolverConfig) -> None:
             raise SolverError(f"weight of unit {unit_id!r} must be positive")
 
 
-def _flatten(model: HighLayerModel, platform: Platform, cfg: SolverConfig) -> _Flat:
-    units = model.all_units()
-    unit_ids = [u.id for u in units]
-    if len(set(unit_ids)) != len(unit_ids):
+def _check_unit_ids(units: list, cfg: SolverConfig) -> None:
+    unit_ids = {u.id for u in units}
+    if len(unit_ids) != len(units):
         raise SolverError("duplicate unit ids in the model")
-    unknown = set(cfg.unit_weights) - set(unit_ids)
+    unknown = set(cfg.unit_weights) - unit_ids
     if unknown:
         raise SolverError(f"weights for unknown units: {', '.join(sorted(unknown))}")
-    node_ids = [n.id for n in platform.nodes]
+
+
+def _scale(
+    model: HighLayerModel, platform: Platform, cfg: SolverConfig, unit_order: str
+) -> _Scaled:
+    """Scale every demand and capacity to integers, once.
+
+    Per resource the common denominator is the lcm of every value's
+    denominator.  The same pass takes each unit's minimum and maximum per
+    resource: the minima give the pre-search infeasibility check, the
+    demand score and the cost bound, the maxima the int64 check.
+    """
+    _check_config(cfg)
+    units = model.all_units()
+    _check_unit_ids(units, cfg)
+    nodes = platform.nodes
+    node_ids = [n.id for n in nodes]
     if len(set(node_ids)) != len(node_ids):
         raise SolverError("duplicate node ids in the platform")
-
-    mem_values: list[Fraction] = [n.use_mem for n in platform.nodes]
-    cpu_values: list[Fraction] = [n.use_cpu for n in platform.nodes]
-    cost_values: list[Fraction] = []
     for unit in units:
         if not unit.variants:
             raise SolverError(f"unit {unit.id!r} has no variants")
-        weight = cfg.unit_weights.get(unit.id, Fraction(1))
-        for variant in unit.variants:
-            mem_values.append(variant.props.mem)
-            cpu_values.append(variant.props.cpu)
-            cost_values.append(weight * variant.props.exec_ms)
 
-    mem_den = math.lcm(1, *(v.denominator for v in mem_values))
-    cpu_den = math.lcm(1, *(v.denominator for v in cpu_values))
-    cost_den = math.lcm(1, *(v.denominator for v in cost_values))
+    props = [[v.props for v in u.variants] for u in units]
+    weights = cfg.unit_weights
+    costs = [
+        [weights[u.id] * p.exec_ms for p in ps]
+        if u.id in weights
+        else [p.exec_ms for p in ps]
+        for u, ps in zip(units, props)
+    ]
+    variants = [p for ps in props for p in ps]
+    mem_den = math.lcm(
+        *{n.use_mem.denominator for n in nodes}, *{p.mem.denominator for p in variants}
+    )
+    cpu_den = math.lcm(
+        *{n.use_cpu.denominator for n in nodes}, *{p.cpu.denominator for p in variants}
+    )
+    cost_den = math.lcm(*{c.denominator for cs in costs for c in cs})
 
-    nv: list[int] = []
-    off: list[int] = []
-    vmem: list[int] = []
-    vcpu: list[int] = []
-    vgpu: list[int] = []
-    vcost: list[int] = []
-    pos = 0
-    for unit in units:
-        weight = cfg.unit_weights.get(unit.id, Fraction(1))
-        nv.append(len(unit.variants))
-        off.append(pos)
-        pos += len(unit.variants)
-        for variant in unit.variants:
-            p = variant.props
-            vmem.append(int(p.mem * mem_den))
-            vcpu.append(int(p.cpu * cpu_den))
-            vgpu.append(p.gpu_threads)
-            vcost.append(int(weight * p.exec_ms * cost_den))
-    cap_mem = [int(n.use_mem * mem_den) for n in platform.nodes]
-    cap_cpu = [int(n.use_cpu * cpu_den) for n in platform.nodes]
-    cap_gpu = [n.use_gpu for n in platform.nodes]
+    caps = (
+        [n.use_mem.numerator * (mem_den // n.use_mem.denominator) for n in nodes],
+        [n.use_cpu.numerator * (cpu_den // n.use_cpu.denominator) for n in nodes],
+        [n.use_gpu for n in nodes],
+    )
+    rows = []  # per unit, in declared order: scaled (mem, cpu, gpu, cost) lists
+    minima = []
+    maxima = [0, 0, 0, 0]
+    for ps, cs in zip(props, costs):
+        row = (
+            [p.mem.numerator * (mem_den // p.mem.denominator) for p in ps],
+            [p.cpu.numerator * (cpu_den // p.cpu.denominator) for p in ps],
+            [p.gpu_threads for p in ps],
+            [c.numerator * (cost_den // c.denominator) for c in cs],
+        )
+        rows.append(row)
+        minima.append([min(col) for col in row])
+        for r, col in enumerate(row):
+            maxima[r] += max(col)
 
-    for name, values in (
-        ("demand", vmem + vcpu + vgpu + vcost),
-        ("capacity", cap_mem + cap_cpu + cap_gpu),
-    ):
-        if values and min(values) < 0:
-            raise SolverError(f"negative {name} values; validate the model first")
-    return _Flat(
-        unit_ids=unit_ids,
+    if minima and min(min(m) for m in minima) < 0:
+        raise SolverError("negative demand values; validate the model first")
+    if any(c < 0 for cap in caps for c in cap):
+        raise SolverError("negative capacity values; validate the model first")
+    totals = [sum(cap) for cap in caps]
+    overloaded = None
+    for r, label in enumerate(("mem", "cpu", "gpu_threads")):
+        if minima and sum(m[r] for m in minima) > totals[r]:
+            overloaded = label
+            break
+    bound = engine.INT64_SAFE_BOUND
+    int64_safe = max(maxima) < bound and all(c < bound for cap in caps for c in cap)
+
+    order = range(len(units))
+    if unit_order == "demand":
+        # max over resources of min demand / total capacity, compared
+        # exactly over the common denominator; the sort is stable, so
+        # ties keep declared order
+        common = math.prod(t for t in totals if t)
+        factors = [common // t if t else 0 for t in totals]
+        score = [max(m[r] * factors[r] for r in range(3)) for m in minima]
+        order = sorted(order, key=lambda u: -score[u])
+
+    nv = [len(rows[u][0]) for u in order]
+    off = list(itertools.accumulate(nv, initial=0))[:-1]
+    vmem, vcpu, vgpu, vcost = ([x for u in order for x in rows[u][r]] for r in range(4))
+    cheapest = (minima[u][3] for u in reversed(order))
+    suffix_min = list(itertools.accumulate(cheapest, initial=0))[::-1]
+    return _Scaled(
+        unit_ids=[units[u].id for u in order],
         node_ids=node_ids,
-        nv=nv,
-        off=off,
-        vmem=vmem,
-        vcpu=vcpu,
-        vgpu=vgpu,
-        vcost=vcost,
-        cap_mem=cap_mem,
-        cap_cpu=cap_cpu,
-        cap_gpu=cap_gpu,
+        kernel_args=(nv, off, vmem, vcpu, vgpu, vcost, *caps),
+        suffix_min=suffix_min,
         cost_den=cost_den,
+        overloaded=overloaded,
+        int64_safe=int64_safe,
     )
 
 
-def _unit_minima(flat: _Flat, values: list[int]) -> list[int]:
-    return [
-        min(values[flat.off[u] + v] for v in range(flat.nv[u]))
-        for u in range(len(flat.nv))
-    ]
-
-
-def _aggregate_infeasible(flat: _Flat) -> str | None:
-    """Cheapest possible total demand vs total capacity, per resource.
-
-    A failed check proves infeasibility outright; passing proves nothing.
-    """
-    for label, values, caps in (
-        ("mem", flat.vmem, flat.cap_mem),
-        ("cpu", flat.vcpu, flat.cap_cpu),
-        ("gpu_threads", flat.vgpu, flat.cap_gpu),
-    ):
-        if flat.nv and sum(_unit_minima(flat, values)) > sum(caps):
-            return label
-    return None
-
-
-def _search_order(flat: _Flat, unit_order: str) -> list[int]:
-    n = len(flat.nv)
-    if unit_order == "declared":
-        return list(range(n))
-    totals = [sum(flat.cap_mem), sum(flat.cap_cpu), sum(flat.cap_gpu)]
-    minima = [
-        _unit_minima(flat, flat.vmem),
-        _unit_minima(flat, flat.vcpu),
-        _unit_minima(flat, flat.vgpu),
-    ]
-
-    def score(u: int) -> Fraction:
-        parts = [
-            Fraction(minima[r][u], totals[r]) if totals[r] > 0 else Fraction(0)
-            for r in range(3)
-        ]
-        return max(parts)
-
-    return sorted(range(n), key=lambda u: (-score(u), u))
-
-
-def _int64_safe(flat: _Flat) -> bool:
-    bound = engine.INT64_SAFE_BOUND
-    for values, caps in (
-        (flat.vmem, flat.cap_mem),
-        (flat.vcpu, flat.cap_cpu),
-        (flat.vgpu, flat.cap_gpu),
-        (flat.vcost, []),
-    ):
-        total = 0
-        for u, count in enumerate(flat.nv):
-            total += max(values[flat.off[u] + v] for v in range(count))
-        if total >= bound or any(c >= bound for c in caps):
-            return False
-    return True
-
-
-def _pick_backend(name: str, flat: _Flat) -> engine.Backend:
+def _pick_backend(name: str, scaled: _Scaled) -> engine.Backend:
     be = engine.get_backend(name)
-    if be.name == "c" and not _int64_safe(flat):
+    if be.name == "c" and not scaled.int64_safe:
         if name == "c":
             raise SolverError(
                 "scaled values do not fit the compiled kernels; use backend=python"
@@ -275,6 +254,13 @@ def _pick_backend(name: str, flat: _Flat) -> engine.Backend:
         log.debug("values exceed int64 range, using python kernels")
         return engine.get_backend("python")
     return be
+
+
+def _placements(scaled: _Scaled, choices: list[tuple[int, int]]) -> dict[str, Placement]:
+    return {
+        unit_id: Placement(v, scaled.node_ids[h])
+        for unit_id, (v, h) in zip(scaled.unit_ids, choices)
+    }
 
 
 def solve(
@@ -291,52 +277,21 @@ def solve(
     or "timeout".
     """
     cfg = config or SolverConfig()
-    _check_config(cfg)
     deadline_ns = None
     if cfg.time_limit_ms is not None:
         deadline_ns = time.monotonic_ns() + cfg.time_limit_ms * 1_000_000
 
-    flat = _flatten(model, platform, cfg)
-    be = _pick_backend(backend, flat)
-    overloaded = _aggregate_infeasible(flat)
-    if overloaded is not None:
-        log.info("infeasible before search: total %s demand exceeds capacity", overloaded)
+    scaled = _scale(model, platform, cfg, cfg.unit_order)
+    be = _pick_backend(backend, scaled)
+    if scaled.overloaded is not None:
+        log.info(
+            "infeasible before search: total %s demand exceeds capacity", scaled.overloaded
+        )
         return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
-
-    order = _search_order(flat, cfg.unit_order)
-    nv = [flat.nv[u] for u in order]
-    off: list[int] = []
-    vmem: list[int] = []
-    vcpu: list[int] = []
-    vgpu: list[int] = []
-    vcost: list[int] = []
-    for u in order:
-        off.append(len(vmem))
-        base = flat.off[u]
-        for v in range(flat.nv[u]):
-            vmem.append(flat.vmem[base + v])
-            vcpu.append(flat.vcpu[base + v])
-            vgpu.append(flat.vgpu[base + v])
-            vcost.append(flat.vcost[base + v])
-    suffix_min = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        cheapest = min(vcost[off[i] + v] for v in range(nv[i]))
-        suffix_min[i] = suffix_min[i + 1] + cheapest
-
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
         return AllocationScheme(TIMED_OUT, None, {}, visited=0, backend=be.name)
     code, cost, choices, visited = be.solve_search(
-        nv,
-        off,
-        vmem,
-        vcpu,
-        vgpu,
-        vcost,
-        flat.cap_mem,
-        flat.cap_cpu,
-        flat.cap_gpu,
-        suffix_min,
-        deadline_ns,
+        *scaled.kernel_args, scaled.suffix_min, deadline_ns
     )
     status = _STATUS[code]
     log.debug("status %s after %d search nodes on backend %s", status, visited, be.name)
@@ -347,12 +302,10 @@ def solve(
     placements: dict[str, Placement] = {}
     objective = None
     if expose and choices:
-        for i, unit_index in enumerate(order):
-            v, h = choices[i]
-            placements[flat.unit_ids[unit_index]] = Placement(v, flat.node_ids[h])
-        objective = Fraction(cost, flat.cost_den)
+        placements = _placements(scaled, choices)
+        objective = Fraction(cost, scaled.cost_den)
     elif status == OPTIMAL:
-        objective = Fraction(cost, flat.cost_den)  # zero units
+        objective = Fraction(cost, scaled.cost_den)  # zero units
     return AllocationScheme(status, objective, placements, visited=visited, backend=be.name)
 
 
@@ -370,35 +323,23 @@ def brute_force(
     assignment count exceeds BRUTE_FORCE_GUARD.
     """
     cfg = config or SolverConfig()
-    _check_config(cfg)
-    flat = _flatten(model, platform, cfg)
+    scaled = _scale(model, platform, cfg, "declared")
     assignments = 1
-    k = len(flat.node_ids)
-    for count in flat.nv:
+    k = len(scaled.node_ids)
+    for count in scaled.kernel_args[0]:  # nv
         assignments *= count * k
         if assignments > BRUTE_FORCE_GUARD:
             raise EnumerationGuardError(
                 f"instance has more than {BRUTE_FORCE_GUARD} raw assignments"
             )
-    be = _pick_backend(backend, flat)
-    code, cost, choices, visited = be.brute_search(
-        flat.nv,
-        flat.off,
-        flat.vmem,
-        flat.vcpu,
-        flat.vgpu,
-        flat.vcost,
-        flat.cap_mem,
-        flat.cap_cpu,
-        flat.cap_gpu,
-    )
+    be = _pick_backend(backend, scaled)
+    code, cost, choices, visited = be.brute_search(*scaled.kernel_args)
     status = _STATUS[code]
     placements = {}
     objective = None
     if status == OPTIMAL:
-        for u, (v, h) in enumerate(choices):
-            placements[flat.unit_ids[u]] = Placement(v, flat.node_ids[h])
-        objective = Fraction(cost, flat.cost_den)
+        placements = _placements(scaled, choices)
+        objective = Fraction(cost, scaled.cost_den)
     return AllocationScheme(status, objective, placements, visited=visited, backend=be.name)
 
 

@@ -135,7 +135,6 @@ def test_compact_builds_indexed_variants():
     assert [v.index for v in unit.variants] == [0, 1, 2, 3]
     assert unit.variants[0].members == ["f0c", "f1c"]
     assert unit.variants[3].props.gpu_threads == 256
-    assert unit.external_ports == ["f0", "f1"]
 
 
 def test_compact_rejects_mixed_function_sets():

@@ -49,6 +49,20 @@ def test_duplicate_component_id():
     assert "duplicate-component-id" in rules(validate_repository(repo))
 
 
+def test_duplicate_ids_resolve_to_the_first_declared():
+    first, second = comp("a", mem=1), comp("a", mem=2)
+    repo = Repository(components=[first, second])
+    assert repo.component("a") is first
+    assert repo.has("a") and not repo.has("b")
+    with pytest.raises(UnknownIdError):
+        repo.component("b")
+    n1 = HardwareNode("n", Fraction(1), Fraction(1))
+    platform = Platform(nodes=[n1, HardwareNode("n", Fraction(2), Fraction(2))])
+    assert platform.node("n") is n1
+    with pytest.raises(UnknownIdError):
+        platform.node("m")
+
+
 def test_negative_demands_each_get_a_diagnostic():
     repo = Repository(
         components=[comp("a", mem=-1, cpu=-2, exec_ms=-3)],

@@ -124,6 +124,67 @@ def test_unit_order_does_not_change_the_objective():
         assert demand.objective_ms == declared.objective_ms, f"seed {seed}"
 
 
+def _presorted(model, platform):
+    """The model with its units in the documented search order, computed
+    independently: descending max over resources of the unit's cheapest
+    demand / total capacity (0 where the total is 0), ties in declaration
+    order."""
+    totals = (
+        sum(n.use_mem for n in platform.nodes),
+        sum(n.use_cpu for n in platform.nodes),
+        sum(n.use_gpu for n in platform.nodes),
+    )
+
+    def score(u):
+        minima = (
+            min(v.props.mem for v in u.variants),
+            min(v.props.cpu for v in u.variants),
+            min(v.props.gpu_threads for v in u.variants),
+        )
+        return max(Fraction(m) / t if t else Fraction(0) for m, t in zip(minima, totals))
+
+    units = model.all_units()
+    ranked = sorted(range(len(units)), key=lambda i: (-score(units[i]), i))
+    return HighLayerModel(units=[units[i] for i in ranked])
+
+
+def test_demand_order_is_the_documented_rule():
+    # no GPU capacity at all; a and c tie, so only declaration order
+    # decides which of them takes the first free node
+    no_gpu = Platform(nodes=[node("h0", 4, 10), node("h1", 4, 10)])
+    tied = HighLayerModel(
+        units=[
+            unit("a", (1, 1, 0, 5)),
+            unit("b", (3, 1, 0, 5)),
+            unit("c", (1, 1, 0, 5)),
+            unit("d", (2, 2, 256, 1), (2, 2, 0, 4)),
+        ]
+    )
+    cases = [(tied, no_gpu)]
+    for seed in range(60):
+        model, platform = random_high_model(seed, product_cap=20_000)
+        cases.append((model, platform))
+        plain = [node(n.id, n.use_mem, n.use_cpu) for n in platform.nodes]
+        cases.append((model, Platform(nodes=plain)))
+    reordered = 0
+    for model, platform in cases:
+        presorted = _presorted(model, platform)
+        if [u.id for u in presorted.all_units()] != [u.id for u in model.all_units()]:
+            reordered += 1
+        by_demand = solve(model, platform, SolverConfig(unit_order="demand"))
+        declared = solve(presorted, platform, SolverConfig(unit_order="declared"))
+        assert dump_scheme(by_demand) == dump_scheme(declared)
+        assert by_demand.visited == declared.visited
+    assert reordered > len(cases) // 2
+    scheme = solve(tied, no_gpu)
+    assert [(u, p.node) for u, p in scheme.placements.items()] == [
+        ("b", "h0"),
+        ("d", "h1"),
+        ("a", "h0"),
+        ("c", "h1"),
+    ]
+
+
 def test_solve_agrees_with_brute_force():
     for seed in range(60):
         model, platform = random_high_model(seed, product_cap=30_000)
@@ -167,8 +228,6 @@ def test_config_validation():
         solve(model, platform, SolverConfig(unit_weights={"A": Fraction(0)}))
     with pytest.raises(SolverError, match="unit_order"):
         solve(model, platform, SolverConfig(unit_order="random"))
-    with pytest.raises(SolverError, match="node_order"):
-        solve(model, platform, SolverConfig(node_order="spread"))
     with pytest.raises(SolverError, match="non-negative"):
         solve(model, platform, SolverConfig(time_limit_ms=-1))
 
