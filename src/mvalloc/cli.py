@@ -15,10 +15,8 @@ import logging
 import os
 import sys
 
-from .bench import BenchSpec, format_table, reports_to_csv, reports_to_json, run_bench
 from .compaction import CompactionError, UnfoldError, build_high_layer, unfold
 from .engine import available_backends
-from .fixtures import robot_model_text
 from .formats import (
     ParseError,
     dump_assignment,
@@ -30,7 +28,6 @@ from .formats import (
     parse_weights,
     write_atomic,
 )
-from .lp import export_lp
 from .model import (
     Platform,
     Repository,
@@ -197,6 +194,8 @@ def cmd_unfold(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
+    from .lp import export_lp
+
     repo, platform, architecture = _validated_model(args.model)
     model = _high_layer(args, repo, architecture)
     cfg = _solver_config(args)
@@ -207,6 +206,8 @@ def cmd_export_lp(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import BenchSpec, format_table, reports_to_csv, reports_to_json, run_bench
+
     if args.backend == "both":
         backends = ["c", "python"]
         if "c" not in available_backends():
@@ -236,6 +237,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_example(args) -> int:
+    from .fixtures import robot_model_text
+
     write_atomic(args.out, robot_model_text())
     print(f"example model -> {args.out}")
     return EXIT_OK

@@ -157,7 +157,9 @@ def enumerate_alternatives(
 
     Generated policies emit assemblies in a fixed order: the cartesian
     product of version choices, each version list in repository order,
-    varying the last function fastest.
+    varying the last function fastest.  "contiguous_gpu_segment" emits
+    that product's contiguous chains in the same order, without building
+    the chains it drops.
     """
     if isinstance(policy, Declared):
         if not policy.alternatives:
@@ -177,23 +179,26 @@ def enumerate_alternatives(
         if not versions:
             raise CompactionError(f"no component realizes function {function!r}")
         version_lists.append(versions)
-    combos = itertools.product(*version_lists)
     if isinstance(policy, AllCombinations):
-        return [_chain_assembly(c) for c in combos]
+        return [_chain_assembly(c) for c in itertools.product(*version_lists)]
     if isinstance(policy, ContiguousGpuSegment):
-        kept = []
-        for combo in combos:
-            gpu_positions = [
-                i
-                for i, cid in enumerate(combo)
-                if repo.component(cid).kind is Kind.GPU
-            ]
-            contiguous = (
-                not gpu_positions
-                or gpu_positions[-1] - gpu_positions[0] + 1 == len(gpu_positions)
-            )
-            if contiguous:
-                kept.append(_chain_assembly(combo))
+        gpu = [[repo.component(cid).kind is Kind.GPU for cid in vs] for vs in version_lists]
+        kept: list[Assembly] = []
+        chain: list[str] = []
+
+        def walk(i: int, run: int) -> None:
+            # run: 0 no GPU version yet, 1 GPU run open, 2 run closed
+            if i == len(version_lists):
+                kept.append(_chain_assembly(tuple(chain)))
+                return
+            for cid, on_gpu in zip(version_lists[i], gpu[i]):
+                if on_gpu and run == 2:
+                    continue
+                chain.append(cid)
+                walk(i + 1, 1 if on_gpu else 2 if run == 1 else run)
+                chain.pop()
+
+        walk(0, 0)
         return kept
     raise CompactionError(f"unknown enumeration policy {policy!r}")
 

@@ -7,31 +7,25 @@ Indices follow model and platform order; a comment header maps them back
 to ids, which keeps variable names safe for any solver regardless of
 what characters the ids contain.
 
-Coefficients are written as exact decimals whenever the rational has a
-terminating decimal form, which covers everything produced by our own
-file formats; anything else falls back to repr(float(...)) and is then
-only as exact as a double.
+Every coefficient and right-hand side is an integer: the numbers are the
+solver's own scaling (`solver._scale`), so the LP is exact for any
+rational input.  Each mem and cpu row is multiplied through by its
+resource's common denominator, which leaves its feasible set unchanged.
+The objective is the weighted exec_ms times the lcm of their
+denominators; when that lcm is not 1 the header says so with a line
+`\\ objective_ms = obj / <lcm>`.  A model whose values are all integers
+scales by 1 and needs no such line.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .compaction import HighLayerModel
 from .model import Platform
-from .rationals import format_number
-from .solver import SolverConfig, SolverError, _check_config, _check_unit_ids
+from .solver import SolverConfig, SolverError, _scale
 
 __all__ = ["export_lp"]
 
 _WRAP = 72
-
-
-def _coef(value: Fraction) -> str:
-    text = format_number(value)
-    if "/" in text:
-        return repr(float(value))
-    return text
 
 
 def _wrap(parts: list[str]) -> str:
@@ -46,15 +40,18 @@ def _wrap(parts: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _terms(pairs: list[tuple[Fraction, str]], fallback_var: str) -> list[str]:
-    parts: list[str] = []
-    for coef, var in pairs:
-        if coef == 0:
-            continue
-        parts.append(f"{_coef(coef)} {var}" if not parts else f"+ {_coef(coef)} {var}")
+def _terms(coefs: list[int], columns: list[str]) -> list[str]:
+    """`<coef> x_u<i>_v<j>_h` for each non-zero coefficient; the node
+    index is appended per row."""
+    return [f"{c} {column}" for c, column in zip(coefs, columns) if c]
+
+
+def _row(terms: list[str], hosts: list[str]) -> str:
+    parts = [f"+ {term}{h}" for term in terms for h in hosts]
     if not parts:
-        parts.append(f"0 {fallback_var}")
-    return parts
+        return _wrap(["0 x_u0_v0_h0"])
+    parts[0] = parts[0][2:]
+    return _wrap(parts)
 
 
 def export_lp(
@@ -62,65 +59,37 @@ def export_lp(
     platform: Platform,
     config: SolverConfig | None = None,
 ) -> str:
-    cfg = config or SolverConfig()
-    _check_config(cfg)
-    units = model.all_units()
-    if not units:
+    scaled = _scale(model, platform, config or SolverConfig(), "declared")
+    if not scaled.unit_ids:
         raise SolverError("nothing to export: the model has no units")
-    if not platform.nodes:
+    if not scaled.node_ids:
         raise SolverError("nothing to export: the platform has no nodes")
-    _check_unit_ids(units, cfg)
+    nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu = scaled.kernel_args
+    hosts = [str(h) for h in range(len(scaled.node_ids))]
+    columns = [f"x_u{u}_v{v}_h" for u, n in enumerate(nv) for v in range(n)]
 
-    def var(u: int, v: int, h: int) -> str:
-        return f"x_u{u}_v{v}_h{h}"
-
-    first_var = var(0, 0, 0)
-    out: list[str] = []
-    out.append(f"\\ allocation MILP: {len(units)} units, {len(platform.nodes)} nodes")
-    for u, unit in enumerate(units):
-        out.append(f"\\ u{u} = {unit.id}")
-    for h, node in enumerate(platform.nodes):
-        out.append(f"\\ h{h} = {node.id}")
-
-    objective: list[tuple[Fraction, str]] = []
-    for u, unit in enumerate(units):
-        weight = cfg.unit_weights.get(unit.id, Fraction(1))
-        for v, variant in enumerate(unit.variants):
-            cost = weight * variant.props.exec_ms
-            for h in range(len(platform.nodes)):
-                objective.append((cost, var(u, v, h)))
-    out.append("Minimize")
-    out.append(" obj:")
-    out.append(_wrap(_terms(objective, first_var)))
+    out = [f"\\ allocation MILP: {len(nv)} units, {len(hosts)} nodes"]
+    out += [f"\\ u{u} = {unit_id}" for u, unit_id in enumerate(scaled.unit_ids)]
+    out += [f"\\ h{h} = {node_id}" for h, node_id in enumerate(scaled.node_ids)]
+    if scaled.cost_den != 1:
+        out.append(f"\\ objective_ms = obj / {scaled.cost_den}")
+    out += ["Minimize", " obj:", _row(_terms(vcost, columns), hosts)]
 
     out.append("Subject To")
-    for u, unit in enumerate(units):
-        ones = [
-            (Fraction(1), var(u, v, h))
-            for v in range(len(unit.variants))
-            for h in range(len(platform.nodes))
-        ]
+    for u, (n, start) in enumerate(zip(nv, off)):
         out.append(f" assign_u{u}:")
-        out.append(_wrap(_terms(ones, first_var)) + " = 1")
-    for h, node in enumerate(platform.nodes):
-        rows = (
-            ("mem", lambda p: p.mem, node.use_mem),
-            ("cpu", lambda p: p.cpu, node.use_cpu),
-            ("gpu", lambda p: Fraction(p.gpu_threads), Fraction(node.use_gpu)),
-        )
-        for label, pick, cap in rows:
-            pairs = [
-                (pick(variant.props), var(u, v, h))
-                for u, unit in enumerate(units)
-                for v, variant in enumerate(unit.variants)
-            ]
+        out.append(_row(_terms([1] * n, columns[start : start + n]), hosts) + " = 1")
+    rows = (
+        ("mem", _terms(vmem, columns), cap_mem),
+        ("cpu", _terms(vcpu, columns), cap_cpu),
+        ("gpu", _terms(vgpu, columns), cap_gpu),
+    )
+    for h, host in enumerate(hosts):
+        for label, terms, cap in rows:
             out.append(f" {label}_h{h}:")
-            out.append(_wrap(_terms(pairs, first_var)) + f" <= {_coef(cap)}")
+            out.append(_row(terms, [host]) + f" <= {cap[h]}")
 
     out.append("Binary")
-    for u, unit in enumerate(units):
-        for v in range(len(unit.variants)):
-            for h in range(len(platform.nodes)):
-                out.append(f" {var(u, v, h)}")
+    out += [f" {column}{h}" for column in columns for h in hosts]
     out.append("End")
     return "\n".join(out) + "\n"

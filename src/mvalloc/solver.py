@@ -24,6 +24,8 @@ solve deterministic.
 `brute_force` enumerates every capacity-feasible assignment in declared
 order with no cost bound, guarded against oversized instances.  It is an
 independent oracle for `solve`: the only code they share is the scaling.
+`lp.export_lp` writes the same scaled integers, so `_scale` is the one
+place a rational becomes a solver number.
 """
 
 from __future__ import annotations
@@ -138,15 +140,6 @@ def _check_config(cfg: SolverConfig) -> None:
             raise SolverError(f"weight of unit {unit_id!r} must be positive")
 
 
-def _check_unit_ids(units: list, cfg: SolverConfig) -> None:
-    unit_ids = {u.id for u in units}
-    if len(unit_ids) != len(units):
-        raise SolverError("duplicate unit ids in the model")
-    unknown = set(cfg.unit_weights) - unit_ids
-    if unknown:
-        raise SolverError(f"weights for unknown units: {', '.join(sorted(unknown))}")
-
-
 def _scale(
     model: HighLayerModel, platform: Platform, cfg: SolverConfig, unit_order: str
 ) -> _Scaled:
@@ -159,7 +152,12 @@ def _scale(
     """
     _check_config(cfg)
     units = model.all_units()
-    _check_unit_ids(units, cfg)
+    unit_ids = {u.id for u in units}
+    if len(unit_ids) != len(units):
+        raise SolverError("duplicate unit ids in the model")
+    unknown = set(cfg.unit_weights) - unit_ids
+    if unknown:
+        raise SolverError(f"weights for unknown units: {', '.join(sorted(unknown))}")
     nodes = platform.nodes
     node_ids = [n.id for n in nodes]
     if len(set(node_ids)) != len(node_ids):

@@ -310,3 +310,19 @@ def test_module_main_guard(robot_file, tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "ok"
+
+
+def test_cli_import_leaves_bench_and_fixtures_unloaded():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, mvalloc.cli; "
+            "print(sorted({'mvalloc.bench', 'mvalloc.fixtures'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,30 @@ def test_contiguous_gpu_segment_drops_split_runs():
     assert ("c", "c", "c") in combos
     assert ("g", "g", "g") in combos
     assert ("c", "g", "c") in combos
+
+    # the full product filtered, in product order: "a" lists a GPU
+    # version between two CPU ones, "b" has only a GPU version
+    extra = [
+        comp("a1", function="a"),
+        comp("ag", kind=Kind.GPU, function="a", gpu=64),
+        comp("a2", function="a"),
+        comp("bg", kind=Kind.GPU, function="b", gpu=64),
+    ]
+    repo = Repository(
+        components=repo.components + extra,
+        version_groups={**repo.version_groups, "a": ["a1", "ag", "a2"]},
+    )
+    topology = ["f0", "a", "f1", "b", "f2"]
+
+    def contiguous(chain):
+        gpu = [i for i, cid in enumerate(chain) if repo.component(cid).kind is Kind.GPU]
+        return not gpu or gpu[-1] - gpu[0] + 1 == len(gpu)
+
+    product = itertools.product(*(repo.versions_of(f) for f in topology))
+    expected = [list(chain) for chain in product if contiguous(chain)]
+    alts = enumerate_alternatives(topology, repo, ContiguousGpuSegment())
+    assert [a.components for a in alts] == expected
+    assert len(expected) == 12
 
 
 def test_declared_policy_checks_the_topology():

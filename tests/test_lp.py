@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,18 +59,23 @@ def test_robot_export_structure(robot, robot_high):
     assert text.endswith("End\n")
 
 
-def test_coefficients_are_exact_decimals_where_possible(robot, robot_high):
+def test_coefficients_are_scaled_integers(robot, robot_high):
     _, platform, _ = robot
     text = export_lp(robot_high, platform)
-    assert " 0.55 " in text  # fractional CPU loads stay exact decimals
-    assert " 4.5 " in text  # and so do fractional memory demands
-    assert ".333333" not in text
+    body = text[text.index("Minimize") :]
+    assert "." not in body and "/" not in body
+    # each row is multiplied through by its resource's common denominator
+    assert "+ 11 x_u0_v1_h0" in text  # CPU 0.55, times 20
+    assert "+ 9 x_u1_v1_h0" in text  # memory 4.5, times 2
+    assert "    + 8 x_u3_v0_h1 + 6 x_u4_v0_h1 + 4 x_u5_v0_h1 + 4 x_u6_v0_h1 <= 30\n" in text
+    assert "objective_ms" not in text  # integral exec times need no divisor
 
 
-def test_nonterminating_coefficients_fall_back_to_float_repr():
+def test_fractional_objective_is_scaled_with_its_divisor():
     model = HighLayerModel(units=[unit("U", (1, 1, 0, Fraction(1, 3)))])
     platform = Platform(nodes=[node("H", 10, 10)])
-    assert "0.3333333333333333 x_u0_v0_h0" in export_lp(model, platform)
+    text = export_lp(model, platform)
+    assert "\\ objective_ms = obj / 3\nMinimize\n obj:\n  1 x_u0_v0_h0\n" in text
 
 
 def test_export_validates_inputs():
@@ -87,21 +93,34 @@ def test_weights_scale_objective_coefficients():
     model = HighLayerModel(units=[unit("U", (1, 1, 0, 5))])
     platform = Platform(nodes=[node("H", 10, 10)])
     text = export_lp(model, platform, SolverConfig(unit_weights={"U": Fraction(3, 2)}))
-    assert "7.5 x_u0_v0_h0" in text
+    assert " obj:\n  15 x_u0_v0_h0\n" in text
+    assert "\\ objective_ms = obj / 2\n" in text
 
 
-def test_milp_cross_check_on_integral_instances():
+def _milp_cross_check(seeds, integral):
+    """HiGHS on the exported text agrees with `solve`: same status, and
+    the LP objective is objective_ms times the header's divisor."""
     lp_check = pytest.importorskip("lp_check")
     pytest.importorskip("scipy")
     solved = 0
-    for seed in range(8):
-        model, platform = random_high_model(
-            seed + 5000, product_cap=20_000, integral=True
-        )
+    for seed in seeds:
+        model, platform = random_high_model(seed, product_cap=20_000, integral=integral)
         expected = solve(model, platform)
-        status, objective, _ = lp_check.solve_lp_text(export_lp(model, platform))
-        assert status == expected.status, f"seed {seed + 5000}"
+        text = export_lp(model, platform)
+        divisor = re.search(r"^\\ objective_ms = obj / (\d+)$", text, re.M)
+        assert (divisor is None) == integral, f"seed {seed}"
+        status, objective, _ = lp_check.solve_lp_text(text)
+        assert status == expected.status, f"seed {seed}"
         if status == "optimal":
             solved += 1
-            assert objective == float(expected.objective_ms), f"seed {seed + 5000}"
+            scale = int(divisor[1]) if divisor else 1
+            assert objective == float(expected.objective_ms * scale), f"seed {seed}"
     assert solved >= 2
+
+
+def test_milp_cross_check_on_integral_instances():
+    _milp_cross_check(range(5000, 5008), integral=True)
+
+
+def test_milp_cross_check_on_fractional_instances():
+    _milp_cross_check(range(7000, 7008), integral=False)
