@@ -1,9 +1,13 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
 """Compiled twin of mvalloc._kernels_py.
 
-Same tree walk, same ordering, same strict-improvement rule; the facade
-feeds it the same scaled integers, so both backends return identical
-results.  Values must fit in int64, which the caller has checked.
+Same tree walk, same ordering, same strict-improvement rule, and the
+same cuts: the forward check with its still-fitting cost bound `rest`,
+skipped when one node covers the `need_*` suffix maxima, and the cost
+cut before each variant and after each child.  The facade feeds it the
+same scaled integers, so both backends return identical results,
+visited counts included.  Values must fit in int64, which the caller has
+checked.
 """
 
 from libc.stdint cimport int64_t
@@ -31,6 +35,10 @@ cdef struct _State:
     int64_t *rem_cpu
     int64_t *rem_gpu
     int64_t *suffix_min
+    int64_t *need_mem
+    int64_t *need_cpu
+    int64_t *need_gpu
+    int *by_cost
     int *choice_v
     int *choice_h
     int *best_v
@@ -63,7 +71,7 @@ cdef int _fill_state(
     cap_cpu,
     cap_gpu,
 ) except -1:
-    cdef int i
+    cdef int i, j, u
     cdef int n = len(nv)
     cdef int k = len(cap_mem)
     cdef int total = len(vmem)
@@ -79,6 +87,10 @@ cdef int _fill_state(
     s.rem_cpu = <int64_t *>_alloc(k, sizeof(int64_t))
     s.rem_gpu = <int64_t *>_alloc(k, sizeof(int64_t))
     s.suffix_min = <int64_t *>_alloc(n + 1, sizeof(int64_t))
+    s.need_mem = <int64_t *>_alloc(n + 1, sizeof(int64_t))
+    s.need_cpu = <int64_t *>_alloc(n + 1, sizeof(int64_t))
+    s.need_gpu = <int64_t *>_alloc(n + 1, sizeof(int64_t))
+    s.by_cost = <int *>_alloc(total, sizeof(int))
     s.choice_v = <int *>_alloc(n, sizeof(int))
     s.choice_h = <int *>_alloc(n, sizeof(int))
     s.best_v = <int *>_alloc(n, sizeof(int))
@@ -95,6 +107,15 @@ cdef int _fill_state(
         s.rem_mem[i] = cap_mem[i]
         s.rem_cpu[i] = cap_cpu[i]
         s.rem_gpu[i] = cap_gpu[i]
+    # each unit's variant indices, cheapest first (stable insertion sort),
+    # for the forward scan; the first that fits a node gives the bound
+    for u in range(n):
+        for i in range(s.off[u], s.off[u] + s.nv[u]):
+            j = i
+            while j > s.off[u] and s.vcost[s.by_cost[j - 1]] > s.vcost[i]:
+                s.by_cost[j] = s.by_cost[j - 1]
+                j -= 1
+            s.by_cost[j] = i
     s.best_cost = 0
     s.has_best = False
     s.deadline_ns = 0
@@ -116,6 +137,10 @@ cdef void _free_state(_State *s):
     free(s.rem_cpu)
     free(s.rem_gpu)
     free(s.suffix_min)
+    free(s.need_mem)
+    free(s.need_cpu)
+    free(s.need_gpu)
+    free(s.by_cost)
     free(s.choice_v)
     free(s.choice_h)
     free(s.best_v)
@@ -123,8 +148,8 @@ cdef void _free_state(_State *s):
 
 
 cdef int _dfs_solve(_State *s, int u, int64_t cur) except -1:
-    cdef int v, h, i, j
-    cdef int64_t c, m, p, g
+    cdef int v, h, i, j, w
+    cdef int64_t c, m, p, g, rest
     s.visited += 1
     if s.use_deadline:
         s.check_left -= 1
@@ -135,8 +160,6 @@ cdef int _dfs_solve(_State *s, int u, int64_t cur) except -1:
     if s.timed_out:
         return 0
     if u == s.n:
-        # The variant-level bound check is not re-run per node, so equal
-        # cost leaves do reach this point; strictness keeps the first.
         if not s.has_best or cur < s.best_cost:
             s.best_cost = cur
             s.has_best = True
@@ -144,12 +167,35 @@ cdef int _dfs_solve(_State *s, int u, int64_t cur) except -1:
                 s.best_v[j] = s.choice_v[j]
                 s.best_h[j] = s.choice_h[j]
         return 0
+    rest = s.suffix_min[u + 1]
+    m = s.need_mem[u + 1]
+    p = s.need_cpu[u + 1]
+    g = s.need_gpu[u + 1]
+    for h in range(s.k):
+        if m <= s.rem_mem[h] and p <= s.rem_cpu[h] and g <= s.rem_gpu[h]:
+            break
+    else:
+        rest = 0
+        for w in range(u + 1, s.n):
+            for j in range(s.off[w], s.off[w] + s.nv[w]):
+                i = s.by_cost[j]
+                m = s.vmem[i]
+                p = s.vcpu[i]
+                g = s.vgpu[i]
+                for h in range(s.k):
+                    if m <= s.rem_mem[h] and p <= s.rem_cpu[h] and g <= s.rem_gpu[h]:
+                        break
+                else:
+                    continue
+                rest += s.vcost[i]
+                break
+            else:
+                return 0
     cdef int base = s.off[u]
-    cdef int64_t bound_rest = s.suffix_min[u + 1]
     for v in range(s.nv[u]):
         i = base + v
         c = cur + s.vcost[i]
-        if s.has_best and c + bound_rest >= s.best_cost:
+        if s.has_best and c + rest >= s.best_cost:
             continue
         m = s.vmem[i]
         p = s.vcpu[i]
@@ -167,6 +213,8 @@ cdef int _dfs_solve(_State *s, int u, int64_t cur) except -1:
                 s.rem_gpu[h] += g
                 if s.timed_out:
                     return 0
+                if s.has_best and c + rest >= s.best_cost:
+                    break
     return 0
 
 
@@ -214,6 +262,9 @@ def solve_search(
     cap_cpu,
     cap_gpu,
     suffix_min,
+    need_mem,
+    need_cpu,
+    need_gpu,
     deadline_ns=None,
 ):
     cdef _State s
@@ -222,6 +273,9 @@ def solve_search(
     try:
         for i in range(s.n + 1):
             s.suffix_min[i] = suffix_min[i]
+            s.need_mem[i] = need_mem[i]
+            s.need_cpu[i] = need_cpu[i]
+            s.need_gpu[i] = need_gpu[i]
         if deadline_ns is not None:
             s.use_deadline = True
             s.deadline_ns = deadline_ns

@@ -7,11 +7,19 @@ contract: together with strict-improvement updates it makes the reported
 optimum the lexicographically first one, so results are reproducible and
 must match mvalloc._kernels bit for bit.
 
-`solve_search` is branch and bound: a branch is cut when its cost so far
-plus the sum of the cheapest remaining variants cannot beat the
-incumbent.  `brute_search` enumerates every capacity-feasible assignment
-and shares nothing with the bound logic, which is what makes it useful as
-an oracle for the solver.
+`solve_search` is branch and bound with forward checking.  On entering
+a node it takes `rest`, the sum over the units after the current one of
+the cheapest variant that still fits some node's remaining capacity, and
+returns at once if one of them fits nowhere.  When one node can hold the
+largest demand of every remaining unit's cheapest variant (`need_*`),
+`rest` is simply `suffix_min` and the scan is skipped.  A child is
+entered only while its cost so far plus `rest` is below the incumbent,
+tested before each variant and again after each child returns.  Every
+cut drops only subtrees with no feasible leaf or no strictly cheaper
+one, so the reported optimum is the one the plain walk would report.
+`brute_search` enumerates every capacity-feasible assignment and shares
+nothing with the bound logic, which is what makes it useful as an oracle
+for the solver.
 
 Status codes: 0 optimal, 1 infeasible, 2 deadline hit.
 """
@@ -42,6 +50,9 @@ def solve_search(
     cap_cpu,
     cap_gpu,
     suffix_min,
+    need_mem,
+    need_cpu,
+    need_gpu,
     deadline_ns=None,
 ):
     n = len(nv)
@@ -55,6 +66,10 @@ def solve_search(
     visited = 0
     check_left = _CHECK_INTERVAL
     monotonic_ns = time.monotonic_ns
+    # each unit's variants as (cost, mem, cpu, gpu), cheapest first, for
+    # the forward scan, where the first that fits a node gives the unit's
+    # bound; built by the first scan, as the shortcut often makes none
+    by_cost = []
 
     def dfs(u: int, cur: int) -> None:
         nonlocal best_cost, best_choice, visited, check_left
@@ -66,18 +81,40 @@ def solve_search(
                 if monotonic_ns() >= deadline_ns:
                     raise _Timeout
         if u == n:
-            # The variant-level bound check is not re-run per node, so equal
-            # cost leaves do reach this point; strictness keeps the first.
             if best_cost is None or cur < best_cost:
                 best_cost = cur
                 best_choice = choice.copy()
             return
+        rest = suffix_min[u + 1]
+        m = need_mem[u + 1]
+        p = need_cpu[u + 1]
+        g = need_gpu[u + 1]
+        for h in range(k):
+            if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
+                break
+        else:
+            if not by_cost:
+                by_cost.extend(
+                    sorted(zip(*(col[a : a + count] for col in (vcost, vmem, vcpu, vgpu))))
+                    for a, count in zip(off, nv)
+                )
+            rest = 0
+            for w in range(u + 1, n):
+                for cw, m, p, g in by_cost[w]:
+                    for h in range(k):
+                        if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
+                            break
+                    else:
+                        continue
+                    rest += cw
+                    break
+                else:
+                    return
         base = off[u]
-        bound_rest = suffix_min[u + 1]
         for v in range(nv[u]):
             i = base + v
             c = cur + vcost[i]
-            if best_cost is not None and c + bound_rest >= best_cost:
+            if best_cost is not None and c + rest >= best_cost:
                 continue
             m = vmem[i]
             p = vcpu[i]
@@ -92,6 +129,8 @@ def solve_search(
                     rem_mem[h] += m
                     rem_cpu[h] += p
                     rem_gpu[h] += g
+                    if best_cost is not None and c + rest >= best_cost:
+                        break
 
     timed_out = False
     try:

@@ -23,11 +23,17 @@ whose bias is far below anything observable at these range sizes.  An
 instance is kept only if all three models solve to optimality and the
 two-variant optimum equals the better naive optimum; a rejected instance
 simply consumes its draws and generation continues on the same stream,
-so acceptance never breaks reproducibility.
+so acceptance never breaks reproducibility.  The models are solved in
+that order and the first one not solved to optimality settles the
+instance.  Each trial solve has a budget of TRIAL_TIME_LIMIT_MS; an
+instance whose solve runs out of it is skipped the same way and counted
+as timed out, not rejected.  Only a timed-out instance can make the
+accepted one depend on the machine.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import statistics
 import time
@@ -47,7 +53,7 @@ from .model import (
     UnitSpec,
 )
 from .rationals import format_number
-from .solver import OPTIMAL, SolverConfig, solve
+from .solver import OPTIMAL, TIMED_OUT, SolverConfig, solve
 
 __all__ = [
     "SplitMix64",
@@ -82,6 +88,7 @@ NODE_COUNT = 6
 GPU_NODE_COUNT = 3
 
 MAX_ATTEMPTS = 10_000
+TRIAL_TIME_LIMIT_MS = 2_000
 
 
 class SplitMix64:
@@ -122,6 +129,7 @@ class GeneratedSystem:
     naive_cpu: HighLayerModel
     naive_gpu: HighLayerModel
     rejected: int
+    timed_out: int
 
 
 @dataclass
@@ -142,6 +150,7 @@ class BenchReport:
     warmup: int
     backend: str
     rejected: int
+    timed_out: int
     stats: list[ModelStats]
 
     def stat(self, model: str) -> ModelStats:
@@ -254,15 +263,21 @@ def _models(repo: Repository, n: int) -> tuple[HighLayerModel, HighLayerModel, H
 def generate_system(spec: BenchSpec) -> GeneratedSystem:
     """Draw instances from the seeded stream until one is accepted."""
     rng = SplitMix64(spec.seed)
+    trial = SolverConfig(time_limit_ms=TRIAL_TIME_LIMIT_MS)
     rejected = 0
+    timed_out = 0
     for _ in range(MAX_ATTEMPTS):
         repo, platform = _draw_instance(rng, spec.n)
         two_variant, naive_cpu, naive_gpu, architecture = _models(repo, spec.n)
-        results = [
-            solve(m, platform, backend=spec.backend)
-            for m in (two_variant, naive_cpu, naive_gpu)
-        ]
-        if all(r.status == OPTIMAL for r in results) and results[0].objective_ms == min(
+        results = []
+        for m in (two_variant, naive_cpu, naive_gpu):
+            results.append(solve(m, platform, trial, backend=spec.backend))
+            if results[-1].status != OPTIMAL:
+                break  # the instance is out; the other models need no solve
+        if results[-1].status == TIMED_OUT:
+            timed_out += 1
+            continue
+        if results[-1].status == OPTIMAL and results[0].objective_ms == min(
             results[1].objective_ms, results[2].objective_ms
         ):
             return GeneratedSystem(
@@ -273,10 +288,12 @@ def generate_system(spec: BenchSpec) -> GeneratedSystem:
                 naive_cpu=naive_cpu,
                 naive_gpu=naive_gpu,
                 rejected=rejected,
+                timed_out=timed_out,
             )
         rejected += 1
     raise RuntimeError(
-        f"no acceptable instance within {MAX_ATTEMPTS} attempts (n={spec.n}, seed={spec.seed})"
+        f"no acceptable instance within {MAX_ATTEMPTS} attempts (n={spec.n}, seed={spec.seed}):"
+        f" {rejected} rejected, {timed_out} over the {TRIAL_TIME_LIMIT_MS} ms trial budget"
     )
 
 
@@ -287,7 +304,11 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     the models, never run as one block per model: background drift (CPU
     frequency scaling, co-tenant load) then shifts all three means
     together instead of biasing whichever model owned the slow window,
-    which keeps the mean ratios comparable.
+    which keeps the mean ratios comparable.  For the same reason the
+    cyclic garbage collector is paused while the repetitions are timed,
+    as `timeit` does: a collection is set off by the allocations of all
+    three models together, and its pause would be charged to whichever
+    model happened to be running.
     """
     if spec.n < 1:
         raise ValueError("n must be at least 1")
@@ -305,16 +326,22 @@ def run_bench(spec: BenchSpec) -> BenchReport:
             solve(model, system.platform, cfg, backend=spec.backend)
     times: dict[str, list[float]] = {name: [] for name, _ in models}
     objectives: dict[str, Fraction] = {}
-    for _ in range(spec.repetitions):
-        for name, model in models:
-            start = time.perf_counter_ns()
-            scheme = solve(model, system.platform, cfg, backend=spec.backend)
-            elapsed = time.perf_counter_ns() - start
-            times[name].append(elapsed / 1e6)
-            if scheme.status != OPTIMAL:
-                raise RuntimeError(f"benchmark instance became {scheme.status}")
-            if objectives.setdefault(name, scheme.objective_ms) != scheme.objective_ms:
-                raise RuntimeError("objective changed between repetitions")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(spec.repetitions):
+            for name, model in models:
+                start = time.perf_counter_ns()
+                scheme = solve(model, system.platform, cfg, backend=spec.backend)
+                elapsed = time.perf_counter_ns() - start
+                times[name].append(elapsed / 1e6)
+                if scheme.status != OPTIMAL:
+                    raise RuntimeError(f"benchmark instance became {scheme.status}")
+                if objectives.setdefault(name, scheme.objective_ms) != scheme.objective_ms:
+                    raise RuntimeError("objective changed between repetitions")
+    finally:
+        if collecting:
+            gc.enable()
     stats = [
         ModelStats(
             model=name,
@@ -335,13 +362,14 @@ def run_bench(spec: BenchSpec) -> BenchReport:
         warmup=spec.warmup,
         backend=spec.backend,
         rejected=system.rejected,
+        timed_out=system.timed_out,
         stats=stats,
     )
 
 
 def format_table(reports: list[BenchReport]) -> str:
     header = (
-        f"{'n':>5} {'seed':>6} {'reps':>5} {'rej':>4} {'backend':>8} "
+        f"{'n':>5} {'seed':>6} {'reps':>5} {'rej':>4} {'tout':>4} {'backend':>8} "
         f"{'naive_cpu':>12} {'naive_gpu':>12} {'two_variant':>12}  note"
     )
     lines = [header, "-" * len(header)]
@@ -349,12 +377,13 @@ def format_table(reports: list[BenchReport]) -> str:
         note = "" if report.trend_ok else "two_variant not fastest"
         lines.append(
             f"{report.n:>5} {report.seed:>6} {report.repetitions:>5} "
-            f"{report.rejected:>4} {report.backend:>8} "
+            f"{report.rejected:>4} {report.timed_out:>4} {report.backend:>8} "
             f"{report.stat('naive_cpu').mean_ms:>12.4f} "
             f"{report.stat('naive_gpu').mean_ms:>12.4f} "
             f"{report.stat('two_variant').mean_ms:>12.4f}  {note}"
         )
     lines.append("(mean solve time per model, ms)")
+    lines.append(f"(rej: instances rejected; tout: over the {TRIAL_TIME_LIMIT_MS} ms trial budget)")
     return "\n".join(lines)
 
 
@@ -368,6 +397,7 @@ def reports_to_json(reports: list[BenchReport]) -> str:
                 "warmup": r.warmup,
                 "backend": r.backend,
                 "rejected": r.rejected,
+                "timed_out": r.timed_out,
                 "trend_ok": r.trend_ok,
                 "models": [
                     {

@@ -15,11 +15,21 @@ pass takes each unit's cheapest demand per resource, which proves some
 instances infeasible before any search (cheapest total demand above total
 capacity) and orders the rest: units by descending max over resources of
 cheapest demand / total capacity, ties in declared order.  The kernels
-get their arrays already in that order.  The incumbent is replaced only
-on strict improvement and the tree is walked in a fixed order (search
-order of units, then variant index, then platform node order), which
-pins the reported optimum to the lexicographically first one and makes
-solve deterministic.
+get their arrays already in that order, with two suffix tables for the
+bound: the summed cheapest cost of the remaining units, and the largest
+demand per resource among their cheapest variants.
+
+At each node the search checks forward: every remaining unit must still
+fit some node's remaining capacity, and the bound adds each one's
+cheapest still-fitting variant to the cost so far.  When a single node
+can hold the largest cheapest-variant demand, that sum is the suffix
+table's and the scan is skipped.  A branch is cut when its cost plus that
+bound cannot beat the incumbent, tested before each variant and again
+after each child returns.  The incumbent is replaced only on strict
+improvement and the tree is walked in a fixed order (search order of
+units, then variant index, then platform node order); the cuts remove
+only subtrees with no strictly cheaper feasible leaf, so the reported
+optimum is the lexicographically first one and solve is deterministic.
 
 `brute_force` enumerates every capacity-feasible assignment in declared
 order with no cost bound, guarded against oversized instances.  It is an
@@ -117,14 +127,18 @@ class _Scaled:
 
     `kernel_args` are the arrays both kernels take (nv, off, vmem, vcpu,
     vgpu, vcost, cap_mem, cap_cpu, cap_gpu); `unit_ids[i]` is the unit
-    searched i-th.  `overloaded` names the first resource whose cheapest
-    total demand exceeds total capacity, which proves infeasibility.
+    searched i-th.  `suffix_min[i]` sums the cheapest cost of units i..,
+    and `suffix_need[r][i]` is the largest resource-r demand among those
+    units' cheapest variants (the first one on a cost tie).  `overloaded`
+    names the first resource whose cheapest total demand exceeds total
+    capacity, which proves infeasibility.
     """
 
     unit_ids: list[str]
     node_ids: list[str]
     kernel_args: tuple[list[int], ...]
     suffix_min: list[int]
+    suffix_need: tuple[list[int], list[int], list[int]]
     cost_den: int
     overloaded: str | None
     int64_safe: bool
@@ -148,7 +162,9 @@ def _scale(
     Per resource the common denominator is the lcm of every value's
     denominator.  The same pass takes each unit's minimum and maximum per
     resource: the minima give the pre-search infeasibility check, the
-    demand score and the cost bound, the maxima the int64 check.
+    demand score and the cost bound, the maxima the int64 check.  It also
+    notes each unit's cheapest variant, whose demands' suffix maxima let
+    the search skip its forward scan.
     """
     _check_config(cfg)
     units = model.all_units()
@@ -191,6 +207,7 @@ def _scale(
     rows = []  # per unit, in declared order: scaled (mem, cpu, gpu, cost) lists
     minima = []
     maxima = [0, 0, 0, 0]
+    cheapest = []  # per unit: the index of its first minimum-cost variant
     for ps, cs in zip(props, costs):
         row = (
             [p.mem.numerator * (mem_den // p.mem.denominator) for p in ps],
@@ -200,6 +217,7 @@ def _scale(
         )
         rows.append(row)
         minima.append([min(col) for col in row])
+        cheapest.append(row[3].index(minima[-1][3]))
         for r, col in enumerate(row):
             maxima[r] += max(col)
 
@@ -229,13 +247,18 @@ def _scale(
     nv = [len(rows[u][0]) for u in order]
     off = list(itertools.accumulate(nv, initial=0))[:-1]
     vmem, vcpu, vgpu, vcost = ([x for u in order for x in rows[u][r]] for r in range(4))
-    cheapest = (minima[u][3] for u in reversed(order))
-    suffix_min = list(itertools.accumulate(cheapest, initial=0))[::-1]
+    back = order[::-1]
+    suffix_min = list(itertools.accumulate((minima[u][3] for u in back), initial=0))[::-1]
+    suffix_need = tuple(
+        list(itertools.accumulate((rows[u][r][cheapest[u]] for u in back), max, initial=0))[::-1]
+        for r in range(3)
+    )
     return _Scaled(
         unit_ids=[units[u].id for u in order],
         node_ids=node_ids,
         kernel_args=(nv, off, vmem, vcpu, vgpu, vcost, *caps),
         suffix_min=suffix_min,
+        suffix_need=suffix_need,
         cost_den=cost_den,
         overloaded=overloaded,
         int64_safe=int64_safe,
@@ -289,7 +312,7 @@ def solve(
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
         return AllocationScheme(TIMED_OUT, None, {}, visited=0, backend=be.name)
     code, cost, choices, visited = be.solve_search(
-        *scaled.kernel_args, scaled.suffix_min, deadline_ns
+        *scaled.kernel_args, scaled.suffix_min, *scaled.suffix_need, deadline_ns
     )
     status = _STATUS[code]
     log.debug("status %s after %d search nodes on backend %s", status, visited, be.name)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvalloc import bench
 from mvalloc.bench import (
     BenchReport,
     BenchSpec,
@@ -54,6 +55,7 @@ def test_generate_system_is_byte_stable():
             getattr(second, attr)
         ), attr
     assert first.rejected == second.rejected
+    assert first.timed_out == second.timed_out == 0
 
 
 def test_generated_models_have_the_documented_shape():
@@ -93,6 +95,17 @@ def test_gpu_versions_halve_execution_time_rounding_up():
         cpu = system.repo.component(f"c{i}_cpu").demand.exec_ms
         gpu = system.repo.component(f"c{i}_gpu").demand.exec_ms
         assert gpu == (cpu + 1) // 2
+
+
+def test_trial_solves_over_the_budget_are_counted_apart(monkeypatch):
+    monkeypatch.setattr(bench, "TRIAL_TIME_LIMIT_MS", 0)
+    monkeypatch.setattr(bench, "MAX_ATTEMPTS", 4)
+    with pytest.raises(RuntimeError) as err:
+        generate_system(BenchSpec(n=3, seed=0))
+    assert str(err.value) == (
+        "no acceptable instance within 4 attempts (n=3, seed=0):"
+        " 0 rejected, 4 over the 0 ms trial budget"
+    )
 
 
 def test_accepted_instance_has_consistent_objectives():
@@ -151,6 +164,7 @@ def _fake_report(two_variant_mean):
         warmup=0,
         backend="python",
         rejected=0,
+        timed_out=0,
         stats=[
             stats("naive_cpu", 2.0),
             stats("naive_gpu", 2.1),
@@ -163,6 +177,7 @@ def test_format_table_flags_a_broken_trend():
     good = format_table([_fake_report(1.0)])
     assert "two_variant not fastest" not in good
     assert good.splitlines()[0].lstrip().startswith("n")
+    assert good.splitlines()[0].split()[3:5] == ["rej", "tout"]
     bad = format_table([_fake_report(5.0)])
     assert "two_variant not fastest" in bad
 
@@ -172,6 +187,7 @@ def test_reports_serialize():
     payload = json.loads(reports_to_json([report]))
     assert payload["reports"][0]["n"] == 30
     assert payload["reports"][0]["trend_ok"] is True
+    assert payload["reports"][0]["timed_out"] == 0
     assert len(payload["reports"][0]["models"]) == 3
     csv_text = reports_to_csv([report, report])
     lines = csv_text.strip().splitlines()

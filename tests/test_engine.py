@@ -1,6 +1,9 @@
 import pytest
 
+from gen import random_high_model
+
 from mvalloc import engine
+from mvalloc.solver import SolverConfig, _scale
 
 
 def test_python_backend_is_always_available():
@@ -47,8 +50,56 @@ def test_kernels_return_identical_tuples():
         [9, 9],  # cap_cpu
         [0, 0],  # cap_gpu
     )
-    suffix = [9, 4, 0]
+    # suffix_min, then need_mem, need_cpu, need_gpu of the cheapest variants
+    bounds = ([9, 4, 0], [3, 2, 0], [1, 1, 0], [0, 0, 0])
     c = engine.get_backend("c")
     py = engine.get_backend("python")
-    assert c.solve_search(*args, suffix, None) == py.solve_search(*args, suffix, None)
+    assert c.solve_search(*args, *bounds, None) == py.solve_search(*args, *bounds, None)
     assert c.brute_search(*args) == py.brute_search(*args)
+
+
+@pytest.mark.parametrize("name", engine.available_backends())
+def test_forward_check_stops_where_a_later_unit_fits_nowhere(name):
+    # node 0 is the only one big enough for unit 0's first variant and for
+    # unit 2; once unit 0 takes it, unit 2 fits nowhere
+    args = (
+        [2, 1, 1],  # nv
+        [0, 2, 3],  # off
+        [6, 1, 1, 6],  # vmem
+        [1, 1, 1, 1],  # vcpu
+        [0, 0, 0, 0],  # vgpu
+        [1, 3, 1, 1],  # vcost
+        [10, 2],  # cap_mem
+        [10, 10],  # cap_cpu
+        [0, 0],  # cap_gpu
+    )
+    bounds = ([3, 2, 1, 0], [6, 6, 6, 0], [1, 1, 1, 0], [0, 0, 0, 0])
+    result = engine.get_backend(name).solve_search(*args, *bounds, None)
+    # visited: the root; unit 0's first variant on node 0, where the
+    # forward check returns; its second variant on node 0, units 1 and 2
+    # on node 0 and the leaf.  Every later branch fails the cost cut.
+    assert result == (0, 5, [(1, 0), (0, 0), (0, 0)], 5)
+
+
+@pytest.mark.parametrize("name", engine.available_backends())
+def test_cost_cut_after_a_child_skips_an_identical_node(name):
+    # two units with one variant each, two identical roomy nodes: the first
+    # descent is optimal, so node 1 is never entered at any depth
+    args = ([1, 1], [0, 1], [2, 2], [1, 1], [0, 0], [4, 5], [9, 9], [9, 9], [0, 0])
+    bounds = ([9, 5, 0], [2, 2, 0], [1, 1, 0], [0, 0, 0])
+    result = engine.get_backend(name).solve_search(*args, *bounds, None)
+    assert result == (0, 9, [(0, 0), (0, 0)], 3)
+
+
+@pytest.mark.parametrize("name", engine.available_backends())
+def test_skipping_the_forward_scan_changes_nothing(name):
+    # suffix maxima no node can cover force the full scan at every node;
+    # the shortcut must give the same answer and the same visited count
+    kernel = engine.get_backend(name).solve_search
+    for seed in range(200):
+        model, platform = random_high_model(seed, product_cap=30_000)
+        scaled = _scale(model, platform, SolverConfig(), "demand")
+        never = [sum(scaled.kernel_args[6]) + 1] * len(scaled.suffix_min)
+        with_shortcut = kernel(*scaled.kernel_args, scaled.suffix_min, *scaled.suffix_need, None)
+        scan_only = kernel(*scaled.kernel_args, scaled.suffix_min, never, never, never, None)
+        assert with_shortcut == scan_only, f"seed {seed}"

@@ -197,6 +197,38 @@ def test_solve_agrees_with_brute_force():
             assert check_scheme(slow, model, platform) == [], f"seed {seed}"
 
 
+def _shrunk(platform):
+    return Platform(
+        nodes=[
+            HardwareNode(
+                id=n.id,
+                use_mem=n.use_mem * Fraction(3, 4),
+                use_cpu=n.use_cpu * Fraction(3, 4),
+                use_gpu=n.use_gpu,
+            )
+            for n in platform.nodes
+        ]
+    )
+
+
+def test_declared_order_returns_brute_force_placements():
+    # brute_force keeps the first optimum of the declared-order walk, so a
+    # cut that loses it changes the placements even where the objective holds
+    declared = SolverConfig(unit_order="declared")
+    for seed in range(300):
+        model, full = random_high_model(seed, product_cap=30_000)
+        weighted = SolverConfig(
+            unit_order="declared", unit_weights={model.all_units()[0].id: Fraction(7, 2)}
+        )
+        for platform in (full, _shrunk(full)):
+            for cfg in (declared, weighted):
+                fast = solve(model, platform, cfg)
+                slow = brute_force(model, platform, cfg)
+                assert (fast.status, fast.placements) == (slow.status, slow.placements), (
+                    f"seed {seed}"
+                )
+
+
 def _weighted_instance():
     model = HighLayerModel(
         units=[
