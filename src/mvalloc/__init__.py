@@ -11,10 +11,7 @@ placements on the detailed layer.
 """
 
 from .compaction import (
-    AllCombinations,
     CompactionError,
-    ContiguousGpuSegment,
-    Declared,
     HighLayerModel,
     MultiVariantUnit,
     UnfoldError,

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .compaction import HighLayerModel, compact, singleton_unit
+from .compaction import HighLayerModel, build_high_layer
 from .model import (
     Assembly,
     Component,
@@ -244,19 +244,9 @@ def _models(repo: Repository, n: int) -> tuple[HighLayerModel, HighLayerModel, H
         singletons=[final],
         connections=[("chain", final)],
     )
-    two_variant = HighLayerModel(
-        units=[compact("chain", alternatives, repo)],
-        singletons=[singleton_unit(repo.component(final))],
-        connections=[("chain", final)],
-    )
-    naive_cpu = HighLayerModel(
-        units=[],
-        singletons=[singleton_unit(repo.component(cid)) for cid in cpu_ids + [final]],
-    )
-    naive_gpu = HighLayerModel(
-        units=[],
-        singletons=[singleton_unit(repo.component(cid)) for cid in gpu_ids + [final]],
-    )
+    two_variant = build_high_layer(architecture, repo)
+    naive_cpu = build_high_layer(SystemArchitecture(units=[], singletons=cpu_ids + [final]), repo)
+    naive_gpu = build_high_layer(SystemArchitecture(units=[], singletons=gpu_ids + [final]), repo)
     return two_variant, naive_cpu, naive_gpu, architecture
 
 

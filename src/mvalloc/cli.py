@@ -136,10 +136,11 @@ def cmd_compact(args) -> int:
         raise SolverError("the model has no architecture section to compact")
     model = build_high_layer(architecture, repo)
     write_atomic(args.out, dump_compacted(model))
-    variants = sum(len(u.variants) for u in model.units)
+    compacted = len(architecture.units)
+    variants = sum(len(u.variants) for u in model.units[:compacted])
     print(
-        f"compacted {len(model.units)} unit(s) with {variants} variant(s) "
-        f"and {len(model.singletons)} singleton(s) -> {args.out}"
+        f"compacted {compacted} unit(s) with {variants} variant(s) "
+        f"and {len(architecture.singletons)} singleton(s) -> {args.out}"
     )
     return EXIT_OK
 
@@ -200,7 +201,7 @@ def cmd_export_lp(args) -> int:
     model = _high_layer(args, repo, architecture)
     cfg = _solver_config(args)
     write_atomic(args.out, export_lp(model, platform, cfg))
-    units = len(model.all_units())
+    units = len(model.units)
     print(f"exported MILP for {units} unit(s), {len(platform.nodes)} node(s) -> {args.out}")
     return EXIT_OK
 
@@ -251,12 +252,6 @@ def _add_model_arg(parser: argparse.ArgumentParser) -> None:
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--compacted", help="use this compacted model instead of compacting")
     parser.add_argument("--weights", help="JSON file mapping unit ids to objective weights")
-    parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "c", "python"],
-        help="search kernels to use",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,6 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arg(p)
     p.add_argument("-o", "--out", required=True, help="scheme output path")
     _add_solver_args(p)
+    p.add_argument(
+        "--backend",
+        default="auto",
+        choices=["auto", "c", "python"],
+        help="search kernels to use",
+    )
     p.add_argument("--time-limit-ms", type=int, dest="time_limit_ms")
     p.add_argument(
         "--unit-order",

@@ -8,11 +8,12 @@ the same time.  A unit carries one such variant per alternative; choosing
 a variant and a node for every unit is what the solver does, and `unfold`
 maps a solved scheme back onto individual components.
 
-Enumeration of alternatives is pluggable.  "declared" takes the
-hand-written list; "all_combinations" crosses all version choices of a
-chain topology; "contiguous_gpu_segment" keeps only combinations whose
-GPU-resident stretch is a single contiguous run of the chain, which is
-the shape a camera pipeline actually wants (one upload, one download).
+A unit's enumeration policy is its name in `UnitSpec.policy`.
+"declared" takes the hand-written list; "all_combinations" crosses all
+version choices of a chain topology; "contiguous_gpu_segment" keeps only
+combinations whose GPU-resident stretch is a single contiguous run of the
+chain, which is the shape a camera pipeline actually wants (one upload,
+one download).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from .model import (
+    POLICIES,
     Assembly,
     Component,
     Kind,
@@ -40,9 +42,6 @@ __all__ = [
     "Variant",
     "MultiVariantUnit",
     "HighLayerModel",
-    "Declared",
-    "AllCombinations",
-    "ContiguousGpuSegment",
     "CompactionError",
     "UnfoldError",
     "aggregate_variant",
@@ -76,7 +75,6 @@ class VariantProperties:
 
 @dataclass
 class Variant:
-    index: int
     members: list[str]
     props: VariantProperties
     assembly: Assembly | None = field(default=None, compare=False)
@@ -90,29 +88,17 @@ class MultiVariantUnit:
 
 @dataclass
 class HighLayerModel:
-    """The compacted layer handed to the solver."""
+    """The compacted layer handed to the solver: one ordered list of
+    units (compacted subsystems first, then standalone components as
+    one-variant units, each in declared order) and the connections
+    between them."""
 
     units: list[MultiVariantUnit]
-    singletons: list[MultiVariantUnit] = field(default_factory=list)
     connections: list[tuple[str, str]] = field(default_factory=list)
 
     def all_units(self) -> list[MultiVariantUnit]:
-        return self.units + self.singletons
-
-
-@dataclass
-class Declared:
-    alternatives: list[Assembly]
-
-
-@dataclass
-class AllCombinations:
-    pass
-
-
-@dataclass
-class ContiguousGpuSegment:
-    pass
+        """The same list as `units`."""
+        return self.units
 
 
 def aggregate_variant(assembly: Assembly, repo: Repository) -> VariantProperties:
@@ -148,12 +134,8 @@ def _function_counts(assembly: Assembly, repo: Repository) -> Counter:
     return Counter(repo.component(cid).function for cid in assembly.components)
 
 
-def enumerate_alternatives(
-    topology: list[str],
-    repo: Repository,
-    policy: Declared | AllCombinations | ContiguousGpuSegment,
-) -> list[Assembly]:
-    """Produce the alternative assemblies for a chain of functions.
+def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[Assembly]:
+    """Produce the alternative assemblies of one unit by its policy.
 
     Generated policies emit assemblies in a fixed order: the cartesian
     product of version choices, each version list in repository order,
@@ -161,17 +143,20 @@ def enumerate_alternatives(
     that product's contiguous chains in the same order, without building
     the chains it drops.
     """
-    if isinstance(policy, Declared):
-        if not policy.alternatives:
+    if spec.policy not in POLICIES:
+        raise CompactionError(f"unknown enumeration policy {spec.policy!r}")
+    topology = spec.topology or []
+    if spec.policy == "declared":
+        if not spec.alternatives:
             raise CompactionError("declared policy with no alternatives")
         want = Counter(topology) if topology else None
-        for alt in policy.alternatives:
+        for alt in spec.alternatives:
             counts = _function_counts(alt, repo)  # raises on unknown ids
             if want is not None and counts != want:
                 raise CompactionError(
                     f"alternative {alt.components} does not realize the topology"
                 )
-        return list(policy.alternatives)
+        return list(spec.alternatives)
 
     version_lists: list[list[str]] = []
     for function in topology:
@@ -179,28 +164,26 @@ def enumerate_alternatives(
         if not versions:
             raise CompactionError(f"no component realizes function {function!r}")
         version_lists.append(versions)
-    if isinstance(policy, AllCombinations):
+    if spec.policy == "all_combinations":
         return [_chain_assembly(c) for c in itertools.product(*version_lists)]
-    if isinstance(policy, ContiguousGpuSegment):
-        gpu = [[repo.component(cid).kind is Kind.GPU for cid in vs] for vs in version_lists]
-        kept: list[Assembly] = []
-        chain: list[str] = []
+    gpu = [[repo.component(cid).kind is Kind.GPU for cid in vs] for vs in version_lists]
+    kept: list[Assembly] = []
+    chain: list[str] = []
 
-        def walk(i: int, run: int) -> None:
-            # run: 0 no GPU version yet, 1 GPU run open, 2 run closed
-            if i == len(version_lists):
-                kept.append(_chain_assembly(tuple(chain)))
-                return
-            for cid, on_gpu in zip(version_lists[i], gpu[i]):
-                if on_gpu and run == 2:
-                    continue
-                chain.append(cid)
-                walk(i + 1, 1 if on_gpu else 2 if run == 1 else run)
-                chain.pop()
+    def walk(i: int, run: int) -> None:
+        # run: 0 no GPU version yet, 1 GPU run open, 2 run closed
+        if i == len(version_lists):
+            kept.append(_chain_assembly(tuple(chain)))
+            return
+        for cid, on_gpu in zip(version_lists[i], gpu[i]):
+            if on_gpu and run == 2:
+                continue
+            chain.append(cid)
+            walk(i + 1, 1 if on_gpu else 2 if run == 1 else run)
+            chain.pop()
 
-        walk(0, 0)
-        return kept
-    raise CompactionError(f"unknown enumeration policy {policy!r}")
+    walk(0, 0)
+    return kept
 
 
 def compact(
@@ -208,8 +191,8 @@ def compact(
 ) -> MultiVariantUnit:
     """Collapse alternatives into one multi-variant unit.
 
-    All alternatives must realize the same multiset of functions; variant
-    indices follow the order of the alternatives list.
+    All alternatives must realize the same multiset of functions; a
+    variant's index is its alternative's position in the list.
     """
     if not alternatives:
         raise CompactionError(f"unit {unit_id!r} has no alternatives")
@@ -222,7 +205,6 @@ def compact(
             )
         variants.append(
             Variant(
-                index=index,
                 members=list(assembly.components),
                 props=aggregate_variant(assembly, repo),
                 assembly=assembly,
@@ -242,34 +224,17 @@ def singleton_unit(comp: Component) -> MultiVariantUnit:
     )
     return MultiVariantUnit(
         id=comp.id,
-        variants=[Variant(index=0, members=[comp.id], props=props)],
+        variants=[Variant(members=[comp.id], props=props)],
     )
-
-
-def _policy_for(spec: UnitSpec) -> Declared | AllCombinations | ContiguousGpuSegment:
-    if spec.policy == "declared":
-        return Declared(alternatives=spec.alternatives or [])
-    if spec.policy == "all_combinations":
-        return AllCombinations()
-    if spec.policy == "contiguous_gpu_segment":
-        return ContiguousGpuSegment()
-    raise CompactionError(f"unknown enumeration policy {spec.policy!r}")
 
 
 def build_high_layer(arch: SystemArchitecture, repo: Repository) -> HighLayerModel:
     """Compact a whole architecture into the model the solver takes."""
-    units = []
-    for spec in arch.units:
-        alternatives = enumerate_alternatives(
-            spec.topology or [], repo, _policy_for(spec)
-        )
-        units.append(compact(spec.id, alternatives, repo))
-    singletons = [singleton_unit(repo.component(cid)) for cid in arch.singletons]
-    return HighLayerModel(
-        units=units,
-        singletons=singletons,
-        connections=list(arch.connections),
-    )
+    units = [
+        compact(spec.id, enumerate_alternatives(spec, repo), repo) for spec in arch.units
+    ]
+    units += [singleton_unit(repo.component(cid)) for cid in arch.singletons]
+    return HighLayerModel(units=units, connections=list(arch.connections))
 
 
 def unfold(scheme: "AllocationScheme", model: HighLayerModel) -> dict[str, str]:
@@ -283,7 +248,7 @@ def unfold(scheme: "AllocationScheme", model: HighLayerModel) -> dict[str, str]:
     if scheme.status != "optimal":
         raise UnfoldError(f"cannot unfold a scheme with status {scheme.status!r}")
     placements: Mapping[str, object] = scheme.placements
-    units = {unit.id: unit for unit in model.all_units()}
+    units = {unit.id: unit for unit in model.units}
     missing = sorted(set(units) - set(placements))
     if missing:
         raise UnfoldError(f"scheme places no unit for: {', '.join(missing)}")
@@ -291,7 +256,7 @@ def unfold(scheme: "AllocationScheme", model: HighLayerModel) -> dict[str, str]:
     if extra:
         raise UnfoldError(f"scheme places unknown units: {', '.join(extra)}")
     assignment: dict[str, str] = {}
-    for unit in model.all_units():
+    for unit in model.units:
         placement = placements[unit.id]
         if not 0 <= placement.variant < len(unit.variants):
             raise UnfoldError(

@@ -304,7 +304,6 @@ def parse_compacted(text: str) -> HighLayerModel:
     root = _obj(_loads(text), "$")
     _reject_unknown(root, ("units", "connections"), "$")
     units: list[MultiVariantUnit] = []
-    singletons: list[MultiVariantUnit] = []
     for i, entry in enumerate(_arr(_require(root, "units", "$"), "$.units")):
         upath = f"$.units[{i}]"
         uobj = _obj(entry, upath)
@@ -326,7 +325,6 @@ def parse_compacted(text: str) -> HighLayerModel:
             ]
             variants.append(
                 Variant(
-                    index=j,
                     members=members,
                     props=VariantProperties(
                         mem=_number(_require(vobj, "mem", vpath), f"{vpath}.mem"),
@@ -341,13 +339,9 @@ def parse_compacted(text: str) -> HighLayerModel:
                     ),
                 )
             )
-        unit = MultiVariantUnit(id=unit_id, variants=variants)
-        if len(variants) == 1 and variants[0].members == [unit_id]:
-            singletons.append(unit)
-        else:
-            units.append(unit)
+        units.append(MultiVariantUnit(id=unit_id, variants=variants))
     connections = _pairs(root.get("connections", []), "$.connections")
-    return HighLayerModel(units=units, singletons=singletons, connections=connections)
+    return HighLayerModel(units=units, connections=connections)
 
 
 def dump_compacted(model: HighLayerModel) -> str:
@@ -367,7 +361,7 @@ def dump_compacted(model: HighLayerModel) -> str:
                     for v in unit.variants
                 ],
             }
-            for unit in model.all_units()
+            for unit in model.units
         ],
     }
     if model.connections:

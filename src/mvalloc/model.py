@@ -123,14 +123,6 @@ class Assembly:
     components: list[str]
     connections: list[tuple[str, str]] = field(default_factory=list)
 
-    def sources(self) -> list[str]:
-        targets = {dst for _, dst in self.connections}
-        return [c for c in self.components if c not in targets]
-
-    def sinks(self) -> list[str]:
-        origins = {src for src, _ in self.connections}
-        return [c for c in self.components if c not in origins]
-
 
 @dataclass
 class HardwareNode:
@@ -138,10 +130,6 @@ class HardwareNode:
     use_mem: Fraction
     use_cpu: Fraction
     use_gpu: int = 0
-
-    @property
-    def has_gpu(self) -> bool:
-        return self.use_gpu > 0
 
 
 @dataclass

@@ -167,7 +167,7 @@ def _scale(
     the search skip its forward scan.
     """
     _check_config(cfg)
-    units = model.all_units()
+    units = model.units
     unit_ids = {u.id for u in units}
     if len(unit_ids) != len(units):
         raise SolverError("duplicate unit ids in the model")
@@ -373,7 +373,7 @@ def check_scheme(
     included, sums across the distinct units sharing a node.  Returns
     (node id, resource) pairs for each overrun.
     """
-    units = {u.id: u for u in model.all_units()}
+    units = {u.id: u for u in model.units}
     mem_sum: dict[str, Fraction] = {}
     cpu_sum: dict[str, Fraction] = {}
     gpu_sum: dict[str, int] = {}

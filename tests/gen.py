@@ -20,6 +20,7 @@ from mvalloc.compaction import (
     VariantProperties,
 )
 from mvalloc.model import (
+    Assembly,
     Component,
     HardwareNode,
     Kind,
@@ -52,7 +53,7 @@ def _variant(rng: SplitMix64, unit_index: int, index: int, *, integral: bool) ->
         exec_ms=fraction(rng, 1, 60, integral=integral),
         gpu_member_count=rng.draw(1, member_count) if gpu else 0,
     )
-    return Variant(index=index, members=members, props=props)
+    return Variant(members=members, props=props)
 
 
 def random_high_model(
@@ -86,7 +87,6 @@ def random_high_model(
                 variants=[_variant(rng, u, v, integral=integral) for v in range(count)],
             )
         )
-    singletons = []
     if rng.draw(0, 1) == 1:
         comp_id = f"s{unit_count}"
         gpu = rng.draw(0, 3) == 0
@@ -97,10 +97,8 @@ def random_high_model(
             exec_ms=fraction(rng, 1, 30, integral=integral),
             gpu_member_count=1 if gpu else 0,
         )
-        singletons.append(
-            MultiVariantUnit(
-                id=comp_id, variants=[Variant(index=0, members=[comp_id], props=props)]
-            )
+        units.append(
+            MultiVariantUnit(id=comp_id, variants=[Variant(members=[comp_id], props=props)])
         )
 
     nodes = []
@@ -115,10 +113,10 @@ def random_high_model(
             )
         )
     connections = []
-    all_ids = [u.id for u in units] + [s.id for s in singletons]
+    all_ids = [u.id for u in units]
     if len(all_ids) >= 2 and rng.draw(0, 1) == 1:
         connections.append((all_ids[0], all_ids[1]))
-    model = HighLayerModel(units=units, singletons=singletons, connections=connections)
+    model = HighLayerModel(units=units, connections=connections)
     return model, Platform(nodes=nodes)
 
 
@@ -236,3 +234,40 @@ def random_scheme(seed: int) -> AllocationScheme:
         )
     objective = fraction(rng, 0, 90) + Fraction(rng.draw(0, 2), 3)
     return AllocationScheme(status="optimal", objective_ms=objective, placements=placements)
+
+
+def self_named_unit_model() -> tuple[Repository, Platform, SystemArchitecture]:
+    """A declared unit `Cam` whose only alternative is the component `Cam`,
+    a generated unit `U`, and a singleton `B`; node h0 holds only one of
+    `Cam` and `U`.  `Cam` looks like a singleton in the compacted file, so
+    a reader that regrouped singletons would put `U` first and move `Cam`
+    off h0 in the lexicographically first optimum."""
+
+    def cpu(cid: str, function: str, mem: int, exec_ms: int) -> Component:
+        return Component(
+            id=cid,
+            kind=Kind.CPU,
+            function=function,
+            demand=ResourceDemand(Fraction(mem), Fraction(1), 0, Fraction(exec_ms)),
+        )
+
+    repo = Repository(
+        components=[
+            cpu("Cam", "cam", 6, 5),
+            cpu("ua", "f", 6, 5),
+            cpu("ub", "f", 6, 9),
+            cpu("B", "b", 1, 1),
+        ],
+        version_groups={"f": ["ua", "ub"]},
+    )
+    platform = Platform(
+        nodes=[HardwareNode(h, Fraction(10), Fraction(4)) for h in ("h0", "h1")]
+    )
+    arch = SystemArchitecture(
+        units=[
+            UnitSpec("Cam", "declared", alternatives=[Assembly(components=["Cam"])]),
+            UnitSpec("U", "all_combinations", topology=["f"]),
+        ],
+        singletons=["B"],
+    )
+    return repo, platform, arch

@@ -226,7 +226,6 @@ def _scaled_exec(model, factor):
     return dataclasses.replace(
         model,
         units=[scale_unit(u) for u in model.units],
-        singletons=[scale_unit(u) for u in model.singletons],
     )
 
 
@@ -320,9 +319,8 @@ def test_criterion_5_round_trip(criterion):
             high, _ = random_high_model(seed)
             compact_text = dump_compacted(high)
             back = parse_compacted(compact_text)
-            assert (back.units, back.singletons, back.connections) == (
+            assert (back.units, back.connections) == (
                 high.units,
-                high.singletons,
                 high.connections,
             ), f"seed {seed}"
             assert dump_compacted(back) == compact_text, f"seed {seed}"

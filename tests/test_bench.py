@@ -61,12 +61,11 @@ def test_generate_system_is_byte_stable():
 def test_generated_models_have_the_documented_shape():
     n = 5
     system = generate_system(BenchSpec(n=n, seed=2))
-    assert [u.id for u in system.two_variant.units] == ["chain"]
+    assert [u.id for u in system.two_variant.units] == ["chain", f"c{n}"]
     chain = system.two_variant.units[0]
     assert len(chain.variants) == 2
     assert chain.variants[0].members == [f"c{i}_cpu" for i in range(n)]
     assert chain.variants[1].members == [f"c{i}_gpu" for i in range(n)]
-    assert [s.id for s in system.two_variant.singletons] == [f"c{n}"]
     assert len(system.naive_cpu.all_units()) == n + 1
     assert len(system.naive_gpu.all_units()) == n + 1
     assert all(len(u.variants) == 1 for u in system.naive_cpu.all_units())

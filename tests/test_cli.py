@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from gen import self_named_unit_model
+
 from mvalloc.cli import main
 from mvalloc.engine import available_backends
 from mvalloc.fixtures import robot_model_text
@@ -104,8 +106,8 @@ def test_compact_writes_the_high_layer(robot_file, tmp_path, capsys):
     by_id = {u.id: u for u in model.units}
     assert len(by_id["FrontVision"].variants) == 6
     assert len(by_id["BottomVision"].variants) == 5
-    assert len(model.singletons) == 5
-    assert "2 unit(s)" in stdout
+    assert sum(len(u.variants) == 1 for u in model.units) == 5
+    assert stdout == f"compacted 2 unit(s) with 11 variant(s) and 5 singleton(s) -> {out}\n"
 
 
 def test_solve_writes_the_optimal_scheme(robot_file, tmp_path, capsys):
@@ -117,6 +119,21 @@ def test_solve_writes_the_optimal_scheme(robot_file, tmp_path, capsys):
     assert scheme.objective_ms == Fraction(45)
     assert scheme.placements["FrontVision"].node == "H1"
     assert "objective 45 ms" in stdout
+
+
+def test_solve_compacted_writes_the_same_scheme(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(dump_model(*self_named_unit_model()))
+    compacted = tmp_path / "compacted.json"
+    direct, reread = tmp_path / "direct.json", tmp_path / "reread.json"
+    assert run(capsys, "compact", str(model), "-o", str(compacted))[0] == 0
+    assert run(capsys, "solve", str(model), "-o", str(direct))[0] == 0
+    code, _, _ = run(
+        capsys, "solve", str(model), "--compacted", str(compacted), "-o", str(reread)
+    )
+    assert code == 0
+    assert reread.read_bytes() == direct.read_bytes()
+    assert parse_scheme(direct.read_text()).placements["Cam"].node == "h0"
 
 
 def test_solve_oracle_agrees(robot_file, tmp_path, capsys):
@@ -230,6 +247,13 @@ def test_export_lp(robot_file, tmp_path, capsys):
     assert text.startswith("\\ allocation MILP")
     assert text.endswith("End\n")
     assert "7 unit(s)" in stdout
+
+
+def test_export_lp_has_no_backend_option(robot_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["export-lp", robot_file, "-o", str(tmp_path / "p.lp"), "--backend", "python"])
+    assert exit_info.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_bench_smoke(tmp_path, capsys):

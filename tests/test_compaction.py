@@ -4,10 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mvalloc.compaction import (
-    AllCombinations,
     CompactionError,
-    ContiguousGpuSegment,
-    Declared,
     HighLayerModel,
     MultiVariantUnit,
     UnfoldError,
@@ -26,6 +23,7 @@ from mvalloc.model import (
     Kind,
     Repository,
     ResourceDemand,
+    UnitSpec,
 )
 from mvalloc.solver import AllocationScheme, Placement
 
@@ -91,7 +89,7 @@ def test_aggregate_variant_exact_fractions():
 
 def test_all_combinations_order_varies_last_function_fastest():
     repo = dual_repo()
-    alts = enumerate_alternatives(["f0", "f1"], repo, AllCombinations())
+    alts = enumerate_alternatives(UnitSpec("U", "all_combinations", ["f0", "f1"]), repo)
     assert [a.components for a in alts] == [
         ["f0c", "f1c"],
         ["f0c", "f1g"],
@@ -103,7 +101,9 @@ def test_all_combinations_order_varies_last_function_fastest():
 
 def test_contiguous_gpu_segment_drops_split_runs():
     repo = dual_repo()
-    alts = enumerate_alternatives(["f0", "f1", "f2"], repo, ContiguousGpuSegment())
+    alts = enumerate_alternatives(
+        UnitSpec("U", "contiguous_gpu_segment", ["f0", "f1", "f2"]), repo
+    )
     combos = [tuple("g" if cid.endswith("g") else "c" for cid in a.components) for a in alts]
     assert ("g", "c", "g") not in combos
     assert len(combos) == 7
@@ -131,7 +131,7 @@ def test_contiguous_gpu_segment_drops_split_runs():
 
     product = itertools.product(*(repo.versions_of(f) for f in topology))
     expected = [list(chain) for chain in product if contiguous(chain)]
-    alts = enumerate_alternatives(topology, repo, ContiguousGpuSegment())
+    alts = enumerate_alternatives(UnitSpec("U", "contiguous_gpu_segment", topology), repo)
     assert [a.components for a in alts] == expected
     assert len(expected) == 12
 
@@ -139,25 +139,31 @@ def test_contiguous_gpu_segment_drops_split_runs():
 def test_declared_policy_checks_the_topology():
     repo = dual_repo()
     good = Assembly(components=["f0c", "f1c"])
-    assert enumerate_alternatives(["f0", "f1"], repo, Declared([good])) == [good]
+    declared = UnitSpec("U", "declared", ["f0", "f1"], [good])
+    assert enumerate_alternatives(declared, repo) == [good]
     bad = Assembly(components=["f0c", "f0g"])
     with pytest.raises(CompactionError, match="does not realize"):
-        enumerate_alternatives(["f0", "f1"], repo, Declared([good, bad]))
+        enumerate_alternatives(UnitSpec("U", "declared", ["f0", "f1"], [good, bad]), repo)
     with pytest.raises(CompactionError, match="no alternatives"):
-        enumerate_alternatives(["f0"], repo, Declared([]))
+        enumerate_alternatives(UnitSpec("U", "declared", ["f0"], []), repo)
 
 
 def test_enumerate_unknown_function():
     with pytest.raises(CompactionError, match="nosuch"):
-        enumerate_alternatives(["nosuch"], dual_repo(), AllCombinations())
+        enumerate_alternatives(UnitSpec("U", "all_combinations", ["nosuch"]), dual_repo())
+
+
+def test_enumerate_unknown_policy():
+    with pytest.raises(CompactionError, match="unknown enumeration policy 'greedy'"):
+        enumerate_alternatives(UnitSpec("U", "greedy", ["f0"]), dual_repo())
 
 
 def test_compact_builds_indexed_variants():
     repo = dual_repo()
-    alts = enumerate_alternatives(["f0", "f1"], repo, AllCombinations())
+    alts = enumerate_alternatives(UnitSpec("U", "all_combinations", ["f0", "f1"]), repo)
     unit = compact("U", alts, repo)
     assert unit.id == "U"
-    assert [v.index for v in unit.variants] == [0, 1, 2, 3]
+    assert len(unit.variants) == 4
     assert unit.variants[0].members == ["f0c", "f1c"]
     assert unit.variants[3].props.gpu_threads == 256
 
@@ -183,11 +189,13 @@ def test_singleton_unit_mirrors_the_component():
 def test_build_high_layer_on_the_robot(robot):
     repo, _, architecture = robot
     model = build_high_layer(architecture, repo)
+    assert [u.id for u in model.units] == [spec.id for spec in architecture.units] + list(
+        architecture.singletons
+    )
     by_id = {u.id: u for u in model.units}
-    assert set(by_id) == {"FrontVision", "BottomVision"}
     assert len(by_id["FrontVision"].variants) == 6
     assert len(by_id["BottomVision"].variants) == 5
-    assert len(model.singletons) == 5
+    assert sum(len(u.variants) == 1 for u in model.units) == 5
     front = by_id["FrontVision"].variants[0].props
     assert (front.mem, front.cpu, front.gpu_threads, front.exec_ms) == (
         Fraction(6),
@@ -201,13 +209,13 @@ def _toy_model():
     unit_a = MultiVariantUnit(
         id="A",
         variants=[
-            Variant(0, ["shared", "a0"], VariantProperties(Fraction(1), Fraction(1), 0, Fraction(1), 0)),
+            Variant(["shared", "a0"], VariantProperties(Fraction(1), Fraction(1), 0, Fraction(1), 0)),
         ],
     )
     unit_b = MultiVariantUnit(
         id="B",
         variants=[
-            Variant(0, ["shared", "b0"], VariantProperties(Fraction(1), Fraction(1), 0, Fraction(1), 0)),
+            Variant(["shared", "b0"], VariantProperties(Fraction(1), Fraction(1), 0, Fraction(1), 0)),
         ],
     )
     return HighLayerModel(units=[unit_a, unit_b])

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gen import random_detailed, random_high_model, random_scheme
+from gen import random_detailed, random_high_model, random_scheme, self_named_unit_model
 
+from mvalloc.compaction import build_high_layer
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import (
     ParseError,
@@ -19,6 +20,7 @@ from mvalloc.formats import (
     parse_weights,
     write_atomic,
 )
+from mvalloc.solver import solve
 
 
 def test_parse_model_reads_the_robot_fixture():
@@ -108,7 +110,6 @@ def test_compacted_round_trip_random():
         text = dump_compacted(model)
         back = parse_compacted(text)
         assert back.units == model.units, f"seed {seed + 200}"
-        assert back.singletons == model.singletons, f"seed {seed + 200}"
         assert back.connections == model.connections, f"seed {seed + 200}"
         assert dump_compacted(back) == text, f"seed {seed + 200}"
 
@@ -133,8 +134,18 @@ def test_compacted_singleton_classification():
         }
     )
     model = parse_compacted(text)
-    assert [u.id for u in model.singletons] == ["solo"]
-    assert [u.id for u in model.units] == ["narrow"]
+    assert [u.id for u in model.units] == ["solo", "narrow"]
+
+
+def test_compacted_round_trip_keeps_unit_order():
+    repo, platform, arch = self_named_unit_model()
+    high = build_high_layer(arch, repo)
+    assert [u.id for u in high.units] == ["Cam", "U", "B"]
+    back = parse_compacted(dump_compacted(high))
+    assert [u.id for u in back.units] == ["Cam", "U", "B"]
+    scheme = solve(back, platform)
+    assert scheme.placements["Cam"].node == "h0"
+    assert dump_scheme(scheme) == dump_scheme(solve(high, platform))
 
 
 def test_compacted_rejects_empty_variants():

@@ -131,15 +131,6 @@ def test_validate_platform():
     ]
 
 
-def test_assembly_sources_and_sinks():
-    assembly = Assembly(
-        components=["a", "b", "c", "d"],
-        connections=[("a", "c"), ("b", "c"), ("c", "d")],
-    )
-    assert assembly.sources() == ["a", "b"]
-    assert assembly.sinks() == ["d"]
-
-
 def test_validate_assembly_unknown_and_duplicates():
     repo = Repository(components=[comp("a")])
     assembly = Assembly(components=["a", "a", "x"], connections=[("a", "y")])

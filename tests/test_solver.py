@@ -25,7 +25,6 @@ def unit(uid, *variants):
         id=uid,
         variants=[
             Variant(
-                index=i,
                 members=[f"{uid}x{i}"],
                 props=VariantProperties(
                     mem=Fraction(mem),
