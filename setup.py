@@ -1,12 +1,11 @@
 """Build script for the optional compiled search kernels.
 
-The package is pure Python except for mvalloc._kernels, a Cython twin of
-mvalloc._kernels_py.  When Cython or a C compiler is unavailable (or
-MVALLOC_PURE_PYTHON=1 is set) the extension is simply skipped and the
-package falls back to the Python kernels at import time.
+The package is pure Python except for src/mvalloc/_kernels.c, a plain
+C99 file with the kernels of mvalloc._kernels_py.  It is built as a
+shared library next to the package, where mvalloc.engine loads it
+through ctypes.  When no C compiler is available the build skips it and
+the package runs on the Python kernels.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -28,16 +27,7 @@ class optional_build_ext(build_ext):
             print("skipping %s: %s" % (ext.name, exc))
 
 
-ext_modules = []
-if os.environ.get("MVALLOC_PURE_PYTHON") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("mvalloc._kernels", ["src/mvalloc/_kernels.pyx"])],
-            language_level="3",
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[Extension("mvalloc._kernels", ["src/mvalloc/_kernels.c"])],
+    cmdclass={"build_ext": optional_build_ext},
+)

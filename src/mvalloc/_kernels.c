@@ -1,0 +1,184 @@
+/* Compiled search kernels: the walk of mvalloc/_kernels_py.py in C99.
+ *
+ * Same tree walk, same ordering, same strict-improvement rule and the
+ * same cuts: the forward check with its still-fitting cost bound `rest`,
+ * skipped when one node covers the `need_*` suffix maxima, and the cost
+ * cut before each variant and after each child.  Fed the same scaled
+ * integers, both kernels return identical results, visited counts
+ * included.  Values must fit in int64, which the caller has checked.
+ *
+ * mvalloc.engine loads this file's shared library through ctypes and
+ * owns every buffer: the capacity arrays, which the walk uses as the
+ * remaining capacities, the (variant, node) pairs of the current path,
+ * the cheapest-first variant order, the incumbent's (variant, node)
+ * pairs, and out = {status, best cost or -1 without an incumbent,
+ * visited}.  A deadline of INT64_MAX never passes.
+ */
+#define _POSIX_C_SOURCE 199309L
+
+#include <stdint.h>
+#include <time.h>
+
+enum { OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
+enum { CHECK_INTERVAL = 8192 };
+
+typedef struct {
+    int64_t n, k;
+    const int64_t *nv, *off, *vmem, *vcpu, *vgpu, *vcost;
+    int64_t *rem_mem, *rem_cpu, *rem_gpu;
+    const int64_t *suffix_min, *need_mem, *need_cpu, *need_gpu;
+    const int64_t *by_cost;
+    int64_t *choice, *best;
+    int64_t best_cost; /* -1 until the first leaf */
+    int64_t deadline_ns, check_left, visited;
+    int timed_out;
+} State;
+
+static int64_t monotonic_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* The first node from `h` on with room for the demand, or k if none. */
+static int64_t first_fit(const State *s, int64_t h, int64_t m, int64_t p, int64_t g)
+{
+    while (h < s->k && !(m <= s->rem_mem[h] && p <= s->rem_cpu[h] && g <= s->rem_gpu[h]))
+        h++;
+    return h;
+}
+
+static void keep_if_cheaper(State *s, int64_t cur)
+{
+    if (s->best_cost < 0 || cur < s->best_cost) {
+        s->best_cost = cur;
+        for (int64_t j = 0; j < 2 * s->n; j++)
+            s->best[j] = s->choice[j];
+    }
+}
+
+static int cut(const State *s, int64_t bound)
+{
+    return s->best_cost >= 0 && bound >= s->best_cost;
+}
+
+static void solve_dfs(State *s, int64_t u, int64_t cur)
+{
+    s->visited++;
+    if (--s->check_left <= 0) {
+        s->check_left = CHECK_INTERVAL;
+        if (monotonic_ns() >= s->deadline_ns) {
+            s->timed_out = 1;
+            return;
+        }
+    }
+    if (u == s->n) {
+        keep_if_cheaper(s, cur);
+        return;
+    }
+    int64_t rest = s->suffix_min[u + 1];
+    if (first_fit(s, 0, s->need_mem[u + 1], s->need_cpu[u + 1], s->need_gpu[u + 1]) == s->k) {
+        rest = 0;
+        for (int64_t w = u + 1; w < s->n; w++) {
+            int64_t j = s->off[w], end = s->off[w] + s->nv[w], i = 0;
+            for (; j < end; j++) {
+                i = s->by_cost[j];
+                if (first_fit(s, 0, s->vmem[i], s->vcpu[i], s->vgpu[i]) < s->k)
+                    break;
+            }
+            if (j == end)
+                return;
+            rest += s->vcost[i];
+        }
+    }
+    for (int64_t i = s->off[u]; i < s->off[u] + s->nv[u]; i++) {
+        int64_t c = cur + s->vcost[i], m = s->vmem[i], p = s->vcpu[i], g = s->vgpu[i];
+        if (cut(s, c + rest))
+            continue;
+        for (int64_t h = first_fit(s, 0, m, p, g); h < s->k; h = first_fit(s, h + 1, m, p, g)) {
+            s->rem_mem[h] -= m;
+            s->rem_cpu[h] -= p;
+            s->rem_gpu[h] -= g;
+            s->choice[2 * u] = i - s->off[u];
+            s->choice[2 * u + 1] = h;
+            solve_dfs(s, u + 1, c);
+            s->rem_mem[h] += m;
+            s->rem_cpu[h] += p;
+            s->rem_gpu[h] += g;
+            if (s->timed_out)
+                return;
+            if (cut(s, c + rest))
+                break;
+        }
+    }
+}
+
+static void brute_dfs(State *s, int64_t u, int64_t cur)
+{
+    s->visited++;
+    if (u == s->n) {
+        keep_if_cheaper(s, cur);
+        return;
+    }
+    for (int64_t i = s->off[u]; i < s->off[u] + s->nv[u]; i++) {
+        int64_t m = s->vmem[i], p = s->vcpu[i], g = s->vgpu[i];
+        for (int64_t h = first_fit(s, 0, m, p, g); h < s->k; h = first_fit(s, h + 1, m, p, g)) {
+            s->rem_mem[h] -= m;
+            s->rem_cpu[h] -= p;
+            s->rem_gpu[h] -= g;
+            s->choice[2 * u] = i - s->off[u];
+            s->choice[2 * u + 1] = h;
+            brute_dfs(s, u + 1, cur + s->vcost[i]);
+            s->rem_mem[h] += m;
+            s->rem_cpu[h] += p;
+            s->rem_gpu[h] += g;
+        }
+    }
+}
+
+static void finish(const State *s, int64_t *out)
+{
+    out[0] = s->timed_out ? TIMED_OUT : s->best_cost < 0 ? INFEASIBLE : OPTIMAL;
+    out[1] = s->best_cost;
+    out[2] = s->visited;
+}
+
+void solve_search(int64_t n, int64_t k, int64_t deadline_ns, const int64_t *nv,
+                  const int64_t *off, const int64_t *vmem, const int64_t *vcpu,
+                  const int64_t *vgpu, const int64_t *vcost, int64_t *cap_mem,
+                  int64_t *cap_cpu, int64_t *cap_gpu, const int64_t *suffix_min,
+                  const int64_t *need_mem, const int64_t *need_cpu, const int64_t *need_gpu,
+                  int64_t *choice, int64_t *by_cost, int64_t *best, int64_t *out)
+{
+    State s = {.n = n, .k = k, .nv = nv, .off = off, .vmem = vmem, .vcpu = vcpu,
+               .vgpu = vgpu, .vcost = vcost, .rem_mem = cap_mem, .rem_cpu = cap_cpu,
+               .rem_gpu = cap_gpu, .suffix_min = suffix_min, .need_mem = need_mem,
+               .need_cpu = need_cpu, .need_gpu = need_gpu, .by_cost = by_cost,
+               .choice = choice, .best = best, .best_cost = -1,
+               .deadline_ns = deadline_ns, .check_left = CHECK_INTERVAL};
+    /* each unit's variant indices, cheapest first (stable insertion sort),
+       for the forward scan; the first that fits a node gives the bound */
+    for (int64_t u = 0; u < n; u++) {
+        for (int64_t i = off[u]; i < off[u] + nv[u]; i++) {
+            int64_t j = i;
+            for (; j > off[u] && vcost[by_cost[j - 1]] > vcost[i]; j--)
+                by_cost[j] = by_cost[j - 1];
+            by_cost[j] = i;
+        }
+    }
+    solve_dfs(&s, 0, 0);
+    finish(&s, out);
+}
+
+void brute_search(int64_t n, int64_t k, const int64_t *nv, const int64_t *off,
+                  const int64_t *vmem, const int64_t *vcpu, const int64_t *vgpu,
+                  const int64_t *vcost, int64_t *cap_mem, int64_t *cap_cpu, int64_t *cap_gpu,
+                  int64_t *choice, int64_t *best, int64_t *out)
+{
+    State s = {.n = n, .k = k, .nv = nv, .off = off, .vmem = vmem, .vcpu = vcpu,
+               .vgpu = vgpu, .vcost = vcost, .rem_mem = cap_mem, .rem_cpu = cap_cpu,
+               .rem_gpu = cap_gpu, .choice = choice, .best = best, .best_cost = -1};
+    brute_dfs(&s, 0, 0);
+    finish(&s, out);
+}

@@ -5,7 +5,7 @@ index order and nodes in platform order, on demands and capacities that
 the caller has already scaled to integers.  That ordering is part of the
 contract: together with strict-improvement updates it makes the reported
 optimum the lexicographically first one, so results are reproducible and
-must match mvalloc._kernels bit for bit.
+must match the compiled kernels of _kernels.c bit for bit.
 
 `solve_search` is branch and bound with forward checking.  On entering
 a node it takes `rest`, the sum over the units after the current one of

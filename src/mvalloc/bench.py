@@ -139,6 +139,7 @@ class ModelStats:
     median_ms: float
     stddev_ms: float
     objective_ms: str
+    visited: int
     times_ms: list[float] = field(repr=False)
 
 
@@ -148,7 +149,7 @@ class BenchReport:
     seed: int
     repetitions: int
     warmup: int
-    backend: str
+    backend: str  # what the timed solves ran on ("c", "python"), never "auto"
     rejected: int
     timed_out: int
     stats: list[ModelStats]
@@ -316,6 +317,8 @@ def run_bench(spec: BenchSpec) -> BenchReport:
             solve(model, system.platform, cfg, backend=spec.backend)
     times: dict[str, list[float]] = {name: [] for name, _ in models}
     objectives: dict[str, Fraction] = {}
+    visited: dict[str, int] = {}
+    ran_on = ""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -329,6 +332,8 @@ def run_bench(spec: BenchSpec) -> BenchReport:
                     raise RuntimeError(f"benchmark instance became {scheme.status}")
                 if objectives.setdefault(name, scheme.objective_ms) != scheme.objective_ms:
                     raise RuntimeError("objective changed between repetitions")
+                visited[name] = scheme.visited
+                ran_on = scheme.backend
     finally:
         if collecting:
             gc.enable()
@@ -339,6 +344,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
             median_ms=statistics.median(times[name]),
             stddev_ms=statistics.pstdev(times[name]),
             objective_ms=format_number(objectives[name]),
+            visited=visited[name],
             times_ms=times[name],
         )
         for name, _ in models
@@ -350,7 +356,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
         seed=spec.seed,
         repetitions=spec.repetitions,
         warmup=spec.warmup,
-        backend=spec.backend,
+        backend=ran_on,
         rejected=system.rejected,
         timed_out=system.timed_out,
         stats=stats,
@@ -396,6 +402,7 @@ def reports_to_json(reports: list[BenchReport]) -> str:
                         "median_ms": s.median_ms,
                         "stddev_ms": s.stddev_ms,
                         "objective_ms": s.objective_ms,
+                        "visited": s.visited,
                         "times_ms": s.times_ms,
                     }
                     for s in r.stats

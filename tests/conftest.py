@@ -1,11 +1,35 @@
 from __future__ import annotations
 
 import contextlib
+import os
+import shutil
+import subprocess
+import tempfile
 
 import pytest
 
+from mvalloc import engine
 from mvalloc.compaction import build_high_layer
 from mvalloc.fixtures import robot_model
+
+
+def pytest_configure():
+    """Build the C kernels into a temp dir and register them as backend "c".
+
+    Runs before collection, so "auto" resolves to "c" and the tests that
+    compare the backends run, as in an install with the library built.
+    Without a C compiler, or with a library already next to the package,
+    nothing is built.
+    """
+    if "c" in engine.available_backends() or shutil.which("cc") is None:
+        return
+    source = os.path.join(os.path.dirname(engine.__file__), "_kernels.c")
+    with tempfile.TemporaryDirectory() as build:
+        library = os.path.join(build, "_kernels.so")
+        subprocess.run(
+            ["cc", "-O2", "-std=c99", "-shared", "-fPIC", "-o", library, source], check=True
+        )
+        engine._load(library)  # loaded, so the file may go
 
 
 @pytest.fixture(scope="session")

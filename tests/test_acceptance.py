@@ -178,8 +178,7 @@ def test_criterion_3_robot_case_study(criterion, robot, robot_high):
         info["detail"] = "objective 45 ms, byte-stable scheme"
 
 
-def test_criterion_4_scalability_trend(criterion, monkeypatch):
-    monkeypatch.delenv("MVALLOC_BACKEND", raising=False)
+def test_criterion_4_scalability_trend(criterion):
     with criterion("[criterion 4] two-variant model solves fastest") as info:
         start = time.monotonic()
         summaries = []

@@ -23,6 +23,7 @@ from mvalloc.bench import (
     NODE_MEM,
     NODE_MEM_GPU,
 )
+from mvalloc.engine import available_backends, get_backend
 from mvalloc.formats import dump_compacted, dump_model
 from mvalloc.solver import solve
 
@@ -56,6 +57,12 @@ def test_generate_system_is_byte_stable():
         ), attr
     assert first.rejected == second.rejected
     assert first.timed_out == second.timed_out == 0
+    spec = BenchSpec(n=3, seed=0, repetitions=1, warmup=0)
+    runs = [run_bench(spec) for _ in range(2)]
+    assert [(s.model, s.objective_ms, s.visited) for s in runs[0].stats] == [
+        (s.model, s.objective_ms, s.visited) for s in runs[1].stats
+    ]
+    assert all(s.visited > 0 for s in runs[0].stats)
 
 
 def test_generated_models_have_the_documented_shape():
@@ -133,6 +140,15 @@ def test_run_bench_report_shape():
     )
 
 
+@pytest.mark.parametrize("backend", ["auto", *available_backends()])
+def test_report_names_the_backend_that_ran(backend):
+    report = run_bench(BenchSpec(n=3, seed=1, repetitions=1, warmup=0, backend=backend))
+    expected = get_backend(backend).name
+    assert report.backend == expected
+    assert json.loads(reports_to_json([report]))["reports"][0]["backend"] == expected
+    assert f" {expected} " in format_table([report]).splitlines()[2]
+
+
 def test_single_repetition_has_zero_stddev():
     report = run_bench(BenchSpec(n=3, seed=1, repetitions=1, warmup=0))
     assert all(s.stddev_ms == 0 for s in report.stats)
@@ -153,6 +169,7 @@ def _fake_report(two_variant_mean):
             median_ms=mean,
             stddev_ms=0.0,
             objective_ms="10",
+            visited=12,
             times_ms=[mean],
         )
 
@@ -187,7 +204,13 @@ def test_reports_serialize():
     assert payload["reports"][0]["n"] == 30
     assert payload["reports"][0]["trend_ok"] is True
     assert payload["reports"][0]["timed_out"] == 0
-    assert len(payload["reports"][0]["models"]) == 3
+    assert payload["reports"][0]["backend"] == "python"
+    models = payload["reports"][0]["models"]
+    assert [(m["model"], m["visited"]) for m in models] == [
+        ("naive_cpu", 12),
+        ("naive_gpu", 12),
+        ("two_variant", 12),
+    ]
     csv_text = reports_to_csv([report, report])
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("n,seed,")

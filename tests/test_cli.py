@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from gen import self_named_unit_model
 
+from mvalloc import engine
 from mvalloc.cli import main
 from mvalloc.engine import available_backends
 from mvalloc.fixtures import robot_model_text
@@ -337,16 +339,18 @@ def test_module_main_guard(robot_file, tmp_path):
 
 
 def test_cli_import_leaves_bench_and_fixtures_unloaded():
+    # ctypes comes in only to load a library built next to the package
+    loaded = ["ctypes"] if os.path.exists(engine._LIBRARY) else []
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, mvalloc.cli; "
-            "print(sorted({'mvalloc.bench', 'mvalloc.fixtures'} & set(sys.modules)))",
+            "print(sorted({'mvalloc.bench', 'mvalloc.fixtures', 'ctypes'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == str(loaded)

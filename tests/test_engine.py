@@ -10,8 +10,7 @@ def test_python_backend_is_always_available():
     assert "python" in engine.available_backends()
 
 
-def test_auto_prefers_the_compiled_backend(monkeypatch):
-    monkeypatch.delenv("MVALLOC_BACKEND", raising=False)
+def test_auto_prefers_the_compiled_backend():
     expected = "c" if "c" in engine.available_backends() else "python"
     assert engine.get_backend("auto").name == expected
 
@@ -23,17 +22,6 @@ def test_explicit_python():
 def test_unknown_backend_name():
     with pytest.raises(ValueError, match="unknown backend"):
         engine.get_backend("fortran")
-
-
-def test_env_var_overrides_auto(monkeypatch):
-    monkeypatch.setenv("MVALLOC_BACKEND", "python")
-    assert engine.get_backend("auto").name == "python"
-
-
-def test_env_var_does_not_override_explicit_names(monkeypatch):
-    monkeypatch.setenv("MVALLOC_BACKEND", "python")
-    if "c" in engine.available_backends():
-        assert engine.get_backend("c").name == "c"
 
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
@@ -56,6 +44,45 @@ def test_kernels_return_identical_tuples():
     py = engine.get_backend("python")
     assert c.solve_search(*args, *bounds, None) == py.solve_search(*args, *bounds, None)
     assert c.brute_search(*args) == py.brute_search(*args)
+
+
+@pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
+def test_a_passed_deadline_stops_both_backends_at_the_same_node():
+    # 16 units, each cheap and large or dear and small, on three nodes too
+    # small for all the cheap variants: the full search takes millions of
+    # nodes, so a passed deadline stops it at the first clock check
+    n = 16
+    args = (
+        [2] * n,  # nv
+        list(range(0, 2 * n, 2)),  # off
+        [3, 2] * n,  # vmem
+        [1, 1] * n,  # vcpu
+        [0, 0] * n,  # vgpu
+        [1, 3] * n,  # vcost
+        [16] * 3,  # cap_mem
+        [100] * 3,  # cap_cpu
+        [0] * 3,  # cap_gpu
+    )
+    bounds = (list(range(n, -1, -1)), [3] * n + [0], [1] * n + [0], [0] * (n + 1))
+    c = engine.get_backend("c").solve_search(*args, *bounds, 0)
+    py = engine.get_backend("python").solve_search(*args, *bounds, 0)
+    assert c == py
+    status, cost, choices, visited = c
+    assert (status, visited) == (2, 8192)
+    assert cost is not None and len(choices) == n  # the incumbent
+
+
+@pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
+def test_compiled_kernels_refuse_inconsistent_arrays():
+    kernel = engine.get_backend("c").brute_search
+    args = ([2, 1], [0, 2], [3, 1, 2], [1, 1, 1], [0, 0, 0], [5, 9, 4], [4, 2], [9, 9], [0, 0])
+    for bad in (
+        ([2, 2], *args[1:]),  # unit 1 runs past the variant columns
+        (*args[:3], [1, 1], *args[4:]),  # a short demand column
+        (*args[:7], [9], args[8]),  # a short capacity column
+    ):
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            kernel(*bad)
 
 
 @pytest.mark.parametrize("name", engine.available_backends())

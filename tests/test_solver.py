@@ -397,21 +397,25 @@ def test_backend_is_reported():
 
 @pytest.mark.skipif("c" not in available_backends(), reason="extension not built")
 def test_backends_agree_exactly():
-    for seed in range(40):
-        model, platform = random_high_model(seed + 1000, product_cap=20_000)
-        a = solve(model, platform, backend="c")
-        b = solve(model, platform, backend="python")
-        assert (a.status, a.objective_ms, a.placements, a.visited) == (
-            b.status,
-            b.objective_ms,
-            b.placements,
-            b.visited,
-        ), f"seed {seed + 1000}"
-        ba = brute_force(model, platform, backend="c")
-        bb = brute_force(model, platform, backend="python")
-        assert (ba.status, ba.objective_ms, ba.placements, ba.visited) == (
-            bb.status,
-            bb.objective_ms,
-            bb.placements,
-            bb.visited,
-        ), f"seed {seed + 1000}"
+    # the instances of test_declared_order_returns_brute_force_placements,
+    # in both unit orders
+    def outcome(scheme):
+        return scheme.status, scheme.objective_ms, scheme.placements, scheme.visited
+
+    for seed in range(300):
+        model, full = random_high_model(seed, product_cap=30_000)
+        weight = {model.all_units()[0].id: Fraction(7, 2)}
+        configs = [
+            SolverConfig(unit_order=order, unit_weights=weights)
+            for order in ("demand", "declared")
+            for weights in ({}, weight)
+        ]
+        for platform in (full, _shrunk(full)):
+            for cfg in configs:
+                a = solve(model, platform, cfg, backend="c")
+                b = solve(model, platform, cfg, backend="python")
+                assert outcome(a) == outcome(b), f"seed {seed}"
+            for cfg in configs[:2]:  # brute force walks in declared order
+                a = brute_force(model, platform, cfg, backend="c")
+                b = brute_force(model, platform, cfg, backend="python")
+                assert outcome(a) == outcome(b), f"seed {seed}"
