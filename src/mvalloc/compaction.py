@@ -4,9 +4,12 @@ An assembly of components collapses into a single variant whose demands
 are the exact sums of its members, with one exception: GPU threads take
 the maximum over the members, because components inside one unit run as a
 pipeline on the same accelerator and never need their thread budgets at
-the same time.  A unit carries one such variant per alternative; choosing
-a variant and a node for every unit is what the solver does, and `unfold`
-maps a solved scheme back onto individual components.
+the same time.  Each sum adds integer numerators over the members' common
+denominator (`rationals.exact_sum`): exactly the value of adding the
+Fractions one by one, with one Fraction built per column.  A unit
+carries one such variant per alternative; choosing a variant and a
+node for every unit is what the solver does, and `unfold` maps a solved
+scheme back onto individual components.
 
 A unit's enumeration policy is its name in `UnitSpec.policy`.
 "declared" takes the hand-written list; "all_combinations" crosses all
@@ -33,6 +36,7 @@ from .model import (
     SystemArchitecture,
     UnitSpec,
 )
+from .rationals import exact_sum
 
 if TYPE_CHECKING:
     from .solver import AllocationScheme
@@ -77,7 +81,6 @@ class VariantProperties:
 class Variant:
     members: list[str]
     props: VariantProperties
-    assembly: Assembly | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -102,26 +105,16 @@ class HighLayerModel:
 
 
 def aggregate_variant(assembly: Assembly, repo: Repository) -> VariantProperties:
-    """Fold an assembly's member demands into variant properties."""
-    mem = Fraction(0)
-    cpu = Fraction(0)
-    exec_ms = Fraction(0)
-    gpu_threads = 0
-    gpu_members = 0
-    for cid in assembly.components:
-        comp = repo.component(cid)
-        mem += comp.demand.mem
-        cpu += comp.demand.cpu
-        exec_ms += comp.demand.exec_ms
-        gpu_threads = max(gpu_threads, comp.demand.gpu_threads)
-        if comp.kind is Kind.GPU:
-            gpu_members += 1
+    """Fold an assembly's member demands into variant properties; each
+    sum is `exact_sum`'s, one Fraction per column."""
+    comps = [repo.component(cid) for cid in assembly.components]
+    demands = [comp.demand for comp in comps]
     return VariantProperties(
-        mem=mem,
-        cpu=cpu,
-        gpu_threads=gpu_threads,
-        exec_ms=exec_ms,
-        gpu_member_count=gpu_members,
+        mem=exact_sum([d.mem for d in demands]),
+        cpu=exact_sum([d.cpu for d in demands]),
+        gpu_threads=max([0] + [d.gpu_threads for d in demands]),
+        exec_ms=exact_sum([d.exec_ms for d in demands]),
+        gpu_member_count=sum(comp.kind is Kind.GPU for comp in comps),
     )
 
 
@@ -207,7 +200,6 @@ def compact(
             Variant(
                 members=list(assembly.components),
                 props=aggregate_variant(assembly, repo),
-                assembly=assembly,
             )
         )
     return MultiVariantUnit(id=unit_id, variants=variants)

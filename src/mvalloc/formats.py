@@ -4,9 +4,9 @@ Four formats: model (repository + platform + optional architecture),
 compacted model, allocation scheme, and component assignment.  Parsing is
 strict: unknown fields are rejected, numbers must be integers or strings
 (see mvalloc.rationals), and every error carries the path to the
-offending field.  Serialization is canonical: sorted object keys, fixed
-indentation, trailing newline; serializing the same data always produces
-the same bytes.
+offending field.  Serialization is canonical: exactly `json.dumps(data,
+indent=2, sort_keys=True, separators=(",", ": "))` and a newline, so the
+same data always gives the same bytes.
 
 Files are written through `write_atomic`, temp-file-then-rename in the
 target directory, so readers never observe a partial file.
@@ -18,6 +18,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .compaction import HighLayerModel, MultiVariantUnit, Variant, VariantProperties
@@ -432,7 +433,35 @@ def parse_weights(text: str) -> dict[str, Fraction]:
 
 
 def _canonical(root: object) -> str:
-    return json.dumps(root, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
+    """`json.dumps(root, indent=2, sort_keys=True, separators=(",", ": "))`
+    and a newline, written directly: with an indent, json runs its slow
+    pure-Python encoder.  Takes dicts with str keys, lists, str, int,
+    bool and None; anything else raises TypeError."""
+    out: list[str] = []
+    _write(root, "\n", out.append)
+    return "".join(out) + "\n"
+
+
+def _write(value: object, newline: str, emit) -> None:
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif value is None or isinstance(value, bool):
+        emit("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif not isinstance(value, (dict, list)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        emit("{}" if isinstance(value, dict) else "[]")
+    else:
+        is_dict = isinstance(value, dict)
+        inner = newline + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for key in sorted(value) if is_dict else range(len(value)):
+            emit(sep + _quote(key) + ": " if is_dict else sep)
+            _write(value[key], inner, emit)
+            sep = "," + inner
+        emit(newline + ("}" if is_dict else "]"))
 
 
 def write_atomic(path: str | os.PathLike, text: str) -> None:

@@ -29,15 +29,19 @@ _WRAP = 72
 
 
 def _wrap(parts: list[str]) -> str:
+    """One or more non-blank `parts` joined by spaces on lines indented
+    by two columns, continuation lines by four; a part goes to a new line
+    when it would pass column _WRAP."""
     lines = []
-    current = " "
-    for part in parts:
-        if len(current) + len(part) + 1 > _WRAP and current.strip():
-            lines.append(current)
-            current = "   "
-        current += " " + part
-    lines.append(current)
-    return "\n".join(lines)
+    start = 0
+    width = 1  # columns of the line so far, its indent counted as one
+    for i, part in enumerate(parts):
+        if width + len(part) + 1 > _WRAP and i > start:
+            lines.append(" ".join(parts[start:i]))
+            start, width = i, 3
+        width += len(part) + 1
+    lines.append(" ".join(parts[start:]))
+    return "  " + "\n    ".join(lines)
 
 
 def _terms(coefs: list[int], columns: list[str]) -> list[str]:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .rationals import exact_sum
+
 __all__ = [
     "Kind",
     "ResourceDemand",
@@ -349,22 +351,18 @@ def check_feasibility(
     boundary-inclusive.  The assignment may be partial.  Unknown component
     or node ids raise UnknownIdError.
     """
-    mem_sum: dict[str, Fraction] = {}
-    cpu_sum: dict[str, Fraction] = {}
-    gpu_peak: dict[str, int] = {}
+    placed: dict[str, list[ResourceDemand]] = {node.id: [] for node in platform.nodes}
     for component_id, node_id in assignment.items():
-        comp = repo.component(component_id)
-        platform.node(node_id)
-        mem_sum[node_id] = mem_sum.get(node_id, Fraction(0)) + comp.demand.mem
-        cpu_sum[node_id] = cpu_sum.get(node_id, Fraction(0)) + comp.demand.cpu
-        gpu_peak[node_id] = max(gpu_peak.get(node_id, 0), comp.demand.gpu_threads)
+        demand = repo.component(component_id).demand
+        placed[platform.node(node_id).id].append(demand)
     violations: list[tuple[str, str]] = []
     for node in platform.nodes:
-        if mem_sum.get(node.id, Fraction(0)) > node.use_mem:
+        demands = placed[node.id]
+        if exact_sum([d.mem for d in demands]) > node.use_mem:
             violations.append((node.id, "mem"))
-        if cpu_sum.get(node.id, Fraction(0)) > node.use_cpu:
+        if exact_sum([d.cpu for d in demands]) > node.use_cpu:
             violations.append((node.id, "cpu"))
-        if gpu_peak.get(node.id, 0) > node.use_gpu:
+        if max([0] + [d.gpu_threads for d in demands]) > node.use_gpu:
             violations.append((node.id, "gpu_threads"))
     return FeasibilityResult(feasible=not violations, violations=violations)
 

@@ -48,8 +48,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import engine
-from .compaction import HighLayerModel
+from .compaction import HighLayerModel, VariantProperties
 from .model import Platform
+from .rationals import exact_sum
 
 __all__ = [
     "OPTIMAL",
@@ -160,7 +161,8 @@ def _scale(
     """Scale every demand and capacity to integers, once.
 
     Per resource the common denominator is the lcm of every value's
-    denominator.  The same pass takes each unit's minimum and maximum per
+    denominator.  Values sit in flat per-variant columns in declared
+    order, unit u owning the slice spans[u].  The same pass takes each unit's minimum and maximum per
     resource: the minima give the pre-search infeasibility check, the
     demand score and the cost bound, the maxima the int64 check.  It also
     notes each unit's cheapest variant, whose demands' suffix maxima let
@@ -182,53 +184,48 @@ def _scale(
         if not unit.variants:
             raise SolverError(f"unit {unit.id!r} has no variants")
 
-    props = [[v.props for v in u.variants] for u in units]
+    props = [v.props for u in units for v in u.variants]
+    starts = list(itertools.accumulate((len(u.variants) for u in units), initial=0))
+    spans = list(zip(starts, starts[1:]))
     weights = cfg.unit_weights
     costs = [
-        [weights[u.id] * p.exec_ms for p in ps]
-        if u.id in weights
-        else [p.exec_ms for p in ps]
-        for u, ps in zip(units, props)
+        weights[u.id] * v.props.exec_ms if u.id in weights else v.props.exec_ms
+        for u in units
+        for v in u.variants
     ]
-    variants = [p for ps in props for p in ps]
     mem_den = math.lcm(
-        *{n.use_mem.denominator for n in nodes}, *{p.mem.denominator for p in variants}
+        *{n.use_mem.denominator for n in nodes}, *{p.mem.denominator for p in props}
     )
     cpu_den = math.lcm(
-        *{n.use_cpu.denominator for n in nodes}, *{p.cpu.denominator for p in variants}
+        *{n.use_cpu.denominator for n in nodes}, *{p.cpu.denominator for p in props}
     )
-    cost_den = math.lcm(*{c.denominator for cs in costs for c in cs})
+    cost_den = math.lcm(*{c.denominator for c in costs})
 
     caps = (
         [n.use_mem.numerator * (mem_den // n.use_mem.denominator) for n in nodes],
         [n.use_cpu.numerator * (cpu_den // n.use_cpu.denominator) for n in nodes],
         [n.use_gpu for n in nodes],
     )
-    rows = []  # per unit, in declared order: scaled (mem, cpu, gpu, cost) lists
-    minima = []
-    maxima = [0, 0, 0, 0]
-    cheapest = []  # per unit: the index of its first minimum-cost variant
-    for ps, cs in zip(props, costs):
-        row = (
-            [p.mem.numerator * (mem_den // p.mem.denominator) for p in ps],
-            [p.cpu.numerator * (cpu_den // p.cpu.denominator) for p in ps],
-            [p.gpu_threads for p in ps],
-            [c.numerator * (cost_den // c.denominator) for c in cs],
-        )
-        rows.append(row)
-        minima.append([min(col) for col in row])
-        cheapest.append(row[3].index(minima[-1][3]))
-        for r, col in enumerate(row):
-            maxima[r] += max(col)
+    cols = (  # scaled mem, cpu, gpu, cost per variant
+        [p.mem.numerator * (mem_den // p.mem.denominator) for p in props],
+        [p.cpu.numerator * (cpu_den // p.cpu.denominator) for p in props],
+        [p.gpu_threads for p in props],
+        [c.numerator * (cost_den // c.denominator) for c in costs],
+    )
+    # per resource, per unit
+    minima = [[min(col[s:e]) for s, e in spans] for col in cols]
+    maxima = [sum(max(col[s:e]) for s, e in spans) for col in cols]
+    # per unit: the flat index of its first minimum-cost variant
+    cheapest = [cols[3].index(m, s, e) for m, (s, e) in zip(minima[3], spans)]
 
-    if minima and min(min(m) for m in minima) < 0:
+    if any(min(col, default=0) < 0 for col in cols):
         raise SolverError("negative demand values; validate the model first")
     if any(c < 0 for cap in caps for c in cap):
         raise SolverError("negative capacity values; validate the model first")
     totals = [sum(cap) for cap in caps]
     overloaded = None
     for r, label in enumerate(("mem", "cpu", "gpu_threads")):
-        if minima and sum(m[r] for m in minima) > totals[r]:
+        if sum(minima[r]) > totals[r]:
             overloaded = label
             break
     bound = engine.INT64_SAFE_BOUND
@@ -241,17 +238,18 @@ def _scale(
         # ties keep declared order
         common = math.prod(t for t in totals if t)
         factors = [common // t if t else 0 for t in totals]
-        score = [max(m[r] * factors[r] for r in range(3)) for m in minima]
+        score = [max(m * f for m, f in zip(ms, factors)) for ms in zip(*minima[:3])]
         order = sorted(order, key=lambda u: -score[u])
 
-    nv = [len(rows[u][0]) for u in order]
+    nv = [len(units[u].variants) for u in order]
     off = list(itertools.accumulate(nv, initial=0))[:-1]
-    vmem, vcpu, vgpu, vcost = ([x for u in order for x in rows[u][r]] for r in range(4))
+    flat = [i for u in order for i in range(*spans[u])]
+    vmem, vcpu, vgpu, vcost = ([col[i] for i in flat] for col in cols)
     back = order[::-1]
-    suffix_min = list(itertools.accumulate((minima[u][3] for u in back), initial=0))[::-1]
+    suffix_min = list(itertools.accumulate((minima[3][u] for u in back), initial=0))[::-1]
     suffix_need = tuple(
-        list(itertools.accumulate((rows[u][r][cheapest[u]] for u in back), max, initial=0))[::-1]
-        for r in range(3)
+        list(itertools.accumulate((col[cheapest[u]] for u in back), max, initial=0))[::-1]
+        for col in cols[:3]
     )
     return _Scaled(
         unit_ids=[units[u].id for u in order],
@@ -374,26 +372,21 @@ def check_scheme(
     (node id, resource) pairs for each overrun.
     """
     units = {u.id: u for u in model.units}
-    mem_sum: dict[str, Fraction] = {}
-    cpu_sum: dict[str, Fraction] = {}
-    gpu_sum: dict[str, int] = {}
+    placed: dict[str, list[VariantProperties]] = {node.id: [] for node in platform.nodes}
     for unit_id, placement in scheme.placements.items():
         if unit_id not in units:
             raise SolverError(f"scheme places unknown unit {unit_id!r}")
         unit = units[unit_id]
         if not 0 <= placement.variant < len(unit.variants):
             raise SolverError(f"unit {unit_id!r} has no variant {placement.variant}")
-        platform.node(placement.node)
-        props = unit.variants[placement.variant].props
-        mem_sum[placement.node] = mem_sum.get(placement.node, Fraction(0)) + props.mem
-        cpu_sum[placement.node] = cpu_sum.get(placement.node, Fraction(0)) + props.cpu
-        gpu_sum[placement.node] = gpu_sum.get(placement.node, 0) + props.gpu_threads
+        placed[platform.node(placement.node).id].append(unit.variants[placement.variant].props)
     violations: list[tuple[str, str]] = []
     for node in platform.nodes:
-        if mem_sum.get(node.id, Fraction(0)) > node.use_mem:
+        props = placed[node.id]
+        if exact_sum([p.mem for p in props]) > node.use_mem:
             violations.append((node.id, "mem"))
-        if cpu_sum.get(node.id, Fraction(0)) > node.use_cpu:
+        if exact_sum([p.cpu for p in props]) > node.use_cpu:
             violations.append((node.id, "cpu"))
-        if gpu_sum.get(node.id, 0) > node.use_gpu:
+        if sum(p.gpu_threads for p in props) > node.use_gpu:
             violations.append((node.id, "gpu_threads"))
     return violations

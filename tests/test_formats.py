@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from mvalloc.compaction import build_high_layer
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import (
     ParseError,
+    _canonical,
     dump_assignment,
     dump_compacted,
     dump_model,
@@ -202,3 +204,44 @@ def test_write_atomic_leaves_nothing_behind_on_failure(tmp_path):
         write_atomic(target, "content")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
     assert list(target.iterdir()) == []
+
+
+# characters json escapes, or must not mangle: quotes, backslashes,
+# control characters, non-ASCII letters, a lone surrogate, an emoji
+TEXT_CHARS = (
+    ["a", "Z", "0", "_", " ", "/", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f"]
+    + ["\u00e9", "\u65e5", "\u2028", "\ud800", "\U0001f600"]
+)
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(TEXT_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _random_document(rng: random.Random, depth: int = 0) -> object:
+    kind = rng.randrange(6 if depth < 4 else 4)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.choice([0, -1, 7, -(10**20), 10**25, rng.randint(-9999, 9999)])
+    if kind == 2:
+        return rng.choice([None, True, False])
+    if kind in (3, 4):
+        return {_random_text(rng): _random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+    return [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+
+
+def test_canonical_is_the_indented_sorted_json_text():
+    rng = random.Random(3)
+    for _ in range(1000):
+        doc = _random_document(rng)
+        expected = json.dumps(doc, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
+        assert _canonical(doc) == expected, doc
+
+
+@pytest.mark.parametrize(
+    "doc", [1.5, float("nan"), {"a": [0.0]}, ["x", (1, 2)], {1: "a"}, Fraction(1, 2), b"x"]
+)
+def test_canonical_rejects_what_it_does_not_write(doc):
+    with pytest.raises(TypeError):
+        _canonical(doc)

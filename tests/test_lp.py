@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from gen import random_high_model
 
 from mvalloc.compaction import HighLayerModel
-from mvalloc.lp import export_lp
+from mvalloc.lp import _wrap, export_lp
 from mvalloc.model import Platform
 from mvalloc.solver import SolverConfig, SolverError, solve
 from test_solver import node, unit
@@ -124,3 +125,45 @@ def test_milp_cross_check_on_integral_instances():
 
 def test_milp_cross_check_on_fractional_instances():
     _milp_cross_check(range(7000, 7008), integral=False)
+
+
+def _wrap_by_line_text(parts: list[str]) -> str:
+    """The layout `_wrap` keeps, as first written: grow each line as text,
+    measuring and stripping it once per part."""
+    lines = []
+    current = " "
+    for part in parts:
+        if len(current) + len(part) + 1 > 72 and current.strip():
+            lines.append(current)
+            current = "   "
+        current += " " + part
+    lines.append(current)
+    return "\n".join(lines)
+
+
+def test_wrap_keeps_the_line_layout():
+    rng = random.Random(4)
+    cases = [
+        ["a" * 34, "b" * 35],  # a first line of exactly 72 columns
+        ["a" * 34, "b" * 36],  # one column over: the second part moves down
+        ["a" * 70],
+        ["a" * 71],
+        ["a" * 90, "b", "c" * 80, "d"],  # parts longer than a line
+        ["x"] + ["y" * 33, "z" * 33] * 3,  # continuation lines at the edge
+    ]
+    for _ in range(500):
+        cases.append(
+            [
+                f"+ {rng.randint(0, 10 ** rng.randint(0, 14))} "
+                f"x_u{rng.randint(0, 999)}_v{rng.randint(0, 30)}_h{rng.randint(0, 11)}"
+                for _ in range(rng.randint(1, 40))
+            ]
+        )
+    for width in range(1, 80):
+        cases.append(["p" * width] * rng.randint(1, 6))
+    wrapped = 0
+    for parts in cases:
+        text = _wrap(parts)
+        assert text == _wrap_by_line_text(parts), parts
+        wrapped += "\n" in text
+    assert wrapped > len(cases) // 2

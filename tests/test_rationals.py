@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mvalloc.bench import SplitMix64
-from mvalloc.rationals import format_number, parse_count, parse_number
+from mvalloc.rationals import exact_sum, format_number, parse_count, parse_number
 
 
 def test_parse_number_accepts_int():
@@ -35,12 +35,68 @@ def test_parse_number_rejects_garbage(raw):
         parse_number(raw)
 
 
+# the plain-decimal fast path must give Fraction(str)'s value and reject
+# what it rejects; every entry but the first few leaves the fast path
+EDGE_STRINGS = [
+    "0", "7", "007", "12.50", "00.10", "0.000", "1.", ".5", "1_000", "1_000.5",
+    "\u0661\u0662", "\u00b2", "+1", "-0.5", " 7 ", "12\n", "1e3", "3/8", "", ".",
+    "1.2.3", "1..2", "1.5.", "1,5", "--1", "0x10",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_STRINGS)
+def test_parse_number_agrees_with_fraction_on_edge_strings(text):
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a valid number string"):
+            parse_number(text)
+        return
+    value = parse_number(text)
+    assert type(value) is Fraction
+    assert value == expected
+
+
+def test_parse_number_agrees_with_fraction_on_random_decimals():
+    rng = SplitMix64(5)
+    alphabet = "0123456789.."
+    for _ in range(2000):
+        text = "".join(alphabet[rng.draw(0, len(alphabet) - 1)] for _ in range(rng.draw(0, 9)))
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_number(text)
+            continue
+        assert parse_number(text) == expected, text
+
+
 def test_parse_count():
     assert parse_count(3) == 3
     assert parse_count("3") == 3
     assert parse_count("6/2") == 3
     with pytest.raises(ValueError, match="integer"):
         parse_count("3.5")
+
+
+def test_parse_count_returns_ints_as_they_are_and_rejects_bools():
+    big = 10**30
+    assert parse_count(big) is big
+    assert type(parse_count(-4)) is int
+    for raw in (True, False):
+        with pytest.raises(ValueError, match="boolean"):
+            parse_count(raw)
+
+
+def test_exact_sum_equals_the_fraction_sum():
+    rng = SplitMix64(9)
+    for _ in range(500):
+        values = [
+            Fraction(rng.draw(-10_000, 10_000), rng.draw(1, 400)) for _ in range(rng.draw(0, 12))
+        ]
+        total = exact_sum(values)
+        assert type(total) is Fraction
+        assert total == sum(values, Fraction(0))
 
 
 def test_format_number_integers():
