@@ -1,10 +1,11 @@
-"""Build script for the optional compiled search kernels.
+"""Build script for the optional compiled search kernel.
 
 The package is pure Python except for src/mvalloc/_kernels.c, a plain
-C99 file with the kernels of mvalloc._kernels_py.  It is built as a
-shared library next to the package, where mvalloc.engine loads it
-through ctypes.  When no C compiler is available the build skips it and
-the package runs on the Python kernels.
+C99 file with the branch and bound of mvalloc._kernels_py.solve_search
+(the brute-force oracle stays Python only).  It is built as a shared
+library next to the package, where mvalloc.engine loads it through
+ctypes.  When no C compiler is available the build skips it and the
+package runs on the Python kernels.
 """
 
 from setuptools import Extension, setup
@@ -18,7 +19,7 @@ class optional_build_ext(build_ext):
         try:
             build_ext.run(self)
         except Exception as exc:  # compiler missing or broken
-            print("skipping compiled kernels: %s" % exc)
+            print("skipping compiled kernel: %s" % exc)
 
     def build_extension(self, ext):
         try:

@@ -1,4 +1,5 @@
-/* Compiled search kernels: the walk of mvalloc/_kernels_py.py in C99.
+/* Compiled search kernel: the branch and bound of mvalloc/_kernels_py.py
+ * in C99.
  *
  * Same tree walk, same ordering, same strict-improvement rule and the
  * same cuts: the forward check with its still-fitting cost bound `rest`,
@@ -6,6 +7,8 @@
  * cut before each variant and after each child.  Fed the same scaled
  * integers, both kernels return identical results, visited counts
  * included.  Values must fit in int64, which the caller has checked.
+ * The brute-force oracle has no compiled twin; it lives in
+ * _kernels_py.py only.
  *
  * mvalloc.engine loads this file's shared library through ctypes and
  * owns every buffer: the capacity arrays, which the walk uses as the
@@ -49,15 +52,6 @@ static int64_t first_fit(const State *s, int64_t h, int64_t m, int64_t p, int64_
     return h;
 }
 
-static void keep_if_cheaper(State *s, int64_t cur)
-{
-    if (s->best_cost < 0 || cur < s->best_cost) {
-        s->best_cost = cur;
-        for (int64_t j = 0; j < 2 * s->n; j++)
-            s->best[j] = s->choice[j];
-    }
-}
-
 static int cut(const State *s, int64_t bound)
 {
     return s->best_cost >= 0 && bound >= s->best_cost;
@@ -74,7 +68,11 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
         }
     }
     if (u == s->n) {
-        keep_if_cheaper(s, cur);
+        if (s->best_cost < 0 || cur < s->best_cost) {
+            s->best_cost = cur;
+            for (int64_t j = 0; j < 2 * s->n; j++)
+                s->best[j] = s->choice[j];
+        }
         return;
     }
     int64_t rest = s->suffix_min[u + 1];
@@ -114,36 +112,6 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
     }
 }
 
-static void brute_dfs(State *s, int64_t u, int64_t cur)
-{
-    s->visited++;
-    if (u == s->n) {
-        keep_if_cheaper(s, cur);
-        return;
-    }
-    for (int64_t i = s->off[u]; i < s->off[u] + s->nv[u]; i++) {
-        int64_t m = s->vmem[i], p = s->vcpu[i], g = s->vgpu[i];
-        for (int64_t h = first_fit(s, 0, m, p, g); h < s->k; h = first_fit(s, h + 1, m, p, g)) {
-            s->rem_mem[h] -= m;
-            s->rem_cpu[h] -= p;
-            s->rem_gpu[h] -= g;
-            s->choice[2 * u] = i - s->off[u];
-            s->choice[2 * u + 1] = h;
-            brute_dfs(s, u + 1, cur + s->vcost[i]);
-            s->rem_mem[h] += m;
-            s->rem_cpu[h] += p;
-            s->rem_gpu[h] += g;
-        }
-    }
-}
-
-static void finish(const State *s, int64_t *out)
-{
-    out[0] = s->timed_out ? TIMED_OUT : s->best_cost < 0 ? INFEASIBLE : OPTIMAL;
-    out[1] = s->best_cost;
-    out[2] = s->visited;
-}
-
 void solve_search(int64_t n, int64_t k, int64_t deadline_ns, const int64_t *nv,
                   const int64_t *off, const int64_t *vmem, const int64_t *vcpu,
                   const int64_t *vgpu, const int64_t *vcost, int64_t *cap_mem,
@@ -168,17 +136,7 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns, const int64_t *nv,
         }
     }
     solve_dfs(&s, 0, 0);
-    finish(&s, out);
-}
-
-void brute_search(int64_t n, int64_t k, const int64_t *nv, const int64_t *off,
-                  const int64_t *vmem, const int64_t *vcpu, const int64_t *vgpu,
-                  const int64_t *vcost, int64_t *cap_mem, int64_t *cap_cpu, int64_t *cap_gpu,
-                  int64_t *choice, int64_t *best, int64_t *out)
-{
-    State s = {.n = n, .k = k, .nv = nv, .off = off, .vmem = vmem, .vcpu = vcpu,
-               .vgpu = vgpu, .vcost = vcost, .rem_mem = cap_mem, .rem_cpu = cap_cpu,
-               .rem_gpu = cap_gpu, .choice = choice, .best = best, .best_cost = -1};
-    brute_dfs(&s, 0, 0);
-    finish(&s, out);
+    out[0] = s.timed_out ? TIMED_OUT : s.best_cost < 0 ? INFEASIBLE : OPTIMAL;
+    out[1] = s.best_cost;
+    out[2] = s.visited;
 }

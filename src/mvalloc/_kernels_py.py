@@ -5,7 +5,7 @@ index order and nodes in platform order, on demands and capacities that
 the caller has already scaled to integers.  That ordering is part of the
 contract: together with strict-improvement updates it makes the reported
 optimum the lexicographically first one, so results are reproducible and
-must match the compiled kernels of _kernels.c bit for bit.
+`solve_search` must match the compiled kernel of _kernels.c bit for bit.
 
 `solve_search` is branch and bound with forward checking.  On entering
 a node it takes `rest`, the sum over the units after the current one of
@@ -19,7 +19,8 @@ cut drops only subtrees with no feasible leaf or no strictly cheaper
 one, so the reported optimum is the one the plain walk would report.
 `brute_search` enumerates every capacity-feasible assignment and shares
 nothing with the bound logic, which is what makes it useful as an oracle
-for the solver.
+for the solver.  It is the only brute-force oracle: it has no compiled
+twin, and `solver.brute_force` runs it whichever backend `solve` used.
 
 Status codes: 0 optimal, 1 infeasible, 2 deadline hit.
 """

@@ -1,11 +1,12 @@
 """Selection between the compiled and the pure-Python search kernels.
 
-The compiled kernels are `_kernels.c`, built as a shared library next to
-this package and loaded through ctypes; they work on int64 and are
-picked by "auto" when the library is there.  The Python kernels take
-over when it is not, when the instance's scaled integers would not fit
-in int64, or when the caller asks for backend "python".  Both expose the
-same functions and return identical results.
+The compiled kernel is `_kernels.c`, built as a shared library next to
+this package and loaded through ctypes; it works on int64 and is picked
+by "auto" when the library is there.  The Python kernel takes over when
+it is not, when the instance's scaled integers would not fit in int64,
+or when the caller asks for backend "python".  Both expose the same
+`solve_search` and return identical results.  The brute-force oracle is
+not a backend: `solver.brute_force` always runs `_kernels_py.brute_search`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from . import _kernels_py
 __all__ = ["Backend", "available_backends", "get_backend", "INT64_SAFE_BOUND"]
 
 # Scaled demands, capacities and partial cost sums must stay below this
-# for the compiled kernels; headroom below 2**63 keeps every addition in
+# for the compiled kernel; headroom below 2**63 keeps every addition in
 # the search safely inside int64.
 INT64_SAFE_BOUND = 2**62
 
-# the deadline handed to the compiled kernels when there is none
+# the deadline handed to the compiled kernel when there is none
 _NO_DEADLINE = 2**63 - 1
 
 
@@ -32,19 +33,14 @@ _NO_DEADLINE = 2**63 - 1
 class Backend:
     name: str
     solve_search: Callable
-    brute_search: Callable
 
 
-_PYTHON = Backend(
-    name="python",
-    solve_search=_kernels_py.solve_search,
-    brute_search=_kernels_py.brute_search,
-)
+_PYTHON = Backend(name="python", solve_search=_kernels_py.solve_search)
 _C: Backend | None = None
 
 
 def _load(path: str) -> None:
-    """Register the kernels of the shared library at `path` as backend "c"."""
+    """Register the kernel of the shared library at `path` as backend "c"."""
     global _C
     import ctypes
     from array import array
@@ -53,13 +49,14 @@ def _load(path: str) -> None:
     lib = ctypes.CDLL(path)
     i64, address = ctypes.c_int64, ctypes.c_void_p
     lib.solve_search.argtypes = [i64, i64, i64] + [address] * 17
-    lib.brute_search.argtypes = [i64, i64] + [address] * 12
-    lib.solve_search.restype = lib.brute_search.restype = None
+    lib.solve_search.restype = None
 
-    def run(kernel, columns, scalars, scratch):
-        # the kernels index by these lengths and offsets unchecked
-        nv, off = columns[:2]
-        n, total, k = len(nv), len(columns[2]), len(columns[6])
+    def solve_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
+                     suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None):
+        columns = (nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
+                   suffix_min, need_mem, need_cpu, need_gpu)
+        # the kernel indexes by these lengths and offsets unchecked
+        n, total, k = len(nv), len(vmem), len(cap_mem)
         if (
             len(off) != n
             or any(len(col) != total for col in columns[2:6])
@@ -68,36 +65,26 @@ def _load(path: str) -> None:
             or any(a < 0 or count < 0 or a + count > total for a, count in zip(off, nv))
         ):
             raise ValueError("kernel arrays have inconsistent lengths")
-        # one int64 buffer holds the columns and then zeroed scratch arrays
-        # of the given sizes, the last two being the incumbent's (variant,
-        # node) pairs and {status, cost or -1, visited}; the kernel gets
-        # an address into it for each
+        deadline = _NO_DEADLINE if deadline_ns is None else min(deadline_ns, _NO_DEADLINE)
+        # one int64 buffer holds the columns and then zeroed scratch: the
+        # current path, the cheapest-first variant order, the incumbent's
+        # (variant, node) pairs and out = {status, cost or -1, visited};
+        # the kernel gets an address into it for each
+        scratch = [2 * n, total, 2 * n, 3]
         data = array("q", chain.from_iterable(columns))
         data.frombytes(bytes(8 * sum(scratch)))
         base = data.buffer_info()[0]
         sizes = [len(col) for col in columns] + scratch[:-1]
-        kernel(n, k, *scalars, *(base + 8 * at for at in accumulate(sizes, initial=0)))
+        lib.solve_search(
+            n, k, deadline, *(base + 8 * at for at in accumulate(sizes, initial=0))
+        )
         status, cost, visited = data[-3:]
         if cost < 0:  # no incumbent
             return status, None, [], visited
         best = data[-3 - 2 * n : -3]
         return status, cost, list(zip(best[0::2], best[1::2])), visited
 
-    def solve_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
-                     suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None):
-        columns = (nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
-                   suffix_min, need_mem, need_cpu, need_gpu)
-        deadline = _NO_DEADLINE if deadline_ns is None else min(deadline_ns, _NO_DEADLINE)
-        # scratch: the current path, the cheapest-first variant order, the
-        # incumbent, out
-        scratch = [2 * len(nv), len(vmem), 2 * len(nv), 3]
-        return run(lib.solve_search, columns, [deadline], scratch)
-
-    def brute_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu):
-        columns = (nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu)
-        return run(lib.brute_search, columns, [], [2 * len(nv), 2 * len(nv), 3])
-
-    _C = Backend(name="c", solve_search=solve_search, brute_search=brute_search)
+    _C = Backend(name="c", solve_search=solve_search)
 
 
 _LIBRARY = os.path.join(os.path.dirname(__file__), "_kernels" + EXTENSION_SUFFIXES[0])
@@ -110,7 +97,7 @@ def available_backends() -> list[str]:
 
 
 def get_backend(name: str = "auto") -> Backend:
-    """Resolve a backend name; "auto" prefers the compiled kernels."""
+    """Resolve a backend name; "auto" prefers the compiled kernel."""
     if name == "auto":
         return _C if _C is not None else _PYTHON
     if name == "python":

@@ -64,19 +64,12 @@ def format_number(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    twos = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    fives = 0
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    # den is 2**a * 5**b with a, b < den.bit_length() exactly when it
+    # divides 10**den.bit_length(); the extra places are trailing zeros
+    shift = den.bit_length()
+    scaled, rest = divmod(num * 10**shift, den)
+    if rest:
         return f"{num}/{den}"
-    shift = max(twos, fives)
-    scaled = num * 10**shift // den
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(shift + 1, "0")
     whole, frac = digits[:-shift], digits[-shift:]

@@ -32,8 +32,9 @@ only subtrees with no strictly cheaper feasible leaf, so the reported
 optimum is the lexicographically first one and solve is deterministic.
 
 `brute_force` enumerates every capacity-feasible assignment in declared
-order with no cost bound, guarded against oversized instances.  It is an
-independent oracle for `solve`: the only code they share is the scaling.
+order with no cost bound, guarded against oversized instances.  It is the
+one independent oracle for `solve` on either backend: it always runs the
+Python enumeration, and the only code the two share is the scaling.
 `lp.export_lp` writes the same scaled integers, so `_scale` is the one
 place a rational becomes a solver number.
 """
@@ -47,7 +48,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import engine
+from . import _kernels_py, engine
 from .compaction import HighLayerModel, VariantProperties
 from .model import Platform
 from .rationals import exact_sum
@@ -263,18 +264,6 @@ def _scale(
     )
 
 
-def _pick_backend(name: str, scaled: _Scaled) -> engine.Backend:
-    be = engine.get_backend(name)
-    if be.name == "c" and not scaled.int64_safe:
-        if name == "c":
-            raise SolverError(
-                "scaled values do not fit the compiled kernels; use backend=python"
-            )
-        log.debug("values exceed int64 range, using python kernels")
-        return engine.get_backend("python")
-    return be
-
-
 def _placements(scaled: _Scaled, choices: list[tuple[int, int]]) -> dict[str, Placement]:
     return {
         unit_id: Placement(v, scaled.node_ids[h])
@@ -301,7 +290,14 @@ def solve(
         deadline_ns = time.monotonic_ns() + cfg.time_limit_ms * 1_000_000
 
     scaled = _scale(model, platform, cfg, cfg.unit_order)
-    be = _pick_backend(backend, scaled)
+    be = engine.get_backend(backend)
+    if be.name == "c" and not scaled.int64_safe:
+        if backend == "c":
+            raise SolverError(
+                "scaled values do not fit the compiled kernel; use backend=python"
+            )
+        log.debug("values exceed int64 range, using python kernels")
+        be = engine.get_backend("python")
     if scaled.overloaded is not None:
         log.info(
             "infeasible before search: total %s demand exceeds capacity", scaled.overloaded
@@ -329,17 +325,15 @@ def solve(
 
 
 def brute_force(
-    model: HighLayerModel,
-    platform: Platform,
-    config: SolverConfig | None = None,
-    *,
-    backend: str = "auto",
+    model: HighLayerModel, platform: Platform, config: SolverConfig | None = None
 ) -> AllocationScheme:
     """Exhaustive reference solver; ignores time_limit_ms.
 
     Walks every capacity-feasible assignment in declared order and keeps
-    the first one reaching the minimum.  Refuses instances whose raw
-    assignment count exceeds BRUTE_FORCE_GUARD.
+    the first one reaching the minimum, always on the Python enumeration
+    (big integers, no int64 limit), whichever backend `solve` uses.
+    Refuses instances whose raw assignment count exceeds
+    BRUTE_FORCE_GUARD.
     """
     cfg = config or SolverConfig()
     scaled = _scale(model, platform, cfg, "declared")
@@ -351,15 +345,14 @@ def brute_force(
             raise EnumerationGuardError(
                 f"instance has more than {BRUTE_FORCE_GUARD} raw assignments"
             )
-    be = _pick_backend(backend, scaled)
-    code, cost, choices, visited = be.brute_search(*scaled.kernel_args)
+    code, cost, choices, visited = _kernels_py.brute_search(*scaled.kernel_args)
     status = _STATUS[code]
     placements = {}
     objective = None
     if status == OPTIMAL:
         placements = _placements(scaled, choices)
         objective = Fraction(cost, scaled.cost_den)
-    return AllocationScheme(status, objective, placements, visited=visited, backend=be.name)
+    return AllocationScheme(status, objective, placements, visited=visited, backend="python")
 
 
 def check_scheme(

@@ -184,13 +184,15 @@ def test_criterion_4_scalability_trend(criterion):
         summaries = []
         for n in (30, 40, 50):
             report = run_bench(BenchSpec(n=n, seed=1, repetitions=100))
-            cpu = report.stat("naive_cpu").mean_ms
-            gpu = report.stat("naive_gpu").mean_ms
-            two = report.stat("two_variant").mean_ms
+            # medians of the repetitions: a few stalls of a busy host move
+            # a sub-millisecond mean by 20-40%, but not the median
+            cpu = report.stat("naive_cpu").median_ms
+            gpu = report.stat("naive_gpu").median_ms
+            two = report.stat("two_variant").median_ms
             assert two < cpu, f"n={n}: two-variant {two:.4f} not under naive-CPU {cpu:.4f}"
             assert two < gpu, f"n={n}: two-variant {two:.4f} not under naive-GPU {gpu:.4f}"
             gap = abs(cpu - gpu) / max(cpu, gpu)
-            assert gap < 0.20, f"n={n}: naive means differ by {gap:.1%}"
+            assert gap < 0.20, f"n={n}: naive medians differ by {gap:.1%}"
             summaries.append(f"n={n} {two:.3f}<{min(cpu, gpu):.3f}ms gap {gap:.0%}")
         elapsed = time.monotonic() - start
         assert elapsed < 300

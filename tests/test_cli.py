@@ -198,6 +198,31 @@ def test_solve_timeout_is_exit_4(robot_file, tmp_path, capsys):
     assert parse_scheme(out.read_text()).status == "timeout"
 
 
+@pytest.mark.parametrize("extra", [[], ["--incumbent-on-timeout"]])
+def test_solve_oracle_is_skipped_after_a_timeout(robot_file, tmp_path, capsys, extra):
+    # a timed-out solve claims no optimum, so the oracle has nothing to check
+    out = tmp_path / "scheme.json"
+    argv = ["solve", robot_file, "-o", str(out), "--time-limit-ms", "0", "--oracle"]
+    code, stdout, stderr = run(capsys, *argv, *extra)
+    assert code == 4
+    assert "oracle skipped" in stdout
+    assert "disagrees" not in stderr
+    assert parse_scheme(out.read_text()).status == "timeout"
+
+
+@pytest.mark.skipif("c" not in available_backends(), reason="extension not built")
+def test_solve_oracle_line_is_the_same_on_both_backends(robot_file, tmp_path, capsys):
+    # one oracle checks either backend, so the enumeration is the same
+    lines = []
+    for backend in ("c", "python"):
+        out = tmp_path / f"{backend}.json"
+        argv = ["solve", robot_file, "-o", str(out), "--oracle", "--backend", backend]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        lines.append(stdout.splitlines()[0])
+    assert lines == ["oracle agrees after 443 enumeration steps"] * 2
+
+
 def test_unfold_round_trip(robot_file, tmp_path, capsys):
     scheme_path = tmp_path / "scheme.json"
     assert run(capsys, "solve", robot_file, "-o", str(scheme_path))[0] == 0

@@ -43,7 +43,6 @@ def test_kernels_return_identical_tuples():
     c = engine.get_backend("c")
     py = engine.get_backend("python")
     assert c.solve_search(*args, *bounds, None) == py.solve_search(*args, *bounds, None)
-    assert c.brute_search(*args) == py.brute_search(*args)
 
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
@@ -74,15 +73,19 @@ def test_a_passed_deadline_stops_both_backends_at_the_same_node():
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
 def test_compiled_kernels_refuse_inconsistent_arrays():
-    kernel = engine.get_backend("c").brute_search
+    kernel = engine.get_backend("c").solve_search
     args = ([2, 1], [0, 2], [3, 1, 2], [1, 1, 1], [0, 0, 0], [5, 9, 4], [4, 2], [9, 9], [0, 0])
+    bounds = ([9, 4, 0], [3, 2, 0], [1, 1, 0], [0, 0, 0])
+    assert kernel(*args, *bounds, None)[0] == 0  # the consistent arrays run
     for bad in (
-        ([2, 2], *args[1:]),  # unit 1 runs past the variant columns
-        (*args[:3], [1, 1], *args[4:]),  # a short demand column
-        (*args[:7], [9], args[8]),  # a short capacity column
+        ([2, 2], *args[1:], *bounds),  # unit 1 runs past the variant columns
+        (*args[:3], [1, 1], *args[4:], *bounds),  # a short demand column
+        (*args[:7], [9], args[8], *bounds),  # a short capacity column
+        (*args, [9, 4], *bounds[1:]),  # a short suffix_min
+        (*args, *bounds[:2], [1, 1], bounds[3]),  # a short need column
     ):
         with pytest.raises(ValueError, match="inconsistent lengths"):
-            kernel(*bad)
+            kernel(*bad, None)
 
 
 @pytest.mark.parametrize("name", engine.available_backends())

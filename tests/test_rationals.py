@@ -127,3 +127,42 @@ def test_format_parse_round_trip_random():
         den = rng.draw(1, 1000)
         value = Fraction(num, den)
         assert parse_number(format_number(value)) == value
+
+
+def _format_by_trial_division(value: Fraction) -> str:
+    """`format_number` as first written: find the powers of 2 and 5 of the
+    denominator by trial division, and shift by the larger of the two."""
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
+    twos = 0
+    rest = den
+    while rest % 2 == 0:
+        rest //= 2
+        twos += 1
+    fives = 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return f"{num}/{den}"
+    shift = max(twos, fives)
+    scaled = num * 10**shift // den
+    sign = "-" if scaled < 0 else ""
+    digits = str(abs(scaled)).rjust(shift + 1, "0")
+    whole, frac = digits[:-shift], digits[-shift:]
+    return f"{sign}{whole}.{frac.rstrip('0')}"
+
+
+def test_format_number_agrees_with_trial_division():
+    rng = SplitMix64(23)
+    values = [Fraction(n, d) for n in (-1, 0, 1, 7, 10**30) for d in (1, 2, 3, 5, 2**70, 5**70)]
+    for _ in range(10_000):
+        # powers of 2 and 5 up to 2**70 and 5**70, sometimes times a
+        # factor that leaves no terminating decimal
+        den = 2 ** rng.draw(0, 70) * 5 ** rng.draw(0, 70)
+        den *= (1, 1, 3, 7, 9, 11, 21, 999_983)[rng.draw(0, 7)]
+        num = rng.draw(-(10**12), 10**12) * 10 ** rng.draw(0, 3)
+        values.append(Fraction(num, den))
+    for value in values:
+        assert format_number(value) == _format_by_trial_division(value), value
