@@ -16,12 +16,10 @@ from .compaction import (
     MultiVariantUnit,
     UnfoldError,
     Variant,
-    VariantProperties,
     aggregate_variant,
     build_high_layer,
     compact,
     enumerate_alternatives,
-    singleton_unit,
     unfold,
 )
 from .model import (

@@ -1,15 +1,17 @@
 """Compacting alternative assemblies into multi-variant units.
 
-An assembly of components collapses into a single variant whose demands
-are the exact sums of its members, with one exception: GPU threads take
-the maximum over the members, because components inside one unit run as a
-pipeline on the same accelerator and never need their thread budgets at
-the same time.  Each sum adds integer numerators over the members' common
-denominator (`rationals.exact_sum`): exactly the value of adding the
-Fractions one by one, with one Fraction built per column.  A unit
-carries one such variant per alternative; choosing a variant and a
-node for every unit is what the solver does, and `unfold` maps a solved
-scheme back onto individual components.
+A unit behaves as a regular component: each of its variants carries a
+`ResourceDemand`, the member list's demands folded into one.  mem, cpu
+and exec_ms are the exact sums of the members', with one exception: GPU
+threads take the maximum over the members, because components inside
+one unit run as a pipeline on the same accelerator and never need their
+thread budgets at the same time.  Each sum adds integer numerators over
+the members' common denominator (`rationals.exact_sum`): exactly the
+value of adding the Fractions one by one, with one Fraction built per
+column.  A standalone component is a one-variant unit sharing the
+component's own demand.  Choosing a variant and a node for every unit is
+what the solver does, and `unfold` maps a solved scheme back onto
+individual components.
 
 A unit's enumeration policy is its name in `UnitSpec.policy`.
 "declared" takes the hand-written list; "all_combinations" crosses all
@@ -17,6 +19,14 @@ version choices of a chain topology; "contiguous_gpu_segment" keeps only
 combinations whose GPU-resident stretch is a single contiguous run of the
 chain, which is the shape a camera pipeline actually wants (one upload,
 one download).
+
+One rule covers every policy: each alternative realizes the unit's
+functions, which are its topology when it has one and otherwise the
+functions of its first declared alternative.  The rule is checked where
+the input arrives: each declared alternative as a multiset of functions,
+and for a generated policy once per version, as "this version's
+function is the topology function it stands for", so every chain
+realizes the topology by construction.
 """
 
 from __future__ import annotations
@@ -24,15 +34,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from .model import (
     POLICIES,
-    Assembly,
-    Component,
     Kind,
     Repository,
+    ResourceDemand,
     SystemArchitecture,
     UnitSpec,
 )
@@ -42,7 +50,6 @@ if TYPE_CHECKING:
     from .solver import AllocationScheme
 
 __all__ = [
-    "VariantProperties",
     "Variant",
     "MultiVariantUnit",
     "HighLayerModel",
@@ -51,7 +58,6 @@ __all__ = [
     "aggregate_variant",
     "enumerate_alternatives",
     "compact",
-    "singleton_unit",
     "build_high_layer",
     "unfold",
 ]
@@ -65,22 +71,13 @@ class UnfoldError(ValueError):
     """A scheme cannot be mapped back onto the detailed architecture."""
 
 
-@dataclass(frozen=True)
-class VariantProperties:
-    """Aggregated demands of one alternative: mem, cpu and exec_ms are
-    member sums, gpu_threads the member maximum."""
-
-    mem: Fraction
-    cpu: Fraction
-    gpu_threads: int
-    exec_ms: Fraction
-    gpu_member_count: int
-
-
 @dataclass
 class Variant:
+    """One alternative of a unit: its member ids and their aggregated
+    demand, which the solver reads like a single component's."""
+
     members: list[str]
-    props: VariantProperties
+    props: ResourceDemand
 
 
 @dataclass
@@ -100,41 +97,32 @@ class HighLayerModel:
     connections: list[tuple[str, str]] = field(default_factory=list)
 
     def all_units(self) -> list[MultiVariantUnit]:
-        """The same list as `units`."""
+        """The same list as `units`; kept because the benchmark tracer
+        counts variants through it."""
         return self.units
 
 
-def aggregate_variant(assembly: Assembly, repo: Repository) -> VariantProperties:
-    """Fold an assembly's member demands into variant properties; each
-    sum is `exact_sum`'s, one Fraction per column."""
-    comps = [repo.component(cid) for cid in assembly.components]
-    demands = [comp.demand for comp in comps]
-    return VariantProperties(
+def aggregate_variant(members: list[str], repo: Repository) -> ResourceDemand:
+    """Fold the members' demands into one, as the module docstring says."""
+    demands = [repo.component(cid).demand for cid in members]
+    return ResourceDemand(
         mem=exact_sum([d.mem for d in demands]),
         cpu=exact_sum([d.cpu for d in demands]),
         gpu_threads=max([0] + [d.gpu_threads for d in demands]),
         exec_ms=exact_sum([d.exec_ms for d in demands]),
-        gpu_member_count=sum(comp.kind is Kind.GPU for comp in comps),
     )
 
 
-def _chain_assembly(members: tuple[str, ...]) -> Assembly:
-    connections = [(members[i], members[i + 1]) for i in range(len(members) - 1)]
-    return Assembly(components=list(members), connections=connections)
+def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
+    """Produce the member lists of one unit's alternatives by its policy.
 
-
-def _function_counts(assembly: Assembly, repo: Repository) -> Counter:
-    return Counter(repo.component(cid).function for cid in assembly.components)
-
-
-def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[Assembly]:
-    """Produce the alternative assemblies of one unit by its policy.
-
-    Generated policies emit assemblies in a fixed order: the cartesian
-    product of version choices, each version list in repository order,
-    varying the last function fastest.  "contiguous_gpu_segment" emits
-    that product's contiguous chains in the same order, without building
-    the chains it drops.
+    Every alternative realizes the unit's functions (see the module
+    docstring); a violation raises CompactionError.  Generated policies
+    emit chains in a fixed order: the cartesian product of version
+    choices, each version list in repository order, varying the last
+    function fastest.  "contiguous_gpu_segment" emits that product's
+    contiguous chains in the same order, without building the chains it
+    drops.
     """
     if spec.policy not in POLICIES:
         raise CompactionError(f"unknown enumeration policy {spec.policy!r}")
@@ -142,31 +130,43 @@ def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[Assembly]:
     if spec.policy == "declared":
         if not spec.alternatives:
             raise CompactionError("declared policy with no alternatives")
-        want = Counter(topology) if topology else None
-        for alt in spec.alternatives:
-            counts = _function_counts(alt, repo)  # raises on unknown ids
-            if want is not None and counts != want:
+        alternatives = [list(alt.components) for alt in spec.alternatives]
+        realized = [
+            Counter(repo.component(cid).function for cid in members)  # raises on unknown ids
+            for members in alternatives
+        ]
+        want = Counter(topology) if topology else realized[0]
+        for members, counts in zip(alternatives, realized):
+            if counts != want:
                 raise CompactionError(
-                    f"alternative {alt.components} does not realize the topology"
+                    f"unit {spec.id!r}: alternative {members} does not realize "
+                    f"the unit's functions"
                 )
-        return list(spec.alternatives)
+        return alternatives
 
     version_lists: list[list[str]] = []
     for function in topology:
         versions = repo.versions_of(function)
         if not versions:
             raise CompactionError(f"no component realizes function {function!r}")
+        for cid in versions:
+            realized = repo.component(cid).function
+            if realized != function:
+                raise CompactionError(
+                    f"unit {spec.id!r}: version {cid!r} of {function!r} "
+                    f"realizes {realized!r}"
+                )
         version_lists.append(versions)
     if spec.policy == "all_combinations":
-        return [_chain_assembly(c) for c in itertools.product(*version_lists)]
+        return [list(chain) for chain in itertools.product(*version_lists)]
     gpu = [[repo.component(cid).kind is Kind.GPU for cid in vs] for vs in version_lists]
-    kept: list[Assembly] = []
+    kept: list[list[str]] = []
     chain: list[str] = []
 
     def walk(i: int, run: int) -> None:
         # run: 0 no GPU version yet, 1 GPU run open, 2 run closed
         if i == len(version_lists):
-            kept.append(_chain_assembly(tuple(chain)))
+            kept.append(list(chain))
             return
         for cid, on_gpu in zip(version_lists[i], gpu[i]):
             if on_gpu and run == 2:
@@ -180,44 +180,14 @@ def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[Assembly]:
 
 
 def compact(
-    unit_id: str, alternatives: list[Assembly], repo: Repository
+    unit_id: str, alternatives: list[list[str]], repo: Repository
 ) -> MultiVariantUnit:
-    """Collapse alternatives into one multi-variant unit.
-
-    All alternatives must realize the same multiset of functions; a
-    variant's index is its alternative's position in the list.
-    """
+    """Collapse alternatives into one multi-variant unit; a variant's
+    index is its alternative's position in the list."""
     if not alternatives:
         raise CompactionError(f"unit {unit_id!r} has no alternatives")
-    reference = _function_counts(alternatives[0], repo)
-    variants: list[Variant] = []
-    for index, assembly in enumerate(alternatives):
-        if _function_counts(assembly, repo) != reference:
-            raise CompactionError(
-                f"unit {unit_id!r}: alternative {index} realizes different functions"
-            )
-        variants.append(
-            Variant(
-                members=list(assembly.components),
-                props=aggregate_variant(assembly, repo),
-            )
-        )
+    variants = [Variant(members, aggregate_variant(members, repo)) for members in alternatives]
     return MultiVariantUnit(id=unit_id, variants=variants)
-
-
-def singleton_unit(comp: Component) -> MultiVariantUnit:
-    """Wrap a standalone component as a unit with a single variant."""
-    props = VariantProperties(
-        mem=comp.demand.mem,
-        cpu=comp.demand.cpu,
-        gpu_threads=comp.demand.gpu_threads,
-        exec_ms=comp.demand.exec_ms,
-        gpu_member_count=1 if comp.kind is Kind.GPU else 0,
-    )
-    return MultiVariantUnit(
-        id=comp.id,
-        variants=[Variant(members=[comp.id], props=props)],
-    )
 
 
 def build_high_layer(arch: SystemArchitecture, repo: Repository) -> HighLayerModel:
@@ -225,7 +195,10 @@ def build_high_layer(arch: SystemArchitecture, repo: Repository) -> HighLayerMod
     units = [
         compact(spec.id, enumerate_alternatives(spec, repo), repo) for spec in arch.units
     ]
-    units += [singleton_unit(repo.component(cid)) for cid in arch.singletons]
+    units += [
+        MultiVariantUnit(cid, [Variant([cid], repo.component(cid).demand)])
+        for cid in arch.singletons
+    ]
     return HighLayerModel(units=units, connections=list(arch.connections))
 
 

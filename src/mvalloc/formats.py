@@ -21,7 +21,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .compaction import HighLayerModel, MultiVariantUnit, Variant, VariantProperties
+from .compaction import HighLayerModel, MultiVariantUnit, Variant
 from .model import (
     Assembly,
     Component,
@@ -317,9 +317,7 @@ def parse_compacted(text: str) -> HighLayerModel:
         for j, ventry in enumerate(raw_variants):
             vpath = f"{upath}.variants[{j}]"
             vobj = _obj(ventry, vpath)
-            _reject_unknown(
-                vobj, ("members", "mem", "cpu", "gpu_threads", "exec_ms", "gpu_members"), vpath
-            )
+            _reject_unknown(vobj, ("members", "mem", "cpu", "gpu_threads", "exec_ms"), vpath)
             members = [
                 _str(m, f"{vpath}.members[{k}]")
                 for k, m in enumerate(_arr(_require(vobj, "members", vpath), f"{vpath}.members"))
@@ -327,16 +325,13 @@ def parse_compacted(text: str) -> HighLayerModel:
             variants.append(
                 Variant(
                     members=members,
-                    props=VariantProperties(
+                    props=ResourceDemand(
                         mem=_number(_require(vobj, "mem", vpath), f"{vpath}.mem"),
                         cpu=_number(_require(vobj, "cpu", vpath), f"{vpath}.cpu"),
                         gpu_threads=_count(
                             vobj.get("gpu_threads", 0), f"{vpath}.gpu_threads"
                         ),
                         exec_ms=_number(_require(vobj, "exec_ms", vpath), f"{vpath}.exec_ms"),
-                        gpu_member_count=_count(
-                            vobj.get("gpu_members", 0), f"{vpath}.gpu_members"
-                        ),
                     ),
                 )
             )
@@ -357,7 +352,6 @@ def dump_compacted(model: HighLayerModel) -> str:
                         "cpu": format_number(v.props.cpu),
                         "gpu_threads": v.props.gpu_threads,
                         "exec_ms": format_number(v.props.exec_ms),
-                        "gpu_members": v.props.gpu_member_count,
                     }
                     for v in unit.variants
                 ],

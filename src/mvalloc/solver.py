@@ -49,8 +49,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _kernels_py, engine
-from .compaction import HighLayerModel, VariantProperties
-from .model import Platform
+from .compaction import HighLayerModel
+from .model import Platform, ResourceDemand
 from .rationals import exact_sum
 
 __all__ = [
@@ -365,7 +365,7 @@ def check_scheme(
     (node id, resource) pairs for each overrun.
     """
     units = {u.id: u for u in model.units}
-    placed: dict[str, list[VariantProperties]] = {node.id: [] for node in platform.nodes}
+    placed: dict[str, list[ResourceDemand]] = {node.id: [] for node in platform.nodes}
     for unit_id, placement in scheme.placements.items():
         if unit_id not in units:
             raise SolverError(f"scheme places unknown unit {unit_id!r}")

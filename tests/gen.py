@@ -13,12 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mvalloc.bench import SplitMix64
-from mvalloc.compaction import (
-    HighLayerModel,
-    MultiVariantUnit,
-    Variant,
-    VariantProperties,
-)
+from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant
 from mvalloc.model import (
     Assembly,
     Component,
@@ -46,13 +41,16 @@ def _variant(rng: SplitMix64, unit_index: int, index: int, *, integral: bool) ->
     members = [f"u{unit_index}m{index}p{j}" for j in range(member_count)]
     gpu = rng.draw(0, 2) == 0
     threads = rng.draw(64, 1024) if gpu else 0
-    props = VariantProperties(
+    props = ResourceDemand(
         mem=fraction(rng, 1, 40, integral=integral),
         cpu=fraction(rng, 1, 10, integral=integral),
         gpu_threads=threads,
         exec_ms=fraction(rng, 1, 60, integral=integral),
-        gpu_member_count=rng.draw(1, member_count) if gpu else 0,
     )
+    if gpu:
+        # a GPU member count was once drawn here; the draw stays so that
+        # every seed keeps giving the same model
+        rng.draw(1, member_count)
     return Variant(members=members, props=props)
 
 
@@ -90,12 +88,11 @@ def random_high_model(
     if rng.draw(0, 1) == 1:
         comp_id = f"s{unit_count}"
         gpu = rng.draw(0, 3) == 0
-        props = VariantProperties(
+        props = ResourceDemand(
             mem=fraction(rng, 1, 20, integral=integral),
             cpu=fraction(rng, 1, 6, integral=integral),
             gpu_threads=rng.draw(64, 512) if gpu else 0,
             exec_ms=fraction(rng, 1, 30, integral=integral),
-            gpu_member_count=1 if gpu else 0,
         )
         units.append(
             MultiVariantUnit(id=comp_id, variants=[Variant(members=[comp_id], props=props)])

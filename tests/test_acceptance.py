@@ -24,7 +24,7 @@ from mvalloc.formats import (
     parse_scheme,
 )
 from mvalloc.lp import export_lp
-from mvalloc.model import HardwareNode, Platform, check_feasibility
+from mvalloc.model import HardwareNode, Kind, Platform, check_feasibility
 from mvalloc.solver import SolverConfig, brute_force, check_scheme, solve
 
 GOLDEN_ROBOT_SCHEME = """\
@@ -152,9 +152,12 @@ def test_criterion_3_robot_case_study(criterion, robot, robot_high):
         chosen_bottom = scheme.placements["BottomVision"]
         assert chosen_front.node == "H1"
         assert chosen_bottom.node == "H1"
-        assert front.variants[chosen_front.variant].props.gpu_member_count == 4
+        def gpu_members(variant):
+            return sum(repo.component(cid).kind is Kind.GPU for cid in variant.members)
+
+        assert gpu_members(front.variants[chosen_front.variant]) == 4
         bottom = next(u for u in robot_high.units if u.id == "BottomVision")
-        assert bottom.variants[chosen_bottom.variant].props.gpu_member_count == 1
+        assert gpu_members(bottom.variants[chosen_bottom.variant]) == 1
         controls = (
             "VisionManager",
             "DecisionCenter",

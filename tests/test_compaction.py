@@ -9,12 +9,10 @@ from mvalloc.compaction import (
     MultiVariantUnit,
     UnfoldError,
     Variant,
-    VariantProperties,
     aggregate_variant,
     build_high_layer,
     compact,
     enumerate_alternatives,
-    singleton_unit,
     unfold,
 )
 from mvalloc.model import (
@@ -55,13 +53,8 @@ def dual_repo():
 
 def test_aggregate_variant_sums_and_takes_gpu_peak():
     repo = dual_repo()
-    assembly = Assembly(components=["f0c", "f1g", "f2g"])
-    props = aggregate_variant(assembly, repo)
-    assert props.mem == Fraction(8)
-    assert props.cpu == Fraction(4)
-    assert props.exec_ms == Fraction(18)
-    assert props.gpu_threads == 512
-    assert props.gpu_member_count == 2
+    props = aggregate_variant(["f0c", "f1g", "f2g"], repo)
+    assert props == ResourceDemand(Fraction(8), Fraction(4), 512, Fraction(18))
 
 
 def test_aggregate_variant_exact_fractions():
@@ -81,7 +74,7 @@ def test_aggregate_variant_exact_fractions():
             ),
         ]
     )
-    props = aggregate_variant(Assembly(components=["a", "b"]), repo)
+    props = aggregate_variant(["a", "b"], repo)
     assert props.mem == Fraction(1, 2)
     assert props.cpu == Fraction(3, 7)
     assert props.exec_ms == Fraction(1)
@@ -90,13 +83,12 @@ def test_aggregate_variant_exact_fractions():
 def test_all_combinations_order_varies_last_function_fastest():
     repo = dual_repo()
     alts = enumerate_alternatives(UnitSpec("U", "all_combinations", ["f0", "f1"]), repo)
-    assert [a.components for a in alts] == [
+    assert alts == [
         ["f0c", "f1c"],
         ["f0c", "f1g"],
         ["f0g", "f1c"],
         ["f0g", "f1g"],
     ]
-    assert alts[0].connections == [("f0c", "f1c")]
 
 
 def test_contiguous_gpu_segment_drops_split_runs():
@@ -104,7 +96,7 @@ def test_contiguous_gpu_segment_drops_split_runs():
     alts = enumerate_alternatives(
         UnitSpec("U", "contiguous_gpu_segment", ["f0", "f1", "f2"]), repo
     )
-    combos = [tuple("g" if cid.endswith("g") else "c" for cid in a.components) for a in alts]
+    combos = [tuple("g" if cid.endswith("g") else "c" for cid in chain) for chain in alts]
     assert ("g", "c", "g") not in combos
     assert len(combos) == 7
     assert ("c", "c", "c") in combos
@@ -132,7 +124,7 @@ def test_contiguous_gpu_segment_drops_split_runs():
     product = itertools.product(*(repo.versions_of(f) for f in topology))
     expected = [list(chain) for chain in product if contiguous(chain)]
     alts = enumerate_alternatives(UnitSpec("U", "contiguous_gpu_segment", topology), repo)
-    assert [a.components for a in alts] == expected
+    assert alts == expected
     assert len(expected) == 12
 
 
@@ -140,7 +132,7 @@ def test_declared_policy_checks_the_topology():
     repo = dual_repo()
     good = Assembly(components=["f0c", "f1c"])
     declared = UnitSpec("U", "declared", ["f0", "f1"], [good])
-    assert enumerate_alternatives(declared, repo) == [good]
+    assert enumerate_alternatives(declared, repo) == [["f0c", "f1c"]]
     bad = Assembly(components=["f0c", "f0g"])
     with pytest.raises(CompactionError, match="does not realize"):
         enumerate_alternatives(UnitSpec("U", "declared", ["f0", "f1"], [good, bad]), repo)
@@ -168,22 +160,28 @@ def test_compact_builds_indexed_variants():
     assert unit.variants[3].props.gpu_threads == 256
 
 
-def test_compact_rejects_mixed_function_sets():
+def test_declared_without_topology_realizes_the_first_alternative():
     repo = dual_repo()
-    alts = [Assembly(components=["f0c"]), Assembly(components=["f1c"])]
-    with pytest.raises(CompactionError, match="different functions"):
-        compact("U", alts, repo)
+    same = [Assembly(components=["f0c", "f1g"]), Assembly(components=["f1c", "f0g"])]
+    assert enumerate_alternatives(UnitSpec("U", "declared", None, same), repo) == [
+        ["f0c", "f1g"],
+        ["f1c", "f0g"],
+    ]
+    mixed = [Assembly(components=["f0c"]), Assembly(components=["f1c"])]
+    with pytest.raises(CompactionError, match="alternative \\['f1c'\\] does not realize"):
+        enumerate_alternatives(UnitSpec("U", "declared", None, mixed), repo)
 
 
-def test_singleton_unit_mirrors_the_component():
-    unit = singleton_unit(comp("solo", kind=Kind.GPU, mem=5, cpu=2, gpu=99, exec_ms=7))
-    assert unit.id == "solo"
-    assert len(unit.variants) == 1
-    variant = unit.variants[0]
-    assert variant.members == ["solo"]
-    assert variant.props.mem == Fraction(5)
-    assert variant.props.gpu_threads == 99
-    assert variant.props.gpu_member_count == 1
+def test_generated_policy_rejects_a_version_of_another_function():
+    # a one-member group realizes the same wrong function in every
+    # chain, so comparing chains with each other cannot catch it
+    repo = dual_repo()
+    repo = Repository(
+        components=repo.components, version_groups={**repo.version_groups, "f1": ["f2c"]}
+    )
+    for policy in ("all_combinations", "contiguous_gpu_segment"):
+        with pytest.raises(CompactionError, match="version 'f2c' of 'f1' realizes 'f2'"):
+            enumerate_alternatives(UnitSpec("U", policy, ["f0", "f1"]), repo)
 
 
 def test_build_high_layer_on_the_robot(robot):
@@ -203,19 +201,23 @@ def test_build_high_layer_on_the_robot(robot):
         0,
         Fraction(22),
     )
+    for cid in architecture.singletons:
+        [variant] = by_id[cid].variants
+        assert variant.members == [cid]
+        assert variant.props is repo.component(cid).demand
 
 
 def _toy_model():
     unit_a = MultiVariantUnit(
         id="A",
         variants=[
-            Variant(["shared", "a0"], VariantProperties(Fraction(1), Fraction(1), 0, Fraction(1), 0)),
+            Variant(["shared", "a0"], ResourceDemand(Fraction(1), Fraction(1), 0, Fraction(1))),
         ],
     )
     unit_b = MultiVariantUnit(
         id="B",
         variants=[
-            Variant(["shared", "b0"], VariantProperties(Fraction(1), Fraction(1), 0, Fraction(1), 0)),
+            Variant(["shared", "b0"], ResourceDemand(Fraction(1), Fraction(1), 0, Fraction(1))),
         ],
     )
     return HighLayerModel(units=[unit_a, unit_b])

@@ -155,6 +155,12 @@ def test_compacted_rejects_empty_variants():
         parse_compacted(json.dumps({"units": [{"id": "u", "variants": []}]}))
 
 
+def test_compacted_rejects_gpu_members():
+    variant = {"members": ["a"], "mem": 1, "cpu": 1, "exec_ms": 2, "gpu_members": 0}
+    with pytest.raises(ParseError, match=r"variants\[0\]: unknown field 'gpu_members'"):
+        parse_compacted(json.dumps({"units": [{"id": "u", "variants": [variant]}]}))
+
+
 def test_scheme_round_trip_random():
     for seed in range(60):
         scheme = random_scheme(seed + 300)

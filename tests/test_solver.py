@@ -6,10 +6,10 @@ import pytest
 
 from gen import random_high_model
 
-from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant, VariantProperties
+from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant
 from mvalloc.engine import available_backends
 from mvalloc.formats import dump_scheme
-from mvalloc.model import HardwareNode, Platform, UnknownIdError
+from mvalloc.model import HardwareNode, Platform, ResourceDemand, UnknownIdError
 from mvalloc.solver import (
     BRUTE_FORCE_GUARD,
     EnumerationGuardError,
@@ -27,12 +27,11 @@ def unit(uid, *variants):
         variants=[
             Variant(
                 members=[f"{uid}x{i}"],
-                props=VariantProperties(
+                props=ResourceDemand(
                     mem=Fraction(mem),
                     cpu=Fraction(cpu),
                     gpu_threads=gpu,
                     exec_ms=Fraction(exec_ms),
-                    gpu_member_count=1 if gpu else 0,
                 ),
             )
             for i, (mem, cpu, gpu, exec_ms) in enumerate(variants)
