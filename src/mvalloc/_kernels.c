@@ -6,9 +6,11 @@
  * skipped when one node covers the `need_*` suffix maxima, and the cost
  * cut before each variant and after each child.  Fed the same scaled
  * integers, both kernels return identical results, visited counts
- * included.  Values must fit in int64, which the caller has checked.
- * The brute-force oracle has no compiled twin; it lives in
- * _kernels_py.py only.
+ * included.  With a `target` (-1 for none) the cut is cost so far plus
+ * `rest` above the target, and the walk stops at its first leaf: the
+ * first one in walk order that costs at most the target.  Values must
+ * fit in int64, which the caller has checked.  The brute-force oracle
+ * has no compiled twin; it lives in _kernels_py.py only.
  *
  * mvalloc.engine loads this file's shared library through ctypes and
  * owns every buffer: the capacity arrays, which the walk uses as the
@@ -33,8 +35,10 @@ typedef struct {
     const int64_t *by_cost;
     int64_t *choice, *best;
     int64_t best_cost; /* -1 until the first leaf */
+    int64_t target;    /* -1 for none */
+    int64_t limit;     /* a child is cut at cost + rest >= limit; -1 for none */
     int64_t deadline_ns, check_left, visited;
-    int timed_out;
+    int timed_out, found;
 } State;
 
 static int64_t monotonic_ns(void)
@@ -54,7 +58,7 @@ static int64_t first_fit(const State *s, int64_t h, int64_t m, int64_t p, int64_
 
 static int cut(const State *s, int64_t bound)
 {
-    return s->best_cost >= 0 && bound >= s->best_cost;
+    return s->limit >= 0 && bound >= s->limit;
 }
 
 static void solve_dfs(State *s, int64_t u, int64_t cur)
@@ -67,12 +71,11 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
             return;
         }
     }
-    if (u == s->n) {
-        if (s->best_cost < 0 || cur < s->best_cost) {
-            s->best_cost = cur;
-            for (int64_t j = 0; j < 2 * s->n; j++)
-                s->best[j] = s->choice[j];
-        }
+    if (u == s->n) { /* every leaf reached is below the limit */
+        s->best_cost = s->limit = cur;
+        for (int64_t j = 0; j < 2 * s->n; j++)
+            s->best[j] = s->choice[j];
+        s->found = s->target >= 0;
         return;
     }
     int64_t rest = s->suffix_min[u + 1];
@@ -104,7 +107,7 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
             s->rem_mem[h] += m;
             s->rem_cpu[h] += p;
             s->rem_gpu[h] += g;
-            if (s->timed_out)
+            if (s->timed_out || s->found)
                 return;
             if (cut(s, c + rest))
                 break;
@@ -112,19 +115,21 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
     }
 }
 
-void solve_search(int64_t n, int64_t k, int64_t deadline_ns, const int64_t *nv,
-                  const int64_t *off, const int64_t *vmem, const int64_t *vcpu,
-                  const int64_t *vgpu, const int64_t *vcost, int64_t *cap_mem,
-                  int64_t *cap_cpu, int64_t *cap_gpu, const int64_t *suffix_min,
-                  const int64_t *need_mem, const int64_t *need_cpu, const int64_t *need_gpu,
-                  int64_t *choice, int64_t *by_cost, int64_t *best, int64_t *out)
+void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,
+                  const int64_t *nv, const int64_t *off, const int64_t *vmem,
+                  const int64_t *vcpu, const int64_t *vgpu, const int64_t *vcost,
+                  int64_t *cap_mem, int64_t *cap_cpu, int64_t *cap_gpu,
+                  const int64_t *suffix_min, const int64_t *need_mem,
+                  const int64_t *need_cpu, const int64_t *need_gpu, int64_t *choice,
+                  int64_t *by_cost, int64_t *best, int64_t *out)
 {
     State s = {.n = n, .k = k, .nv = nv, .off = off, .vmem = vmem, .vcpu = vcpu,
                .vgpu = vgpu, .vcost = vcost, .rem_mem = cap_mem, .rem_cpu = cap_cpu,
                .rem_gpu = cap_gpu, .suffix_min = suffix_min, .need_mem = need_mem,
                .need_cpu = need_cpu, .need_gpu = need_gpu, .by_cost = by_cost,
-               .choice = choice, .best = best, .best_cost = -1,
-               .deadline_ns = deadline_ns, .check_left = CHECK_INTERVAL};
+               .choice = choice, .best = best, .best_cost = -1, .target = target,
+               .limit = target >= 0 ? target + 1 : -1, .deadline_ns = deadline_ns,
+               .check_left = CHECK_INTERVAL};
     /* each unit's variant indices, cheapest first (stable insertion sort),
        for the forward scan; the first that fits a node gives the bound */
     for (int64_t u = 0; u < n; u++) {

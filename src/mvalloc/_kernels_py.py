@@ -17,6 +17,10 @@ entered only while its cost so far plus `rest` is below the incumbent,
 tested before each variant and again after each child returns.  Every
 cut drops only subtrees with no feasible leaf or no strictly cheaper
 one, so the reported optimum is the one the plain walk would report.
+Given a `target`, the cut is cost so far plus `rest` above the target
+instead, and the walk stops at its first leaf, the first one in walk
+order that costs at most the target (status infeasible when there is
+none).  `solver.solve` uses it to walk to a known optimal cost.
 `brute_search` enumerates every capacity-feasible assignment and shares
 nothing with the bound logic, which is what makes it useful as an oracle
 for the solver.  It is the only brute-force oracle: it has no compiled
@@ -36,7 +40,7 @@ TIMED_OUT = 2
 _CHECK_INTERVAL = 8192
 
 
-class _Timeout(Exception):
+class _Stop(Exception):
     pass
 
 
@@ -55,6 +59,7 @@ def solve_search(
     need_cpu,
     need_gpu,
     deadline_ns=None,
+    target=None,
 ):
     n = len(nv)
     k = len(cap_mem)
@@ -64,6 +69,10 @@ def solve_search(
     choice: list[tuple[int, int]] = [(-1, -1)] * n
     best_cost = None
     best_choice = None
+    # a child is cut when its cost so far plus `rest` reaches this: the
+    # incumbent's cost, or one past the target
+    limit = None if target is None else target + 1
+    timed_out = False
     visited = 0
     check_left = _CHECK_INTERVAL
     monotonic_ns = time.monotonic_ns
@@ -73,18 +82,21 @@ def solve_search(
     by_cost = []
 
     def dfs(u: int, cur: int) -> None:
-        nonlocal best_cost, best_choice, visited, check_left
+        nonlocal best_cost, best_choice, limit, timed_out, visited, check_left
         visited += 1
         if deadline_ns is not None:
             check_left -= 1
             if check_left <= 0:
                 check_left = _CHECK_INTERVAL
                 if monotonic_ns() >= deadline_ns:
-                    raise _Timeout
+                    timed_out = True
+                    raise _Stop
         if u == n:
-            if best_cost is None or cur < best_cost:
-                best_cost = cur
-                best_choice = choice.copy()
+            # every leaf reached is below the limit
+            best_cost = limit = cur
+            best_choice = choice.copy()
+            if target is not None:
+                raise _Stop
             return
         rest = suffix_min[u + 1]
         m = need_mem[u + 1]
@@ -115,7 +127,7 @@ def solve_search(
         for v in range(nv[u]):
             i = base + v
             c = cur + vcost[i]
-            if best_cost is not None and c + rest >= best_cost:
+            if limit is not None and c + rest >= limit:
                 continue
             m = vmem[i]
             p = vcpu[i]
@@ -130,14 +142,13 @@ def solve_search(
                     rem_mem[h] += m
                     rem_cpu[h] += p
                     rem_gpu[h] += g
-                    if best_cost is not None and c + rest >= best_cost:
+                    if limit is not None and c + rest >= limit:
                         break
 
-    timed_out = False
     try:
         dfs(0, 0)
-    except _Timeout:
-        timed_out = True
+    except _Stop:
+        pass
     if timed_out:
         status = TIMED_OUT
     elif best_cost is None:

@@ -23,16 +23,16 @@ one download).
 One rule covers every policy: each alternative realizes the unit's
 functions, which are its topology when it has one and otherwise the
 functions of its first declared alternative.  The rule is checked where
-the input arrives: each declared alternative as a multiset of functions,
-and for a generated policy once per version, as "this version's
-function is the topology function it stands for", so every chain
-realizes the topology by construction.
+the input arrives: each declared alternative as a multiset of functions
+(`model.unrealized_alternatives`, which `validate_architecture` also
+reports from), and for a generated policy once per version, as "this
+version's function is the topology function it stands for", so every
+chain realizes the topology by construction.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
@@ -43,6 +43,7 @@ from .model import (
     ResourceDemand,
     SystemArchitecture,
     UnitSpec,
+    unrealized_alternatives,
 )
 from .rationals import exact_sum
 
@@ -117,10 +118,11 @@ def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
     """Produce the member lists of one unit's alternatives by its policy.
 
     Every alternative realizes the unit's functions (see the module
-    docstring); a violation raises CompactionError.  Generated policies
-    emit chains in a fixed order: the cartesian product of version
-    choices, each version list in repository order, varying the last
-    function fastest.  "contiguous_gpu_segment" emits that product's
+    docstring); a violation raises CompactionError, and a declared
+    member the repository lacks raises UnknownIdError first.  Generated
+    policies emit chains in a fixed order: the cartesian product of
+    version choices, each version list in repository order, varying the
+    last function fastest.  "contiguous_gpu_segment" emits that product's
     contiguous chains in the same order, without building the chains it
     drops.
     """
@@ -130,19 +132,16 @@ def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
     if spec.policy == "declared":
         if not spec.alternatives:
             raise CompactionError("declared policy with no alternatives")
-        alternatives = [list(alt.components) for alt in spec.alternatives]
-        realized = [
-            Counter(repo.component(cid).function for cid in members)  # raises on unknown ids
-            for members in alternatives
-        ]
-        want = Counter(topology) if topology else realized[0]
-        for members, counts in zip(alternatives, realized):
-            if counts != want:
-                raise CompactionError(
-                    f"unit {spec.id!r}: alternative {members} does not realize "
-                    f"the unit's functions"
-                )
-        return alternatives
+        for alt in spec.alternatives:
+            for cid in alt.components:
+                repo.component(cid)  # raises on unknown ids
+        unrealized = unrealized_alternatives(spec, repo)
+        if unrealized:
+            raise CompactionError(
+                f"unit {spec.id!r}: alternative {unrealized[0]} does not realize "
+                f"the unit's functions"
+            )
+        return [list(alt.components) for alt in spec.alternatives]
 
     version_lists: list[list[str]] = []
     for function in topology:

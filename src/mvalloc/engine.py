@@ -48,11 +48,12 @@ def _load(path: str) -> None:
 
     lib = ctypes.CDLL(path)
     i64, address = ctypes.c_int64, ctypes.c_void_p
-    lib.solve_search.argtypes = [i64, i64, i64] + [address] * 17
+    lib.solve_search.argtypes = [i64, i64, i64, i64] + [address] * 17
     lib.solve_search.restype = None
 
     def solve_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
-                     suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None):
+                     suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None,
+                     target=None):
         columns = (nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
                    suffix_min, need_mem, need_cpu, need_gpu)
         # the kernel indexes by these lengths and offsets unchecked
@@ -75,9 +76,8 @@ def _load(path: str) -> None:
         data.frombytes(bytes(8 * sum(scratch)))
         base = data.buffer_info()[0]
         sizes = [len(col) for col in columns] + scratch[:-1]
-        lib.solve_search(
-            n, k, deadline, *(base + 8 * at for at in accumulate(sizes, initial=0))
-        )
+        addresses = (base + 8 * at for at in accumulate(sizes, initial=0))
+        lib.solve_search(n, k, deadline, -1 if target is None else target, *addresses)
         status, cost, visited = data[-3:]
         if cost < 0:  # no incumbent
             return status, None, [], visited

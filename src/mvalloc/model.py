@@ -38,6 +38,7 @@ __all__ = [
     "validate_platform",
     "validate_assembly",
     "validate_architecture",
+    "unrealized_alternatives",
     "check_feasibility",
 ]
 
@@ -367,6 +368,29 @@ def check_feasibility(
     return FeasibilityResult(feasible=not violations, violations=violations)
 
 
+def unrealized_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
+    """The member lists of the declared alternatives of `spec` that do not
+    realize the unit's functions, as multisets: its topology when it has
+    one, otherwise the functions of its first alternative, of which it
+    needs at least one.  Alternatives naming a component the repository
+    lacks are skipped, and so is the whole check when the first one is
+    the reference."""
+    realized: list[list[str] | None] = []
+    for alt in spec.alternatives:
+        try:
+            realized.append(sorted([repo.component(cid).function for cid in alt.components]))
+        except UnknownIdError:
+            realized.append(None)
+    want = sorted(spec.topology) if spec.topology else realized[0]
+    if want is None:
+        return []
+    return [
+        list(alt.components)
+        for alt, counts in zip(spec.alternatives, realized)
+        if counts is not None and counts != want
+    ]
+
+
 def validate_architecture(arch: SystemArchitecture, repo: Repository) -> list[Diagnostic]:
     """Check the architecture section against the repository."""
     diags: list[Diagnostic] = []
@@ -391,6 +415,14 @@ def validate_architecture(arch: SystemArchitecture, repo: Repository) -> list[Di
             else:
                 for alt in spec.alternatives:
                     diags.extend(validate_assembly(alt, repo, label=spec.id))
+                for members in unrealized_alternatives(spec, repo):
+                    diags.append(
+                        Diagnostic(
+                            "alternative-functions-differ",
+                            spec.id,
+                            f"alternative {members} does not realize the unit's functions",
+                        )
+                    )
         elif spec.policy in POLICIES:
             if not spec.topology:
                 diags.append(

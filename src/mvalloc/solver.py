@@ -27,9 +27,34 @@ table's and the scan is skipped.  A branch is cut when its cost plus that
 bound cannot beat the incumbent, tested before each variant and again
 after each child returns.  The incumbent is replaced only on strict
 improvement and the tree is walked in a fixed order (search order of
-units, then variant index, then platform node order); the cuts remove
-only subtrees with no strictly cheaper feasible leaf, so the reported
-optimum is the lexicographically first one and solve is deterministic.
+units, then each unit's variants in the order given, then platform node
+order); the cuts remove only subtrees with no strictly cheaper feasible
+leaf, so a walk reports the first optimum it meets.
+
+The contract's answer is the first optimum of the walk in declared
+variant order, the lexicographically first one, so solve is
+deterministic.  A walk in that order reaches good incumbents late when a
+unit lists a slow variant first, so solve takes up to two walks of the
+same kernel, sharing one deadline, and reports their summed `visited`:
+
+1. A walk of a copy of the arrays in which each unit lists its variants
+   cheapest first, ties in declared order.  It proves the optimal cost
+   `opt`, or infeasibility.  When every unit already lists its variants
+   so, there is no copy, and this walk is the declared-order walk.
+2. A walk of the declared arrays with `target = opt`: it cuts each child
+   whose cost so far plus the bound exceeds `opt` and stops at its first
+   leaf.  Every cut subtree holds only leaves dearer than `opt`, so that
+   leaf is the first in declared order costing at most `opt`: the
+   lexicographically first optimum.
+
+Walk 2 is skipped when it cannot change the answer.  Every other unit
+costs at least its cheapest variant, so an optimum takes, in each unit, a
+variant costing at most `slack = opt - suffix_min[0]` more than the
+unit's cheapest.  When those variants stand in declared order in every
+unit's cheapest-first list, both orders rank the optima alike, and
+walk 1 has already met the first.  A timeout in walk 1 reports its
+incumbent, in declared variant indices; a timeout in walk 2 reports walk
+1's optimum as the incumbent.  Either way status is "timeout".
 
 `brute_force` enumerates every capacity-feasible assignment in declared
 order with no cost bound, guarded against oversized instances.  It is the
@@ -44,6 +69,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -264,6 +290,32 @@ def _scale(
     )
 
 
+def _cheapest_first(nv: list[int], off: list[int], vcost: list[int]) -> dict[int, list[int]]:
+    """Unit position -> its variants' flat indices cheapest first, ties in
+    declared order, for each unit that does not list them so already."""
+    ranks = {}
+    for u, (a, count) in enumerate(zip(off, nv)):
+        if count > 1:
+            costs = vcost[a : a + count]
+            if costs != sorted(costs):
+                ranks[u] = sorted(range(a, a + count), key=vcost.__getitem__)
+    return ranks
+
+
+def _reordered_within(ranks: dict[int, list[int]], vcost: list[int], slack: int) -> bool:
+    """Whether, in some unit of `ranks`, the variants costing at most
+    `slack` more than the unit's cheapest are ranked out of declared
+    order."""
+    if not slack:  # only each unit's cheapest, ties kept in declared order
+        return False
+    for ranked in ranks.values():
+        top = vcost[ranked[0]] + slack
+        within = [i for i in ranked if vcost[i] <= top]
+        if within != sorted(within):
+            return True
+    return False
+
+
 def _placements(scaled: _Scaled, choices: list[tuple[int, int]]) -> dict[str, Placement]:
     return {
         unit_id: Placement(v, scaled.node_ids[h])
@@ -305,9 +357,36 @@ def solve(
         return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
         return AllocationScheme(TIMED_OUT, None, {}, visited=0, backend=be.name)
-    code, cost, choices, visited = be.solve_search(
-        *scaled.kernel_args, scaled.suffix_min, *scaled.suffix_need, deadline_ns
-    )
+    args = scaled.kernel_args
+    bounds = (scaled.suffix_min, *scaled.suffix_need)
+    nv, off, vcost = args[0], args[1], args[5]
+    ranks = _cheapest_first(nv, off, vcost)
+    if not ranks:
+        code, cost, choices, visited = be.solve_search(*args, *bounds, deadline_ns)
+    else:
+        # walk 1: each unit's variants cheapest first, to prove the optimum;
+        # a copy of each column with the reordered units' slices rewritten
+        columns = [list(col) for col in args[2:6]]
+        for u, ranked in ranks.items():
+            a = off[u]
+            take = operator.itemgetter(*ranked)  # two or more: a tuple
+            for col, declared in zip(columns, args[2:6]):
+                col[a : a + len(ranked)] = take(declared)
+        code, cost, choices, visited = be.solve_search(
+            nv, off, *columns, *args[6:], *bounds, deadline_ns
+        )
+        if choices:  # the incumbent, in declared variant indices
+            for u, ranked in ranks.items():
+                v, h = choices[u]
+                choices[u] = (ranked[v] - off[u], h)
+        if code == _kernels_py.OPTIMAL and _reordered_within(
+            ranks, vcost, cost - scaled.suffix_min[0]
+        ):
+            # walk 2: declared order down to the first leaf at that cost
+            code, _, first, more = be.solve_search(*args, *bounds, deadline_ns, cost)
+            visited += more
+            if code == _kernels_py.OPTIMAL:
+                choices = first
     status = _STATUS[code]
     log.debug("status %s after %d search nodes on backend %s", status, visited, be.name)
 

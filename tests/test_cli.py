@@ -21,6 +21,7 @@ from mvalloc.formats import (
     parse_scheme,
 )
 from mvalloc.model import (
+    Assembly,
     Component,
     HardwareNode,
     Kind,
@@ -28,6 +29,7 @@ from mvalloc.model import (
     Repository,
     ResourceDemand,
     SystemArchitecture,
+    UnitSpec,
 )
 
 
@@ -98,6 +100,29 @@ def test_missing_file_is_exit_2(capsys):
     code, _, stderr = run(capsys, "validate", "/nonexistent/model.json")
     assert code == 2
     assert "error" in stderr
+
+
+def test_validate_rejects_alternatives_realizing_different_functions(tmp_path, capsys):
+    # alternative [a] realizes f and [b] realizes g: validate must say so,
+    # as compact does, instead of printing ok
+    demand = ResourceDemand(Fraction(1), Fraction(1), 0, Fraction(1))
+    repo = Repository(
+        components=[Component(cid, Kind.CPU, f, demand) for cid, f in (("a", "f"), ("b", "g"))]
+    )
+    spec = UnitSpec("U", "declared", alternatives=[Assembly(["a"]), Assembly(["b"])])
+    platform = Platform(nodes=[HardwareNode("h", Fraction(10), Fraction(10))])
+    path = tmp_path / "model.json"
+    path.write_text(dump_model(repo, platform, SystemArchitecture(units=[spec])))
+    code, stdout, stderr = run(capsys, "validate", str(path))
+    assert code == 1
+    assert stderr == (
+        "alternative-functions-differ [U]: alternative ['b'] does not realize"
+        " the unit's functions\n"
+    )
+    assert stdout == "1 problem(s) found\n"
+    code, _, stderr = run(capsys, "compact", str(path), "-o", str(tmp_path / "out.json"))
+    assert code == 1
+    assert "alternative-functions-differ [U]" in stderr
 
 
 def test_compact_writes_the_high_layer(robot_file, tmp_path, capsys):

@@ -22,6 +22,7 @@ from mvalloc.model import (
     Repository,
     ResourceDemand,
     UnitSpec,
+    UnknownIdError,
 )
 from mvalloc.solver import AllocationScheme, Placement
 
@@ -170,6 +171,15 @@ def test_declared_without_topology_realizes_the_first_alternative():
     mixed = [Assembly(components=["f0c"]), Assembly(components=["f1c"])]
     with pytest.raises(CompactionError, match="alternative \\['f1c'\\] does not realize"):
         enumerate_alternatives(UnitSpec("U", "declared", None, mixed), repo)
+
+
+def test_declared_unknown_member_raises_before_the_function_check():
+    # a later alternative that does not realize the functions must not
+    # hide the unknown id of an earlier one
+    repo = dual_repo()
+    alts = [Assembly(components=[cid]) for cid in ("f0c", "ghost", "f1c")]
+    with pytest.raises(UnknownIdError, match="ghost"):
+        enumerate_alternatives(UnitSpec("U", "declared", None, alts), repo)
 
 
 def test_generated_policy_rejects_a_version_of_another_function():

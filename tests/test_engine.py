@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gen import random_high_model
@@ -133,3 +135,67 @@ def test_skipping_the_forward_scan_changes_nothing(name):
         with_shortcut = kernel(*scaled.kernel_args, scaled.suffix_min, *scaled.suffix_need, None)
         scan_only = kernel(*scaled.kernel_args, scaled.suffix_min, never, never, never, None)
         assert with_shortcut == scan_only, f"seed {seed}"
+
+
+def _leaves_in_walk_order(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu):
+    """(cost, choices) of every capacity-feasible leaf, in the order the
+    walk meets them: units in array order, variants by index, nodes in
+    platform order."""
+    k = len(cap_mem)
+    per_unit = [[(v, h) for v in range(count) for h in range(k)] for count in nv]
+    for choices in itertools.product(*per_unit):
+        load = [[0, 0, 0] for _ in range(k)]
+        for a, (v, h) in zip(off, choices):
+            load[h][0] += vmem[a + v]
+            load[h][1] += vcpu[a + v]
+            load[h][2] += vgpu[a + v]
+        if all(
+            m <= cm and p <= cp and g <= cg
+            for (m, p, g), cm, cp, cg in zip(load, cap_mem, cap_cpu, cap_gpu)
+        ):
+            yield sum(vcost[a + v] for a, (v, _) in zip(off, choices)), list(choices)
+
+
+@pytest.mark.parametrize("name", engine.available_backends())
+def test_target_returns_the_first_leaf_at_most_the_target(name):
+    kernel = engine.get_backend(name).solve_search
+    checked = 0
+    for seed in range(100):
+        model, platform = random_high_model(seed, max_units=5, product_cap=2_000)
+        scaled = _scale(model, platform, SolverConfig(), "demand")
+        args = (*scaled.kernel_args, scaled.suffix_min, *scaled.suffix_need)
+        leaves = list(_leaves_in_walk_order(*scaled.kernel_args))
+        assert kernel(*args, None, None) == kernel(*args, None)
+        status, best, _, visited = kernel(*args, None)
+        if not leaves:
+            assert status == 1
+            continue
+        costs = sorted({cost for cost, _ in leaves})
+        assert best == costs[0]
+        for target in {costs[0] - 1, costs[0], costs[len(costs) // 2], costs[-1]}:
+            first = next(((c, ch) for c, ch in leaves if c <= target), None)
+            status, cost, choices, seen = kernel(*args, None, target)
+            if first is None:
+                assert (status, cost, choices) == (1, None, []), f"seed {seed}"
+            else:
+                assert (status, cost, choices) == (0, *first), f"seed {seed}"
+            if target <= costs[0]:
+                assert seen <= visited, f"seed {seed}"
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("name", engine.available_backends())
+def test_target_cuts_every_child_above_it(name):
+    # one unit, three variants costing 4, 2 and 3, then a unit with one
+    # variant costing 1: with target 4 the first variant (4 + 1 > 4) is
+    # cut, the second descends to a leaf and the walk stops there
+    args = ([3, 1], [0, 3], [1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0], [4, 2, 3, 1],
+            [9], [9], [0])
+    bounds = ([3, 1, 0], [1, 1, 0], [1, 1, 0], [0, 0, 0])
+    kernel = engine.get_backend(name).solve_search
+    assert kernel(*args, *bounds, None, 4) == (0, 3, [(1, 0), (0, 0)], 3)
+    assert kernel(*args, *bounds, None, 5) == (0, 5, [(0, 0), (0, 0)], 3)
+    assert kernel(*args, *bounds, None, 2) == (1, None, [], 1)
+    # without a target the walk finds 5 first, then improves to 3
+    assert kernel(*args, *bounds, None) == (0, 3, [(1, 0), (0, 0)], 5)

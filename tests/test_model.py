@@ -184,6 +184,24 @@ def test_validate_architecture():
     assert "connection-unknown-endpoint" in found
 
 
+def test_validate_architecture_checks_declared_alternatives_realize_one_function_set():
+    repo = Repository(
+        components=[comp("a", function="f"), comp("a2", function="f"), comp("b", function="g")]
+    )
+
+    def diagnose(*alternatives, topology=None):
+        spec = UnitSpec("U", "declared", topology, [Assembly(list(m)) for m in alternatives])
+        return validate_architecture(SystemArchitecture(units=[spec]), repo)
+
+    assert diagnose(["a"], ["a2"]) == []
+    differ = diagnose(["a"], ["ghost"], ["b"])
+    assert rules(differ) == ["alternative-functions-differ", "assembly-unknown-component"]
+    assert "alternative ['b'] does not" in str(differ[-1])
+    # an unknown first alternative leaves nothing to compare with
+    assert rules(diagnose(["ghost"], ["a"], ["b"])) == ["assembly-unknown-component"]
+    assert rules(diagnose(["a"], ["a2"], topology=["g"])) == ["alternative-functions-differ"] * 2
+
+
 def _two_node_platform():
     return Platform(
         nodes=[

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import time
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from gen import random_high_model
 
+from mvalloc import engine
 from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant
 from mvalloc.engine import available_backends
 from mvalloc.formats import dump_scheme
@@ -13,6 +15,7 @@ from mvalloc.model import HardwareNode, Platform, ResourceDemand, UnknownIdError
 from mvalloc.solver import (
     BRUTE_FORCE_GUARD,
     EnumerationGuardError,
+    Placement,
     SolverConfig,
     SolverError,
     brute_force,
@@ -428,3 +431,124 @@ def test_backends_agree_exactly():
                 a = solve(model, platform, cfg, backend="c")
                 b = solve(model, platform, cfg, backend="python")
                 assert outcome(a) == outcome(b), f"seed {seed}"
+
+
+def _reversed(model):
+    """The model with every unit's variants listed backwards."""
+    return HighLayerModel(
+        units=[MultiVariantUnit(u.id, u.variants[::-1]) for u in model.units],
+        connections=model.connections,
+    )
+
+
+def _spy(monkeypatch, on_call=None):
+    """Route `solve`'s kernel calls through a wrapper and return the list
+    of (target, result) it records per call.  `on_call(i, kernel, *args)`,
+    when given, stands in for the i-th call (from 1)."""
+    calls = []
+    get_backend = engine.get_backend
+
+    def spied(name="auto"):
+        real = get_backend(name)
+
+        def solve_search(*args):
+            if on_call is None:
+                result = real.solve_search(*args)
+            else:
+                result = on_call(len(calls) + 1, real.solve_search, *args)
+            calls.append((args[14] if len(args) > 14 else None, result))
+            return result
+
+        return dataclasses.replace(real, solve_search=solve_search)
+
+    monkeypatch.setattr(engine, "get_backend", spied)
+    return calls
+
+
+def test_reversed_variants_return_brute_force_placements(monkeypatch):
+    # each unit's variants listed backwards: the cheapest-first walk meets
+    # the optima in another order than the declared one, so the second
+    # walk must find the lexicographically first of them
+    calls = _spy(monkeypatch)
+    for seed in range(300):
+        model, platform = random_high_model(seed, product_cap=30_000)
+        model = _reversed(model)
+        weight = {model.all_units()[0].id: Fraction(7, 2)}
+        for weights in ({}, weight):
+            for order in ("demand", "declared"):
+                walked = model if order == "declared" else _presorted(model, platform)
+                slow = brute_force(walked, platform, SolverConfig(unit_weights=weights))
+                cfg = SolverConfig(unit_order=order, unit_weights=weights)
+                for name in available_backends():
+                    fast = solve(model, platform, cfg, backend=name)
+                    assert (fast.status, fast.placements) == (slow.status, slow.placements), (
+                        f"seed {seed}"
+                    )
+    second_walks = sum(target is not None for target, _ in calls)
+    assert second_walks > 50 * len(available_backends())
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_variants_listed_dearest_first_take_one_walk(name):
+    # each unit's cheapest variant comes last and the optimum takes it in
+    # every unit: the cheapest-first walk proves that at its first leaf
+    n = 300
+    units = [unit(f"u{i}", (3, 1, 0, 9 + i % 4), (2, 1, 0, 5), (1, 1, 0, 2)) for i in range(n)]
+    platform = Platform(nodes=[node("h0", n // 2, n), node("h1", n, n)])
+    scheme = solve(HighLayerModel(units=units), platform, backend=name)
+    assert scheme.status == "optimal"
+    assert scheme.objective_ms == 2 * n
+    assert scheme.visited == n + 1
+    assert all(p.variant == 2 for p in scheme.placements.values())
+    assert [p.node for p in scheme.placements.values()].count("h0") == n // 2
+
+
+@pytest.mark.parametrize("name", available_backends())
+@pytest.mark.parametrize("flag", [False, True])
+def test_timeout_in_the_first_walk_reports_its_incumbent(monkeypatch, name, flag):
+    # the hard packing with each unit's small, slow variant listed first:
+    # the cheapest-first walk meets a passed deadline at its first clock
+    # check, and its incumbent comes back in declared variant indices
+    model, platform = _hard_packing()
+    model = _reversed(model)
+    calls = _spy(monkeypatch, lambda i, kernel, *args: kernel(*args[:13], 0, *args[14:]))
+    scheme = solve(model, platform, SolverConfig(incumbent_on_timeout=flag), backend=name)
+    assert [target for target, _ in calls] == [None]
+    assert scheme.status == "timeout"
+    assert scheme.visited == 8192
+    if not flag:
+        assert (scheme.placements, scheme.objective_ms) == ({}, None)
+        return
+    assert len(scheme.placements) == 30
+    assert check_scheme(scheme, model, platform) == []
+    variants = {u.id: u.variants for u in model.units}
+    assert scheme.objective_ms == sum(
+        variants[uid][p.variant].props.exec_ms for uid, p in scheme.placements.items()
+    )
+
+
+@pytest.mark.parametrize("name", available_backends())
+@pytest.mark.parametrize("flag", [False, True])
+def test_timeout_in_the_second_walk_reports_the_first_walks_optimum(monkeypatch, name, flag):
+    # A and B list their CPU variant (10 ms) before the GPU one (1 ms) and
+    # only one GPU variant fits: the cheapest-first walk finds A on the GPU,
+    # the declared-order walk finds the lexicographically first, B on it
+    model, platform = _weighted_instance()
+    assert solve(model, platform, backend=name).placements == {
+        "A": Placement(0, "g"),
+        "B": Placement(1, "g"),
+    }
+
+    def second_times_out(i, kernel, *args):
+        return (2, None, [], 7) if i == 2 else kernel(*args)
+
+    calls = _spy(monkeypatch, second_times_out)
+    scheme = solve(model, platform, SolverConfig(incumbent_on_timeout=flag), backend=name)
+    assert [target for target, _ in calls] == [None, 11]
+    assert scheme.status == "timeout"
+    assert scheme.visited == calls[0][1][3] + 7
+    if flag:
+        assert scheme.placements == {"A": Placement(1, "g"), "B": Placement(0, "g")}
+        assert scheme.objective_ms == 11
+    else:
+        assert (scheme.placements, scheme.objective_ms) == ({}, None)
