@@ -3,28 +3,33 @@
  *
  * Same tree walk, same ordering, same strict-improvement rule and the
  * same cuts: the forward check with its still-fitting cost bound `rest`,
- * skipped when one node covers the `need_*` suffix maxima, and the cost
- * cut before each variant and after each child.  Fed the same scaled
- * integers, both kernels return identical results, visited counts
- * included.  With a `target` (-1 for none) the cut is cost so far plus
- * `rest` above the target, and the walk stops at its first leaf: the
- * first one in walk order that costs at most the target.  Values must
- * fit in int64, which the caller has checked.  The brute-force oracle
- * has no compiled twin; it lives in _kernels_py.py only.
+ * read in `by_cost` order and skipped when one node covers the `need_*`
+ * suffix maxima, and the cost cut before each variant and after each
+ * child.  Fed the same scaled integers, both kernels return identical
+ * results, visited counts included.  Without a `target` (-1) the walk
+ * tries each unit's variants in `by_cost` order, cheapest first, and
+ * proves the optimum.  With one it tries them in declared order, the cut
+ * is cost so far plus `rest` above the target, and the walk stops at its
+ * first leaf: the first one in declared order that costs at most the
+ * target.  Choices are declared variant indices either way.  Values must
+ * fit in int64, which the caller has checked; a `by_cost` entry outside
+ * its unit's slice is refused before the walk with status INVALID.  The
+ * brute-force oracle has no compiled twin; it lives in _kernels_py.py
+ * only.
  *
  * mvalloc.engine loads this file's shared library through ctypes and
  * owns every buffer: the capacity arrays, which the walk uses as the
  * remaining capacities, the (variant, node) pairs of the current path,
- * the cheapest-first variant order, the incumbent's (variant, node)
- * pairs, and out = {status, best cost or -1 without an incumbent,
- * visited}.  A deadline of INT64_MAX never passes.
+ * the incumbent's (variant, node) pairs, and out = {status, best cost or
+ * -1 without an incumbent, visited}.  A deadline of INT64_MAX never
+ * passes.
  */
 #define _POSIX_C_SOURCE 199309L
 
 #include <stdint.h>
 #include <time.h>
 
-enum { OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
+enum { INVALID = -1, OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
 enum { CHECK_INTERVAL = 8192 };
 
 typedef struct {
@@ -93,7 +98,8 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
             rest += s->vcost[i];
         }
     }
-    for (int64_t i = s->off[u]; i < s->off[u] + s->nv[u]; i++) {
+    for (int64_t j = s->off[u]; j < s->off[u] + s->nv[u]; j++) {
+        int64_t i = s->target < 0 ? s->by_cost[j] : j;
         int64_t c = cur + s->vcost[i], m = s->vmem[i], p = s->vcpu[i], g = s->vgpu[i];
         if (cut(s, c + rest))
             continue;
@@ -119,9 +125,9 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,
                   const int64_t *nv, const int64_t *off, const int64_t *vmem,
                   const int64_t *vcpu, const int64_t *vgpu, const int64_t *vcost,
                   int64_t *cap_mem, int64_t *cap_cpu, int64_t *cap_gpu,
-                  const int64_t *suffix_min, const int64_t *need_mem,
-                  const int64_t *need_cpu, const int64_t *need_gpu, int64_t *choice,
-                  int64_t *by_cost, int64_t *best, int64_t *out)
+                  const int64_t *by_cost, const int64_t *suffix_min,
+                  const int64_t *need_mem, const int64_t *need_cpu,
+                  const int64_t *need_gpu, int64_t *choice, int64_t *best, int64_t *out)
 {
     State s = {.n = n, .k = k, .nv = nv, .off = off, .vmem = vmem, .vcpu = vcpu,
                .vgpu = vgpu, .vcost = vcost, .rem_mem = cap_mem, .rem_cpu = cap_cpu,
@@ -130,14 +136,12 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,
                .choice = choice, .best = best, .best_cost = -1, .target = target,
                .limit = target >= 0 ? target + 1 : -1, .deadline_ns = deadline_ns,
                .check_left = CHECK_INTERVAL};
-    /* each unit's variant indices, cheapest first (stable insertion sort),
-       for the forward scan; the first that fits a node gives the bound */
     for (int64_t u = 0; u < n; u++) {
-        for (int64_t i = off[u]; i < off[u] + nv[u]; i++) {
-            int64_t j = i;
-            for (; j > off[u] && vcost[by_cost[j - 1]] > vcost[i]; j--)
-                by_cost[j] = by_cost[j - 1];
-            by_cost[j] = i;
+        for (int64_t j = off[u]; j < off[u] + nv[u]; j++) {
+            if (by_cost[j] < off[u] || by_cost[j] >= off[u] + nv[u]) {
+                out[0] = INVALID;
+                return;
+            }
         }
     }
     solve_dfs(&s, 0, 0);

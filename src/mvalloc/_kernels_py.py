@@ -1,30 +1,39 @@
 """Pure-Python search kernels.
 
-Both kernels walk the assignment tree unit by unit, trying variants in
-index order and nodes in platform order, on demands and capacities that
-the caller has already scaled to integers.  That ordering is part of the
-contract: together with strict-improvement updates it makes the reported
-optimum the lexicographically first one, so results are reproducible and
-`solve_search` must match the compiled kernel of _kernels.c bit for bit.
+Both kernels walk the assignment tree unit by unit, trying each unit's
+variants in a given order and nodes in platform order, on demands and
+capacities that the caller has already scaled to integers.  That
+ordering is part of the contract: together with strict-improvement
+updates it makes the reported optimum the first one in walk order, so
+results are reproducible and `solve_search` must match the compiled
+kernel of _kernels.c bit for bit.
 
-`solve_search` is branch and bound with forward checking.  On entering
-a node it takes `rest`, the sum over the units after the current one of
-the cheapest variant that still fits some node's remaining capacity, and
-returns at once if one of them fits nowhere.  When one node can hold the
-largest demand of every remaining unit's cheapest variant (`need_*`),
-`rest` is simply `suffix_min` and the scan is skipped.  A child is
-entered only while its cost so far plus `rest` is below the incumbent,
-tested before each variant and again after each child returns.  Every
-cut drops only subtrees with no feasible leaf or no strictly cheaper
-one, so the reported optimum is the one the plain walk would report.
-Given a `target`, the cut is cost so far plus `rest` above the target
-instead, and the walk stops at its first leaf, the first one in walk
-order that costs at most the target (status infeasible when there is
-none).  `solver.solve` uses it to walk to a known optimal cost.
-`brute_search` enumerates every capacity-feasible assignment and shares
-nothing with the bound logic, which is what makes it useful as an oracle
-for the solver.  It is the only brute-force oracle: it has no compiled
-twin, and `solver.brute_force` runs it whichever backend `solve` used.
+`solve_search` is branch and bound with forward checking.  `by_cost`
+lists, in each unit's slice off[u]:off[u] + nv[u], that unit's flat
+variant indices cheapest first, ties in declared order.  On entering a
+node the search takes `rest`, the sum over the units after the current
+one of the first variant in `by_cost` order that still fits some node's
+remaining capacity, and returns at once if one of them fits nowhere.
+When one node can hold the largest demand of every remaining unit's
+cheapest variant (`need_*`), `rest` is simply `suffix_min` and the scan
+is skipped.  A child is entered only while its cost so far plus `rest`
+is below the incumbent, tested before each variant and again after each
+child returns.  Every cut drops only subtrees with no feasible leaf or
+no strictly cheaper one, so the reported optimum is the first optimum
+in walk order.
+
+Without a `target` the walk tries each unit's variants in `by_cost`
+order and proves the optimum.  Given a `target`, it tries them in
+declared order, the cut is cost so far plus `rest` above the target,
+and the walk stops at its first leaf, the first one in declared order
+that costs at most the target (status infeasible when there is none).
+Either way choices are (declared variant index, node) pairs.
+
+`brute_search` enumerates every capacity-feasible assignment in declared
+order and shares nothing with the bound logic, which is what makes it
+useful as an oracle for the solver.  It is the only brute-force oracle:
+it has no compiled twin, and `solver.brute_force` runs it whichever
+backend `solve` used.
 
 Status codes: 0 optimal, 1 infeasible, 2 deadline hit.
 """
@@ -54,6 +63,7 @@ def solve_search(
     cap_mem,
     cap_cpu,
     cap_gpu,
+    by_cost,
     suffix_min,
     need_mem,
     need_cpu,
@@ -76,10 +86,12 @@ def solve_search(
     visited = 0
     check_left = _CHECK_INTERVAL
     monotonic_ns = time.monotonic_ns
-    # each unit's variants as (cost, mem, cpu, gpu), cheapest first, for
-    # the forward scan, where the first that fits a node gives the unit's
-    # bound; built by the first scan, as the shortcut often makes none
-    by_cost = []
+    # flat variant indices in the order the walk tries them
+    walk = by_cost if target is None else range(len(by_cost))
+    # each unit's slice of by_cost, for the forward scan, where the first
+    # variant that fits a node gives the unit's bound; built by the first
+    # scan, as the shortcut often makes none
+    ranked = []
 
     def dfs(u: int, cur: int) -> None:
         nonlocal best_cost, best_choice, limit, timed_out, visited, check_left
@@ -106,26 +118,25 @@ def solve_search(
             if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
                 break
         else:
-            if not by_cost:
-                by_cost.extend(
-                    sorted(zip(*(col[a : a + count] for col in (vcost, vmem, vcpu, vgpu))))
-                    for a, count in zip(off, nv)
-                )
+            if not ranked:
+                ranked.extend(by_cost[a : a + count] for a, count in zip(off, nv))
             rest = 0
             for w in range(u + 1, n):
-                for cw, m, p, g in by_cost[w]:
+                for i in ranked[w]:
+                    m = vmem[i]
+                    p = vcpu[i]
+                    g = vgpu[i]
                     for h in range(k):
                         if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
                             break
                     else:
                         continue
-                    rest += cw
+                    rest += vcost[i]
                     break
                 else:
                     return
         base = off[u]
-        for v in range(nv[u]):
-            i = base + v
+        for i in walk[base : base + nv[u]]:
             c = cur + vcost[i]
             if limit is not None and c + rest >= limit:
                 continue
@@ -137,7 +148,7 @@ def solve_search(
                     rem_mem[h] -= m
                     rem_cpu[h] -= p
                     rem_gpu[h] -= g
-                    choice[u] = (v, h)
+                    choice[u] = (i - base, h)
                     dfs(u + 1, c)
                     rem_mem[h] += m
                     rem_cpu[h] += p

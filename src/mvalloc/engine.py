@@ -52,26 +52,26 @@ def _load(path: str) -> None:
     lib.solve_search.restype = None
 
     def solve_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
-                     suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None,
+                     by_cost, suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None,
                      target=None):
         columns = (nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
-                   suffix_min, need_mem, need_cpu, need_gpu)
+                   by_cost, suffix_min, need_mem, need_cpu, need_gpu)
         # the kernel indexes by these lengths and offsets unchecked
         n, total, k = len(nv), len(vmem), len(cap_mem)
         if (
             len(off) != n
-            or any(len(col) != total for col in columns[2:6])
+            or any(len(col) != total for col in (vmem, vcpu, vgpu, vcost, by_cost))
             or any(len(cap) != k for cap in columns[6:9])
-            or any(len(bound) != n + 1 for bound in columns[9:])
+            or any(len(bound) != n + 1 for bound in columns[10:])
             or any(a < 0 or count < 0 or a + count > total for a, count in zip(off, nv))
         ):
             raise ValueError("kernel arrays have inconsistent lengths")
         deadline = _NO_DEADLINE if deadline_ns is None else min(deadline_ns, _NO_DEADLINE)
         # one int64 buffer holds the columns and then zeroed scratch: the
-        # current path, the cheapest-first variant order, the incumbent's
-        # (variant, node) pairs and out = {status, cost or -1, visited};
-        # the kernel gets an address into it for each
-        scratch = [2 * n, total, 2 * n, 3]
+        # current path, the incumbent's (variant, node) pairs and out =
+        # {status, cost or -1, visited}; the kernel gets an address into
+        # it for each
+        scratch = [2 * n, 2 * n, 3]
         data = array("q", chain.from_iterable(columns))
         data.frombytes(bytes(8 * sum(scratch)))
         base = data.buffer_info()[0]
@@ -79,6 +79,8 @@ def _load(path: str) -> None:
         addresses = (base + 8 * at for at in accumulate(sizes, initial=0))
         lib.solve_search(n, k, deadline, -1 if target is None else target, *addresses)
         status, cost, visited = data[-3:]
+        if status < 0:  # the kernel checks by_cost itself, before the walk
+            raise ValueError("by_cost lists a variant outside its unit")
         if cost < 0:  # no incumbent
             return status, None, [], visited
         best = data[-3 - 2 * n : -3]

@@ -23,38 +23,39 @@ At each node the search checks forward: every remaining unit must still
 fit some node's remaining capacity, and the bound adds each one's
 cheapest still-fitting variant to the cost so far.  When a single node
 can hold the largest cheapest-variant demand, that sum is the suffix
-table's and the scan is skipped.  A branch is cut when its cost plus that
-bound cannot beat the incumbent, tested before each variant and again
-after each child returns.  The incumbent is replaced only on strict
-improvement and the tree is walked in a fixed order (search order of
-units, then each unit's variants in the order given, then platform node
-order); the cuts remove only subtrees with no strictly cheaper feasible
-leaf, so a walk reports the first optimum it meets.
+table's and the scan is skipped.  A branch is cut when its cost plus
+that bound cannot beat the incumbent, tested before each variant and
+again after each child returns.  The incumbent is replaced only on
+strict improvement and the tree is walked in a fixed order (search order
+of units, then each unit's variants in the walk's order, then platform
+node order); the cuts remove only subtrees with no strictly cheaper
+feasible leaf, so a walk reports the first optimum it meets.
 
 The contract's answer is the first optimum of the walk in declared
 variant order, the lexicographically first one, so solve is
 deterministic.  A walk in that order reaches good incumbents late when a
-unit lists a slow variant first, so solve takes up to two walks of the
-same kernel, sharing one deadline, and reports their summed `visited`:
+unit lists a slow variant first.  So `_scale` also lists each unit's
+variants cheapest first, ties in declared order, as `by_cost`, and solve
+takes up to two walks of the same kernel on the same arrays, sharing one
+deadline, and reports their summed `visited`:
 
-1. A walk of a copy of the arrays in which each unit lists its variants
-   cheapest first, ties in declared order.  It proves the optimal cost
-   `opt`, or infeasibility.  When every unit already lists its variants
-   so, there is no copy, and this walk is the declared-order walk.
-2. A walk of the declared arrays with `target = opt`: it cuts each child
-   whose cost so far plus the bound exceeds `opt` and stops at its first
-   leaf.  Every cut subtree holds only leaves dearer than `opt`, so that
-   leaf is the first in declared order costing at most `opt`: the
-   lexicographically first optimum.
+1. A walk without a target tries each unit's variants in `by_cost`
+   order.  It proves the optimal cost `opt`, or infeasibility.
+2. A walk with `target = opt` tries them in declared order: it cuts each
+   child whose cost so far plus the bound exceeds `opt` and stops at its
+   first leaf.  Every cut subtree holds only leaves dearer than `opt`,
+   so that leaf is the first in declared order costing at most `opt`:
+   the lexicographically first optimum.
 
-Walk 2 is skipped when it cannot change the answer.  Every other unit
-costs at least its cheapest variant, so an optimum takes, in each unit, a
-variant costing at most `slack = opt - suffix_min[0]` more than the
-unit's cheapest.  When those variants stand in declared order in every
-unit's cheapest-first list, both orders rank the optima alike, and
-walk 1 has already met the first.  A timeout in walk 1 reports its
-incumbent, in declared variant indices; a timeout in walk 2 reports walk
-1's optimum as the incumbent.  Either way status is "timeout".
+Either walk reports choices in declared variant indices.  Walk 2 is
+skipped when it cannot change the answer.  Every other unit costs at
+least its cheapest variant, so an optimum takes, in each unit, a variant
+costing at most `slack = opt - suffix_min[0]` more than the unit's
+cheapest.  When those variants stand in declared order in every unit's
+`by_cost` slice, both orders rank the optima alike, and walk 1 has
+already met the first.  A timeout in walk 1 reports its incumbent; a
+timeout in walk 2 reports walk 1's optimum as the incumbent.  Either way
+status is "timeout".
 
 `brute_force` enumerates every capacity-feasible assignment in declared
 order with no cost bound, guarded against oversized instances.  It is the
@@ -66,6 +67,7 @@ place a rational becomes a solver number.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -155,7 +157,9 @@ class _Scaled:
 
     `kernel_args` are the arrays both kernels take (nv, off, vmem, vcpu,
     vgpu, vcost, cap_mem, cap_cpu, cap_gpu); `unit_ids[i]` is the unit
-    searched i-th.  `suffix_min[i]` sums the cheapest cost of units i..,
+    searched i-th.  `by_cost` holds flat variant indices, each unit's slice
+    off[u]:off[u] + nv[u] listing its own variants cheapest first, ties in
+    declared order.  `suffix_min[i]` sums the cheapest cost of units i..,
     and `suffix_need[r][i]` is the largest resource-r demand among those
     units' cheapest variants (the first one on a cost tie).  `overloaded`
     names the first resource whose cheapest total demand exceeds total
@@ -165,6 +169,7 @@ class _Scaled:
     unit_ids: list[str]
     node_ids: list[str]
     kernel_args: tuple[list[int], ...]
+    by_cost: list[int]
     suffix_min: list[int]
     suffix_need: tuple[list[int], list[int], list[int]]
     cost_den: int
@@ -188,12 +193,14 @@ def _scale(
     """Scale every demand and capacity to integers, once.
 
     Per resource the common denominator is the lcm of every value's
-    denominator.  Values sit in flat per-variant columns in declared
-    order, unit u owning the slice spans[u].  The same pass takes each unit's minimum and maximum per
-    resource: the minima give the pre-search infeasibility check, the
-    demand score and the cost bound, the maxima the int64 check.  It also
-    notes each unit's cheapest variant, whose demands' suffix maxima let
-    the search skip its forward scan.
+    denominator.  Values sit in flat per-variant columns in declared order,
+    unit u owning the slice spans[u].  The same pass takes each unit's
+    minimum and maximum per resource: the minima give the pre-search
+    infeasibility check and the demand score, the maxima the int64 check.
+    Once the units are in search order, a stable sort per unit lists its
+    variants cheapest first (`by_cost`); the first entry of each gives the
+    cost bound and the demands whose suffix maxima let the search skip its
+    forward scan.
     """
     _check_config(cfg)
     units = model.units
@@ -240,10 +247,8 @@ def _scale(
         [c.numerator * (cost_den // c.denominator) for c in costs],
     )
     # per resource, per unit
-    minima = [[min(col[s:e]) for s, e in spans] for col in cols]
+    minima = [[min(col[s:e]) for s, e in spans] for col in cols[:3]]
     maxima = [sum(max(col[s:e]) for s, e in spans) for col in cols]
-    # per unit: the flat index of its first minimum-cost variant
-    cheapest = [cols[3].index(m, s, e) for m, (s, e) in zip(minima[3], spans)]
 
     if any(min(col, default=0) < 0 for col in cols):
         raise SolverError("negative demand values; validate the model first")
@@ -265,23 +270,28 @@ def _scale(
         # ties keep declared order
         common = math.prod(t for t in totals if t)
         factors = [common // t if t else 0 for t in totals]
-        score = [max(m * f for m, f in zip(ms, factors)) for ms in zip(*minima[:3])]
+        score = [max(m * f for m, f in zip(ms, factors)) for ms in zip(*minima)]
         order = sorted(order, key=lambda u: -score[u])
 
     nv = [len(units[u].variants) for u in order]
     off = list(itertools.accumulate(nv, initial=0))[:-1]
     flat = [i for u in order for i in range(*spans[u])]
-    vmem, vcpu, vgpu, vcost = ([col[i] for i in flat] for col in cols)
-    back = order[::-1]
-    suffix_min = list(itertools.accumulate((minima[3][u] for u in back), initial=0))[::-1]
+    columns = [[col[i] for i in flat] for col in cols]  # mem, cpu, gpu, cost
+    vcost = columns[3]
+    by_cost = [
+        i for a, count in zip(off, nv) for i in sorted(range(a, a + count), key=vcost.__getitem__)
+    ]
+    cheapest = [by_cost[a] for a in reversed(off)]  # back to front
+    suffix_min = list(itertools.accumulate((vcost[i] for i in cheapest), initial=0))[::-1]
     suffix_need = tuple(
-        list(itertools.accumulate((col[cheapest[u]] for u in back), max, initial=0))[::-1]
-        for col in cols[:3]
+        list(itertools.accumulate((col[i] for i in cheapest), max, initial=0))[::-1]
+        for col in columns[:3]
     )
     return _Scaled(
         unit_ids=[units[u].id for u in order],
         node_ids=node_ids,
-        kernel_args=(nv, off, vmem, vcpu, vgpu, vcost, *caps),
+        kernel_args=(nv, off, *columns, *caps),
+        by_cost=by_cost,
         suffix_min=suffix_min,
         suffix_need=suffix_need,
         cost_den=cost_den,
@@ -290,28 +300,18 @@ def _scale(
     )
 
 
-def _cheapest_first(nv: list[int], off: list[int], vcost: list[int]) -> dict[int, list[int]]:
-    """Unit position -> its variants' flat indices cheapest first, ties in
-    declared order, for each unit that does not list them so already."""
-    ranks = {}
-    for u, (a, count) in enumerate(zip(off, nv)):
-        if count > 1:
-            costs = vcost[a : a + count]
-            if costs != sorted(costs):
-                ranks[u] = sorted(range(a, a + count), key=vcost.__getitem__)
-    return ranks
-
-
-def _reordered_within(ranks: dict[int, list[int]], vcost: list[int], slack: int) -> bool:
-    """Whether, in some unit of `ranks`, the variants costing at most
-    `slack` more than the unit's cheapest are ranked out of declared
-    order."""
+def _reordered_within(scaled: _Scaled, slack: int) -> bool:
+    """Whether, in some unit, the variants costing at most `slack` more
+    than the unit's cheapest stand out of declared order in `by_cost`."""
     if not slack:  # only each unit's cheapest, ties kept in declared order
         return False
-    for ranked in ranks.values():
-        top = vcost[ranked[0]] + slack
-        within = [i for i in ranked if vcost[i] <= top]
-        if within != sorted(within):
+    off, vcost, by_cost = scaled.kernel_args[1], scaled.kernel_args[5], scaled.by_cost
+    # each slice is sorted by cost, so those variants are its prefix, and
+    # by_cost descends only inside a slice: check each descent's unit
+    descents = map(operator.gt, by_cost, by_cost[1:])
+    for j in itertools.compress(range(1, len(by_cost)), descents):
+        cheapest = by_cost[off[bisect.bisect_right(off, j) - 1]]
+        if vcost[by_cost[j]] <= vcost[cheapest] + slack:
             return True
     return False
 
@@ -357,36 +357,15 @@ def solve(
         return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
         return AllocationScheme(TIMED_OUT, None, {}, visited=0, backend=be.name)
-    args = scaled.kernel_args
-    bounds = (scaled.suffix_min, *scaled.suffix_need)
-    nv, off, vcost = args[0], args[1], args[5]
-    ranks = _cheapest_first(nv, off, vcost)
-    if not ranks:
-        code, cost, choices, visited = be.solve_search(*args, *bounds, deadline_ns)
-    else:
-        # walk 1: each unit's variants cheapest first, to prove the optimum;
-        # a copy of each column with the reordered units' slices rewritten
-        columns = [list(col) for col in args[2:6]]
-        for u, ranked in ranks.items():
-            a = off[u]
-            take = operator.itemgetter(*ranked)  # two or more: a tuple
-            for col, declared in zip(columns, args[2:6]):
-                col[a : a + len(ranked)] = take(declared)
-        code, cost, choices, visited = be.solve_search(
-            nv, off, *columns, *args[6:], *bounds, deadline_ns
-        )
-        if choices:  # the incumbent, in declared variant indices
-            for u, ranked in ranks.items():
-                v, h = choices[u]
-                choices[u] = (ranked[v] - off[u], h)
-        if code == _kernels_py.OPTIMAL and _reordered_within(
-            ranks, vcost, cost - scaled.suffix_min[0]
-        ):
-            # walk 2: declared order down to the first leaf at that cost
-            code, _, first, more = be.solve_search(*args, *bounds, deadline_ns, cost)
-            visited += more
-            if code == _kernels_py.OPTIMAL:
-                choices = first
+    args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min, *scaled.suffix_need)
+    # walk 1: each unit's variants cheapest first, to prove the optimum
+    code, cost, choices, visited = be.solve_search(*args, deadline_ns=deadline_ns)
+    if code == _kernels_py.OPTIMAL and _reordered_within(scaled, cost - scaled.suffix_min[0]):
+        # walk 2: declared order down to the first leaf at that cost
+        code, _, first, more = be.solve_search(*args, deadline_ns=deadline_ns, target=cost)
+        visited += more
+        if code == _kernels_py.OPTIMAL:
+            choices = first
     status = _STATUS[code]
     log.debug("status %s after %d search nodes on backend %s", status, visited, be.name)
 

@@ -40,11 +40,14 @@ def test_kernels_return_identical_tuples():
         [9, 9],  # cap_cpu
         [0, 0],  # cap_gpu
     )
+    by_cost = [0, 1, 2]  # each unit's variants already cheapest first
     # suffix_min, then need_mem, need_cpu, need_gpu of the cheapest variants
     bounds = ([9, 4, 0], [3, 2, 0], [1, 1, 0], [0, 0, 0])
     c = engine.get_backend("c")
     py = engine.get_backend("python")
-    assert c.solve_search(*args, *bounds, None) == py.solve_search(*args, *bounds, None)
+    assert c.solve_search(*args, by_cost, *bounds, None) == py.solve_search(
+        *args, by_cost, *bounds, None
+    )
 
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
@@ -64,9 +67,10 @@ def test_a_passed_deadline_stops_both_backends_at_the_same_node():
         [100] * 3,  # cap_cpu
         [0] * 3,  # cap_gpu
     )
+    by_cost = list(range(2 * n))
     bounds = (list(range(n, -1, -1)), [3] * n + [0], [1] * n + [0], [0] * (n + 1))
-    c = engine.get_backend("c").solve_search(*args, *bounds, 0)
-    py = engine.get_backend("python").solve_search(*args, *bounds, 0)
+    c = engine.get_backend("c").solve_search(*args, by_cost, *bounds, 0)
+    py = engine.get_backend("python").solve_search(*args, by_cost, *bounds, 0)
     assert c == py
     status, cost, choices, visited = c
     assert (status, visited) == (2, 8192)
@@ -77,17 +81,24 @@ def test_a_passed_deadline_stops_both_backends_at_the_same_node():
 def test_compiled_kernels_refuse_inconsistent_arrays():
     kernel = engine.get_backend("c").solve_search
     args = ([2, 1], [0, 2], [3, 1, 2], [1, 1, 1], [0, 0, 0], [5, 9, 4], [4, 2], [9, 9], [0, 0])
+    by_cost = [0, 1, 2]
     bounds = ([9, 4, 0], [3, 2, 0], [1, 1, 0], [0, 0, 0])
-    assert kernel(*args, *bounds, None)[0] == 0  # the consistent arrays run
+    assert kernel(*args, by_cost, *bounds, None)[0] == 0  # the consistent arrays run
     for bad in (
-        ([2, 2], *args[1:], *bounds),  # unit 1 runs past the variant columns
-        (*args[:3], [1, 1], *args[4:], *bounds),  # a short demand column
-        (*args[:7], [9], args[8], *bounds),  # a short capacity column
-        (*args, [9, 4], *bounds[1:]),  # a short suffix_min
-        (*args, *bounds[:2], [1, 1], bounds[3]),  # a short need column
+        ([2, 2], *args[1:], by_cost, *bounds),  # unit 1 runs past the variant columns
+        (*args[:3], [1, 1], *args[4:], by_cost, *bounds),  # a short demand column
+        (*args[:7], [9], args[8], by_cost, *bounds),  # a short capacity column
+        (*args, [0, 1], *bounds),  # a short by_cost
+        (*args, by_cost, [9, 4], *bounds[1:]),  # a short suffix_min
+        (*args, by_cost, *bounds[:2], [1, 1], bounds[3]),  # a short need column
     ):
         with pytest.raises(ValueError, match="inconsistent lengths"):
             kernel(*bad, None)
+    # unit 0's slice points at unit 1's variant: refused before the walk,
+    # with and without a target
+    for target in (None, 9):
+        with pytest.raises(ValueError, match="outside its unit"):
+            kernel(*args, [0, 2, 2], *bounds, None, target)
 
 
 @pytest.mark.parametrize("name", engine.available_backends())
@@ -105,8 +116,9 @@ def test_forward_check_stops_where_a_later_unit_fits_nowhere(name):
         [10, 10],  # cap_cpu
         [0, 0],  # cap_gpu
     )
+    by_cost = [0, 1, 2, 3]
     bounds = ([3, 2, 1, 0], [6, 6, 6, 0], [1, 1, 1, 0], [0, 0, 0, 0])
-    result = engine.get_backend(name).solve_search(*args, *bounds, None)
+    result = engine.get_backend(name).solve_search(*args, by_cost, *bounds, None)
     # visited: the root; unit 0's first variant on node 0, where the
     # forward check returns; its second variant on node 0, units 1 and 2
     # on node 0 and the leaf.  Every later branch fails the cost cut.
@@ -119,7 +131,7 @@ def test_cost_cut_after_a_child_skips_an_identical_node(name):
     # descent is optimal, so node 1 is never entered at any depth
     args = ([1, 1], [0, 1], [2, 2], [1, 1], [0, 0], [4, 5], [9, 9], [9, 9], [0, 0])
     bounds = ([9, 5, 0], [2, 2, 0], [1, 1, 0], [0, 0, 0])
-    result = engine.get_backend(name).solve_search(*args, *bounds, None)
+    result = engine.get_backend(name).solve_search(*args, [0, 1], *bounds, None)
     assert result == (0, 9, [(0, 0), (0, 0)], 3)
 
 
@@ -131,9 +143,10 @@ def test_skipping_the_forward_scan_changes_nothing(name):
     for seed in range(200):
         model, platform = random_high_model(seed, product_cap=30_000)
         scaled = _scale(model, platform, SolverConfig(), "demand")
+        args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min)
         never = [sum(scaled.kernel_args[6]) + 1] * len(scaled.suffix_min)
-        with_shortcut = kernel(*scaled.kernel_args, scaled.suffix_min, *scaled.suffix_need, None)
-        scan_only = kernel(*scaled.kernel_args, scaled.suffix_min, never, never, never, None)
+        with_shortcut = kernel(*args, *scaled.suffix_need, None)
+        scan_only = kernel(*args, never, never, never, None)
         assert with_shortcut == scan_only, f"seed {seed}"
 
 
@@ -163,7 +176,7 @@ def test_target_returns_the_first_leaf_at_most_the_target(name):
     for seed in range(100):
         model, platform = random_high_model(seed, max_units=5, product_cap=2_000)
         scaled = _scale(model, platform, SolverConfig(), "demand")
-        args = (*scaled.kernel_args, scaled.suffix_min, *scaled.suffix_need)
+        args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min, *scaled.suffix_need)
         leaves = list(_leaves_in_walk_order(*scaled.kernel_args))
         assert kernel(*args, None, None) == kernel(*args, None)
         status, best, _, visited = kernel(*args, None)
@@ -192,10 +205,12 @@ def test_target_cuts_every_child_above_it(name):
     # cut, the second descends to a leaf and the walk stops there
     args = ([3, 1], [0, 3], [1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0], [4, 2, 3, 1],
             [9], [9], [0])
+    by_cost = [1, 2, 0, 3]  # unit 0 cheapest first: costs 2, 3, 4
     bounds = ([3, 1, 0], [1, 1, 0], [1, 1, 0], [0, 0, 0])
     kernel = engine.get_backend(name).solve_search
-    assert kernel(*args, *bounds, None, 4) == (0, 3, [(1, 0), (0, 0)], 3)
-    assert kernel(*args, *bounds, None, 5) == (0, 5, [(0, 0), (0, 0)], 3)
-    assert kernel(*args, *bounds, None, 2) == (1, None, [], 1)
-    # without a target the walk finds 5 first, then improves to 3
-    assert kernel(*args, *bounds, None) == (0, 3, [(1, 0), (0, 0)], 5)
+    assert kernel(*args, by_cost, *bounds, None, 4) == (0, 3, [(1, 0), (0, 0)], 3)
+    assert kernel(*args, by_cost, *bounds, None, 5) == (0, 5, [(0, 0), (0, 0)], 3)
+    assert kernel(*args, by_cost, *bounds, None, 2) == (1, None, [], 1)
+    # without a target the walk tries the cost-2 variant first, and its
+    # leaf at 3 cuts the other two
+    assert kernel(*args, by_cost, *bounds, None) == (0, 3, [(1, 0), (0, 0)], 3)

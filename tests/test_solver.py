@@ -443,20 +443,20 @@ def _reversed(model):
 
 def _spy(monkeypatch, on_call=None):
     """Route `solve`'s kernel calls through a wrapper and return the list
-    of (target, result) it records per call.  `on_call(i, kernel, *args)`,
-    when given, stands in for the i-th call (from 1)."""
+    of (target, result) it records per call.  `on_call(i, kernel, *args,
+    **kwargs)`, when given, stands in for the i-th call (from 1)."""
     calls = []
     get_backend = engine.get_backend
 
     def spied(name="auto"):
         real = get_backend(name)
 
-        def solve_search(*args):
+        def solve_search(*args, **kwargs):
             if on_call is None:
-                result = real.solve_search(*args)
+                result = real.solve_search(*args, **kwargs)
             else:
-                result = on_call(len(calls) + 1, real.solve_search, *args)
-            calls.append((args[14] if len(args) > 14 else None, result))
+                result = on_call(len(calls) + 1, real.solve_search, *args, **kwargs)
+            calls.append((kwargs.get("target"), result))
             return result
 
         return dataclasses.replace(real, solve_search=solve_search)
@@ -511,7 +511,9 @@ def test_timeout_in_the_first_walk_reports_its_incumbent(monkeypatch, name, flag
     # check, and its incumbent comes back in declared variant indices
     model, platform = _hard_packing()
     model = _reversed(model)
-    calls = _spy(monkeypatch, lambda i, kernel, *args: kernel(*args[:13], 0, *args[14:]))
+    calls = _spy(
+        monkeypatch, lambda i, kernel, *args, **kw: kernel(*args, **{**kw, "deadline_ns": 0})
+    )
     scheme = solve(model, platform, SolverConfig(incumbent_on_timeout=flag), backend=name)
     assert [target for target, _ in calls] == [None]
     assert scheme.status == "timeout"
@@ -539,8 +541,8 @@ def test_timeout_in_the_second_walk_reports_the_first_walks_optimum(monkeypatch,
         "B": Placement(1, "g"),
     }
 
-    def second_times_out(i, kernel, *args):
-        return (2, None, [], 7) if i == 2 else kernel(*args)
+    def second_times_out(i, kernel, *args, **kwargs):
+        return (2, None, [], 7) if i == 2 else kernel(*args, **kwargs)
 
     calls = _spy(monkeypatch, second_times_out)
     scheme = solve(model, platform, SolverConfig(incumbent_on_timeout=flag), backend=name)
