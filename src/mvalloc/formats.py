@@ -9,14 +9,15 @@ indent=2, sort_keys=True, separators=(",", ": "))` and a newline, so the
 same data always gives the same bytes.
 
 Files are written through `write_atomic`, temp-file-then-rename in the
-target directory, so readers never observe a partial file.
+target directory, so readers never observe a partial file.  A new file
+gets the mode `open` would give it: 0o666 less the umask.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
+from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -64,12 +65,6 @@ def _loads(text: str) -> object:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def _obj(value: object, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{path}: expected an object")
-    return value
-
-
 def _arr(value: object, path: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{path}: expected an array")
@@ -96,144 +91,158 @@ def _count(value: object, path: str) -> int:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _reject_unknown(obj: dict, known: tuple[str, ...], path: str) -> None:
-    for key in sorted(obj):
-        if key not in known:
-            raise ParseError(f"{path}: unknown field {key!r}")
+_REQUIRED = object()
+# a component's or compacted variant's demand fields: ResourceDemand's attributes
+_DEMAND = tuple(f.name for f in fields(ResourceDemand))
+_COMPONENT = ("id", "kind", "function", *_DEMAND)
+_VARIANT = ("members", *_DEMAND)
 
 
-def _require(obj: dict, key: str, path: str) -> object:
-    if key not in obj:
+def _record(raw: object, path: str, known: tuple[str, ...] | None = None) -> dict:
+    """`raw` as an object; with `known`, one whose keys all are in it (the
+    first unknown key in sorted order is reported)."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected an object")
+    unknown = known and raw.keys() - known
+    if unknown:
+        raise ParseError(f"{path}: unknown field {min(unknown)!r}")
+    return raw
+
+
+def _field(obj: dict, key: str, path: str, read, default: object = _REQUIRED):
+    """`read(obj[key], "path.key")`, or `default` when `key` is absent;
+    without a default an absent key is an error.  Each reader reads its
+    fields in a fixed order, so a document always reports the same fault."""
+    if key in obj:
+        return read(obj[key], f"{path}.{key}")
+    if default is _REQUIRED:
         raise ParseError(f"{path}: missing field {key!r}")
-    return obj[key]
+    return default
 
 
-def _pairs(value: object, path: str) -> list[tuple[str, str]]:
-    out = []
-    for i, entry in enumerate(_arr(value, path)):
-        pair = _arr(entry, f"{path}[{i}]")
-        if len(pair) != 2:
-            raise ParseError(f"{path}[{i}]: expected a [from, to] pair")
-        out.append((_str(pair[0], f"{path}[{i}][0]"), _str(pair[1], f"{path}[{i}][1]")))
+def _items(obj: dict, key: str, path: str, read, default: object = _REQUIRED):
+    """`_field` for an array: `read` applied to each element at path.key[i]."""
+    if key not in obj:
+        return _field(obj, key, path, read, default)
+    return _array(obj[key], f"{path}.{key}", read)
+
+
+def _array(raw: object, path: str, read) -> list:
+    return [read(value, f"{path}[{i}]") for i, value in enumerate(_arr(raw, path))]
+
+
+def _map(raw: object, path: str, read) -> dict:
+    """An object of any keys, each value read by `read` at path['key']."""
+    return {key: read(value, f"{path}[{key!r}]") for key, value in _record(raw, path).items()}
+
+
+def _strings(raw: object, path: str) -> list[str]:
+    return _array(raw, path, _str)
+
+
+def _pair(raw: object, path: str) -> tuple[str, str]:
+    pair = _arr(raw, path)
+    if len(pair) != 2:
+        raise ParseError(f"{path}: expected a [from, to] pair")
+    return _str(pair[0], f"{path}[0]"), _str(pair[1], f"{path}[1]")
+
+
+def _demand(obj: dict, path: str) -> ResourceDemand:
+    """The demand fields of a component or of a compacted variant."""
+    return ResourceDemand(
+        mem=_field(obj, "mem", path, _number),
+        cpu=_field(obj, "cpu", path, _number),
+        gpu_threads=_field(obj, "gpu_threads", path, _count, 0),
+        exec_ms=_field(obj, "exec_ms", path, _number),
+    )
+
+
+def _put_demand(demand: ResourceDemand, out: dict) -> dict:
+    """`out` with the fields `_demand` reads added."""
+    out["mem"] = format_number(demand.mem)
+    out["cpu"] = format_number(demand.cpu)
+    out["gpu_threads"] = demand.gpu_threads
+    out["exec_ms"] = format_number(demand.exec_ms)
     return out
 
 
 # --- model ---------------------------------------------------------------
 
 
-def _parse_component(raw: object, path: str) -> Component:
-    obj = _obj(raw, path)
-    _reject_unknown(
-        obj, ("id", "kind", "function", "mem", "cpu", "gpu_threads", "exec_ms"), path
-    )
-    kind_raw = _str(_require(obj, "kind", path), f"{path}.kind")
+def _kind(raw: object, path: str) -> Kind:
+    kind = _str(raw, path)
     try:
-        kind = Kind(kind_raw)
+        return Kind(kind)
     except ValueError:
-        raise ParseError(f"{path}.kind: expected CPU or GPU, got {kind_raw!r}") from None
+        raise ParseError(f"{path}: expected CPU or GPU, got {kind!r}") from None
+
+
+def _component(raw: object, path: str) -> Component:
+    obj = _record(raw, path, _COMPONENT)
     return Component(
-        id=_str(_require(obj, "id", path), f"{path}.id"),
-        kind=kind,
-        function=_str(_require(obj, "function", path), f"{path}.function"),
-        demand=ResourceDemand(
-            mem=_number(_require(obj, "mem", path), f"{path}.mem"),
-            cpu=_number(_require(obj, "cpu", path), f"{path}.cpu"),
-            gpu_threads=_count(obj.get("gpu_threads", 0), f"{path}.gpu_threads"),
-            exec_ms=_number(_require(obj, "exec_ms", path), f"{path}.exec_ms"),
-        ),
+        kind=_field(obj, "kind", path, _kind),
+        id=_field(obj, "id", path, _str),
+        function=_field(obj, "function", path, _str),
+        demand=_demand(obj, path),
     )
 
 
-def _parse_assembly(raw: object, path: str) -> Assembly:
-    obj = _obj(raw, path)
-    _reject_unknown(obj, ("components", "connections"), path)
-    components = [
-        _str(c, f"{path}.components[{i}]")
-        for i, c in enumerate(_arr(_require(obj, "components", path), f"{path}.components"))
-    ]
-    connections = _pairs(obj.get("connections", []), f"{path}.connections")
-    return Assembly(components=components, connections=connections)
+def _repository(raw: object, path: str) -> Repository:
+    obj = _record(raw, path, ("components", "version_groups"))
+    return Repository(
+        components=_items(obj, "components", path, _component),
+        version_groups=_map(obj.get("version_groups", {}), f"{path}.version_groups", _strings),
+    )
 
 
-def _parse_architecture(raw: object, path: str) -> SystemArchitecture:
-    obj = _obj(raw, path)
-    _reject_unknown(obj, ("units", "singletons", "connections"), path)
-    units = []
-    for i, entry in enumerate(_arr(obj.get("units", []), f"{path}.units")):
-        upath = f"{path}.units[{i}]"
-        uobj = _obj(entry, upath)
-        _reject_unknown(uobj, ("id", "policy", "topology", "alternatives"), upath)
-        topology = None
-        if "topology" in uobj:
-            topology = [
-                _str(f, f"{upath}.topology[{j}]")
-                for j, f in enumerate(_arr(uobj["topology"], f"{upath}.topology"))
-            ]
-        alternatives = None
-        if "alternatives" in uobj:
-            alternatives = [
-                _parse_assembly(a, f"{upath}.alternatives[{j}]")
-                for j, a in enumerate(_arr(uobj["alternatives"], f"{upath}.alternatives"))
-            ]
-        units.append(
-            UnitSpec(
-                id=_str(_require(uobj, "id", upath), f"{upath}.id"),
-                policy=_str(_require(uobj, "policy", upath), f"{upath}.policy"),
-                topology=topology,
-                alternatives=alternatives,
-            )
-        )
-    singletons = [
-        _str(s, f"{path}.singletons[{i}]")
-        for i, s in enumerate(_arr(obj.get("singletons", []), f"{path}.singletons"))
-    ]
-    connections = _pairs(obj.get("connections", []), f"{path}.connections")
-    return SystemArchitecture(units=units, singletons=singletons, connections=connections)
+def _node(raw: object, path: str) -> HardwareNode:
+    obj = _record(raw, path, ("id", "use_mem", "use_cpu", "use_gpu"))
+    return HardwareNode(
+        id=_field(obj, "id", path, _str),
+        use_mem=_field(obj, "use_mem", path, _number),
+        use_cpu=_field(obj, "use_cpu", path, _number),
+        use_gpu=_field(obj, "use_gpu", path, _count, 0),
+    )
+
+
+def _platform(raw: object, path: str) -> Platform:
+    return Platform(nodes=_items(_record(raw, path, ("nodes",)), "nodes", path, _node))
+
+
+def _assembly(raw: object, path: str) -> Assembly:
+    obj = _record(raw, path, ("components", "connections"))
+    return Assembly(
+        components=_field(obj, "components", path, _strings),
+        connections=_items(obj, "connections", path, _pair, []),
+    )
+
+
+def _unit_spec(raw: object, path: str) -> UnitSpec:
+    obj = _record(raw, path, ("id", "policy", "topology", "alternatives"))
+    return UnitSpec(
+        topology=_field(obj, "topology", path, _strings, None),
+        alternatives=_items(obj, "alternatives", path, _assembly, None),
+        id=_field(obj, "id", path, _str),
+        policy=_field(obj, "policy", path, _str),
+    )
+
+
+def _architecture(raw: object, path: str) -> SystemArchitecture:
+    obj = _record(raw, path, ("units", "singletons", "connections"))
+    return SystemArchitecture(
+        units=_items(obj, "units", path, _unit_spec, []),
+        singletons=_field(obj, "singletons", path, _strings, []),
+        connections=_items(obj, "connections", path, _pair, []),
+    )
 
 
 def parse_model(text: str) -> tuple[Repository, Platform, SystemArchitecture | None]:
-    root = _obj(_loads(text), "$")
-    _reject_unknown(root, ("repository", "platform", "architecture"), "$")
-    repo_obj = _obj(_require(root, "repository", "$"), "$.repository")
-    _reject_unknown(repo_obj, ("components", "version_groups"), "$.repository")
-    components = [
-        _parse_component(c, f"$.repository.components[{i}]")
-        for i, c in enumerate(
-            _arr(_require(repo_obj, "components", "$.repository"), "$.repository.components")
-        )
-    ]
-    groups_obj = _obj(repo_obj.get("version_groups", {}), "$.repository.version_groups")
-    version_groups = {}
-    for function, members in groups_obj.items():
-        gpath = f"$.repository.version_groups[{function!r}]"
-        version_groups[function] = [
-            _str(m, f"{gpath}[{i}]") for i, m in enumerate(_arr(members, gpath))
-        ]
-    repo = Repository(components=components, version_groups=version_groups)
-
-    plat_obj = _obj(_require(root, "platform", "$"), "$.platform")
-    _reject_unknown(plat_obj, ("nodes",), "$.platform")
-    nodes = []
-    for i, entry in enumerate(
-        _arr(_require(plat_obj, "nodes", "$.platform"), "$.platform.nodes")
-    ):
-        npath = f"$.platform.nodes[{i}]"
-        nobj = _obj(entry, npath)
-        _reject_unknown(nobj, ("id", "use_mem", "use_cpu", "use_gpu"), npath)
-        nodes.append(
-            HardwareNode(
-                id=_str(_require(nobj, "id", npath), f"{npath}.id"),
-                use_mem=_number(_require(nobj, "use_mem", npath), f"{npath}.use_mem"),
-                use_cpu=_number(_require(nobj, "use_cpu", npath), f"{npath}.use_cpu"),
-                use_gpu=_count(nobj.get("use_gpu", 0), f"{npath}.use_gpu"),
-            )
-        )
-    platform = Platform(nodes=nodes)
-
-    architecture = None
-    if "architecture" in root:
-        architecture = _parse_architecture(root["architecture"], "$.architecture")
-    return repo, platform, architecture
+    root = _record(_loads(text), "$", ("repository", "platform", "architecture"))
+    return (
+        _field(root, "repository", "$", _repository),
+        _field(root, "platform", "$", _platform),
+        _field(root, "architecture", "$", _architecture, None),
+    )
 
 
 def _dump_assembly(assembly: Assembly) -> dict:
@@ -251,15 +260,7 @@ def dump_model(
     root: dict = {
         "repository": {
             "components": [
-                {
-                    "id": c.id,
-                    "kind": c.kind.value,
-                    "function": c.function,
-                    "mem": format_number(c.demand.mem),
-                    "cpu": format_number(c.demand.cpu),
-                    "gpu_threads": c.demand.gpu_threads,
-                    "exec_ms": format_number(c.demand.exec_ms),
-                }
+                _put_demand(c.demand, {"id": c.id, "kind": c.kind.value, "function": c.function})
                 for c in repo.components
             ],
         },
@@ -301,43 +302,26 @@ def dump_model(
 # --- compacted model -----------------------------------------------------
 
 
+def _variant(raw: object, path: str) -> Variant:
+    obj = _record(raw, path, _VARIANT)
+    return Variant(members=_field(obj, "members", path, _strings), props=_demand(obj, path))
+
+
+def _unit(raw: object, path: str) -> MultiVariantUnit:
+    obj = _record(raw, path, ("id", "variants"))
+    unit_id = _field(obj, "id", path, _str)
+    variants = _items(obj, "variants", path, _variant)
+    if not variants:
+        raise ParseError(f"{path}.variants: a unit needs at least one variant")
+    return MultiVariantUnit(id=unit_id, variants=variants)
+
+
 def parse_compacted(text: str) -> HighLayerModel:
-    root = _obj(_loads(text), "$")
-    _reject_unknown(root, ("units", "connections"), "$")
-    units: list[MultiVariantUnit] = []
-    for i, entry in enumerate(_arr(_require(root, "units", "$"), "$.units")):
-        upath = f"$.units[{i}]"
-        uobj = _obj(entry, upath)
-        _reject_unknown(uobj, ("id", "variants"), upath)
-        unit_id = _str(_require(uobj, "id", upath), f"{upath}.id")
-        variants = []
-        raw_variants = _arr(_require(uobj, "variants", upath), f"{upath}.variants")
-        if not raw_variants:
-            raise ParseError(f"{upath}.variants: a unit needs at least one variant")
-        for j, ventry in enumerate(raw_variants):
-            vpath = f"{upath}.variants[{j}]"
-            vobj = _obj(ventry, vpath)
-            _reject_unknown(vobj, ("members", "mem", "cpu", "gpu_threads", "exec_ms"), vpath)
-            members = [
-                _str(m, f"{vpath}.members[{k}]")
-                for k, m in enumerate(_arr(_require(vobj, "members", vpath), f"{vpath}.members"))
-            ]
-            variants.append(
-                Variant(
-                    members=members,
-                    props=ResourceDemand(
-                        mem=_number(_require(vobj, "mem", vpath), f"{vpath}.mem"),
-                        cpu=_number(_require(vobj, "cpu", vpath), f"{vpath}.cpu"),
-                        gpu_threads=_count(
-                            vobj.get("gpu_threads", 0), f"{vpath}.gpu_threads"
-                        ),
-                        exec_ms=_number(_require(vobj, "exec_ms", vpath), f"{vpath}.exec_ms"),
-                    ),
-                )
-            )
-        units.append(MultiVariantUnit(id=unit_id, variants=variants))
-    connections = _pairs(root.get("connections", []), "$.connections")
-    return HighLayerModel(units=units, connections=connections)
+    root = _record(_loads(text), "$", ("units", "connections"))
+    return HighLayerModel(
+        units=_items(root, "units", "$", _unit),
+        connections=_items(root, "connections", "$", _pair, []),
+    )
 
 
 def dump_compacted(model: HighLayerModel) -> str:
@@ -346,14 +330,7 @@ def dump_compacted(model: HighLayerModel) -> str:
             {
                 "id": unit.id,
                 "variants": [
-                    {
-                        "members": list(v.members),
-                        "mem": format_number(v.props.mem),
-                        "cpu": format_number(v.props.cpu),
-                        "gpu_threads": v.props.gpu_threads,
-                        "exec_ms": format_number(v.props.exec_ms),
-                    }
-                    for v in unit.variants
+                    _put_demand(v.props, {"members": list(v.members)}) for v in unit.variants
                 ],
             }
             for unit in model.units
@@ -367,24 +344,22 @@ def dump_compacted(model: HighLayerModel) -> str:
 # --- allocation scheme ---------------------------------------------------
 
 
+def _placement(raw: object, path: str) -> Placement:
+    obj = _record(raw, path, ("variant", "node"))
+    return Placement(
+        variant=_field(obj, "variant", path, _count), node=_field(obj, "node", path, _str)
+    )
+
+
 def parse_scheme(text: str) -> AllocationScheme:
-    root = _obj(_loads(text), "$")
-    _reject_unknown(root, ("status", "objective_ms", "placements"), "$")
-    status = _str(_require(root, "status", "$"), "$.status")
+    root = _record(_loads(text), "$", ("status", "objective_ms", "placements"))
+    status = _field(root, "status", "$", _str)
     if status not in _STATUSES:
         raise ParseError(f"$.status: expected one of {', '.join(_STATUSES)}")
     objective = None
     if root.get("objective_ms") is not None:
         objective = _number(root["objective_ms"], "$.objective_ms")
-    placements: dict[str, Placement] = {}
-    for unit_id, entry in _obj(root.get("placements", {}), "$.placements").items():
-        ppath = f"$.placements[{unit_id!r}]"
-        pobj = _obj(entry, ppath)
-        _reject_unknown(pobj, ("variant", "node"), ppath)
-        placements[unit_id] = Placement(
-            variant=_count(_require(pobj, "variant", ppath), f"{ppath}.variant"),
-            node=_str(_require(pobj, "node", ppath), f"{ppath}.node"),
-        )
+    placements = _map(root.get("placements", {}), "$.placements", _placement)
     return AllocationScheme(status=status, objective_ms=objective, placements=placements)
 
 
@@ -406,12 +381,8 @@ def dump_scheme(scheme: AllocationScheme) -> str:
 
 
 def parse_assignment(text: str) -> dict[str, str]:
-    root = _obj(_loads(text), "$")
-    _reject_unknown(root, ("assignments",), "$")
-    out = {}
-    for cid, node in _obj(_require(root, "assignments", "$"), "$.assignments").items():
-        out[cid] = _str(node, f"$.assignments[{cid!r}]")
-    return out
+    root = _record(_loads(text), "$", ("assignments",))
+    return _map(_field(root, "assignments", "$", _record), "$.assignments", _str)
 
 
 def dump_assignment(assignment: dict[str, str]) -> str:
@@ -419,8 +390,7 @@ def dump_assignment(assignment: dict[str, str]) -> str:
 
 
 def parse_weights(text: str) -> dict[str, Fraction]:
-    root = _obj(_loads(text), "$")
-    return {unit_id: _number(v, f"$[{unit_id!r}]") for unit_id, v in root.items()}
+    return _map(_loads(text), "$", _number)
 
 
 # --- output --------------------------------------------------------------
@@ -460,11 +430,9 @@ def _write(value: object, newline: str, emit) -> None:
 
 def write_atomic(path: str | os.PathLike, text: str) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=target.parent if str(target.parent) else ".",
-        prefix=target.name + ".",
-        suffix=".tmp",
-    )
+    tmp = target.parent / f"{target.name}.{os.urandom(8).hex()}.tmp"
+    # O_EXCL never opens an existing file; the umask applies to 0o666
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -50,7 +50,9 @@ def parse_number(raw: object) -> Fraction:
 
 
 def parse_count(raw: object) -> int:
-    """Parse a non-negative integer field (thread counts and the like)."""
+    """Parse an integer field (thread counts and the like).  The sign is
+    not checked here: a negative count is returned as it is; the model
+    validators report it and the solver's scaling refuses it."""
     if type(raw) is int:
         return raw
     value = parse_number(raw)

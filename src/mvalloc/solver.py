@@ -369,16 +369,11 @@ def solve(
     status = _STATUS[code]
     log.debug("status %s after %d search nodes on backend %s", status, visited, be.name)
 
-    expose = status == OPTIMAL or (
-        status == TIMED_OUT and cfg.incumbent_on_timeout and choices
-    )
     placements: dict[str, Placement] = {}
     objective = None
-    if expose and choices:
+    if status == OPTIMAL or (status == TIMED_OUT and cfg.incumbent_on_timeout and choices):
         placements = _placements(scaled, choices)
         objective = Fraction(cost, scaled.cost_den)
-    elif status == OPTIMAL:
-        objective = Fraction(cost, scaled.cost_den)  # zero units
     return AllocationScheme(status, objective, placements, visited=visited, backend=be.name)
 
 

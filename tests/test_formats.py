@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 from fractions import Fraction
 
 import pytest
@@ -66,39 +68,200 @@ def test_model_without_architecture():
     assert (back_repo, back_platform) == (repo, platform)
 
 
+def _units(d):
+    return d["architecture"]["units"]
+
+
+def _kept(mutate, message, old_id):
+    """A case that was matched by a substring `old_id` before its whole
+    message was pinned; it keeps the test id it had then."""
+    return pytest.param(mutate, message, id=f"<lambda>-{old_id}")
+
+
+def _reject(parse, doc, message):
+    """`parse` refuses the JSON text of `doc` with exactly `message`."""
+    with pytest.raises(ParseError) as info:
+        parse(json.dumps(doc))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda d: d.update(extra=1), "unknown field 'extra'"),
-        (lambda d: d.pop("platform"), "missing field 'platform'"),
-        (
+        # the document
+        _kept(lambda d: d.update(extra=1), "$: unknown field 'extra'", "unknown field 'extra'"),
+        _kept(lambda d: d.pop("platform"), "$: missing field 'platform'", "missing field 'platform'"),
+        # repository
+        (lambda d: d.update(repository=[]), "$.repository: expected an object"),
+        (lambda d: d["repository"].update(zeta=1, alpha=2), "$.repository: unknown field 'alpha'"),
+        (lambda d: d["repository"].pop("components"), "$.repository: missing field 'components'"),
+        _kept(
+            lambda d: d["repository"].update(components={}),
+            "$.repository.components: expected an array",
+            "expected an array",
+        ),
+        # component
+        _kept(
             lambda d: d["repository"]["components"][0].update(mem=1.5),
+            "$.repository.components[0].mem: floats are not accepted (got 1.5);"
+            " write the value as a string",
             "floats are not accepted",
         ),
-        (
+        _kept(
             lambda d: d["repository"]["components"][0].update(kind="TPU"),
+            "$.repository.components[0].kind: expected CPU or GPU, got 'TPU'",
             "expected CPU or GPU",
         ),
-        (
+        _kept(
             lambda d: d["repository"]["components"][0].pop("exec_ms"),
+            "$.repository.components[0]: missing field 'exec_ms'",
             "missing field 'exec_ms'",
         ),
         (
+            lambda d: [d["repository"]["components"][3].pop(k) for k in ("id", "kind")],
+            "$.repository.components[3]: missing field 'kind'",
+        ),
+        (
+            lambda d: d["repository"]["components"][1].update(gpu=1, demand=2),
+            "$.repository.components[1]: unknown field 'demand'",
+        ),
+        (
+            lambda d: d["repository"]["components"][2].update(gpu_threads="x"),
+            "$.repository.components[2].gpu_threads: not a valid number string: 'x'",
+        ),
+        (
+            lambda d: d["repository"]["components"][2].update(id=7, cpu=None),
+            "$.repository.components[2].id: expected a string",
+        ),
+        (
+            lambda d: d["repository"]["components"][4].update(cpu=None),
+            "$.repository.components[4].cpu: expected a number, got NoneType",
+        ),
+        (
+            lambda d: d["repository"]["components"].insert(5, "x"),
+            "$.repository.components[5]: expected an object",
+        ),
+        # version group
+        (
+            lambda d: d["repository"].update(version_groups=[]),
+            "$.repository.version_groups: expected an object",
+        ),
+        (
+            lambda d: d["repository"]["version_groups"].update(EdgeDetection="EdgeDetectionCPU"),
+            "$.repository.version_groups['EdgeDetection']: expected an array",
+        ),
+        (
+            lambda d: d["repository"]["version_groups"]["EdgeDetection"].append(3),
+            "$.repository.version_groups['EdgeDetection'][2]: expected a string",
+        ),
+        # platform and node
+        (lambda d: d["platform"].update(cpus=2), "$.platform: unknown field 'cpus'"),
+        (lambda d: d["platform"].pop("nodes"), "$.platform: missing field 'nodes'"),
+        _kept(
             lambda d: d["platform"]["nodes"][0].update(use_gpu="1/2"),
+            "$.platform.nodes[0].use_gpu: expected an integer, got '1/2'",
             "expected an integer",
         ),
         (
+            lambda d: d["platform"]["nodes"][1].pop("use_cpu"),
+            "$.platform.nodes[1]: missing field 'use_cpu'",
+        ),
+        (
+            lambda d: d["platform"]["nodes"][1].update(cpu=1),
+            "$.platform.nodes[1]: unknown field 'cpu'",
+        ),
+        (
+            lambda d: d["platform"]["nodes"][0].update(use_mem=True),
+            "$.platform.nodes[0].use_mem: expected a number, got a boolean",
+        ),
+        (lambda d: d["platform"]["nodes"].append([]), "$.platform.nodes[2]: expected an object"),
+        # architecture
+        (lambda d: d.update(architecture=[]), "$.architecture: expected an object"),
+        (lambda d: d["architecture"].update(extra=1), "$.architecture: unknown field 'extra'"),
+        (
+            lambda d: d["architecture"]["singletons"].insert(2, 4),
+            "$.architecture.singletons[2]: expected a string",
+        ),
+        (lambda d: d["architecture"].update(units={}), "$.architecture.units: expected an array"),
+        # unit spec: topology and alternatives come before id and policy
+        (
+            lambda d: _units(d)[0].update(id=None, topology=5),
+            "$.architecture.units[0].topology: expected an array",
+        ),
+        (
+            lambda d: [_units(d)[0].pop("policy"), _units(d)[0].update(alternatives={})],
+            "$.architecture.units[0].alternatives: expected an array",
+        ),
+        (
+            lambda d: [_units(d)[1].pop(k) for k in ("id", "policy")],
+            "$.architecture.units[1]: missing field 'id'",
+        ),
+        (
+            lambda d: _units(d)[1].pop("policy"),
+            "$.architecture.units[1]: missing field 'policy'",
+        ),
+        (
+            lambda d: _units(d)[1].update(policy=3),
+            "$.architecture.units[1].policy: expected a string",
+        ),
+        (
+            lambda d: _units(d)[0]["topology"].insert(1, 2),
+            "$.architecture.units[0].topology[1]: expected a string",
+        ),
+        (
+            lambda d: _units(d)[1].update(variants=[]),
+            "$.architecture.units[1]: unknown field 'variants'",
+        ),
+        (lambda d: _units(d).append(None), "$.architecture.units[2]: expected an object"),
+        # assembly
+        (
+            lambda d: _units(d)[0]["alternatives"][1].pop("components"),
+            "$.architecture.units[0].alternatives[1]: missing field 'components'",
+        ),
+        (
+            lambda d: _units(d)[0]["alternatives"][2].update(id="a"),
+            "$.architecture.units[0].alternatives[2]: unknown field 'id'",
+        ),
+        (
+            lambda d: _units(d)[1]["alternatives"][0]["components"].insert(3, None),
+            "$.architecture.units[1].alternatives[0].components[3]: expected a string",
+        ),
+        (
+            lambda d: _units(d)[0]["alternatives"].insert(1, []),
+            "$.architecture.units[0].alternatives[1]: expected an object",
+        ),
+        # connection pair
+        _kept(
             lambda d: d["architecture"].update(connections=[["only-one"]]),
+            "$.architecture.connections[0]: expected a [from, to] pair",
             "expected a \\[from, to\\] pair",
         ),
-        (lambda d: d["repository"].update(components={}), "expected an array"),
+        (
+            lambda d: d["architecture"]["connections"].insert(1, "a-b"),
+            "$.architecture.connections[1]: expected an array",
+        ),
+        (
+            lambda d: d["architecture"]["connections"][2].insert(0, 1),
+            "$.architecture.connections[2]: expected a [from, to] pair",
+        ),
+        (
+            lambda d: d["architecture"]["connections"][3].__setitem__(0, 1),
+            "$.architecture.connections[3][0]: expected a string",
+        ),
+        (
+            lambda d: _units(d)[0]["alternatives"][0]["connections"][2].__setitem__(1, 5),
+            "$.architecture.units[0].alternatives[0].connections[2][1]: expected a string",
+        ),
+        (
+            lambda d: _units(d)[1]["alternatives"][1].update(connections={}),
+            "$.architecture.units[1].alternatives[1].connections: expected an array",
+        ),
     ],
 )
 def test_parse_model_rejects_bad_documents(mutate, message):
     doc = json.loads(robot_model_text())
     mutate(doc)
-    with pytest.raises(ParseError, match=message):
-        parse_model(json.dumps(doc))
+    _reject(parse_model, doc, message)
 
 
 def test_invalid_json_reports_the_position():
@@ -148,6 +311,138 @@ def test_compacted_round_trip_keeps_unit_order():
     scheme = solve(back, platform)
     assert scheme.placements["Cam"].node == "h0"
     assert dump_scheme(scheme) == dump_scheme(solve(high, platform))
+
+
+def _robot_documents():
+    """The robot's compacted model and its optimal scheme, as JSON data."""
+    repo, platform, architecture = parse_model(robot_model_text())
+    high = build_high_layer(architecture, repo)
+    return json.loads(dump_compacted(high)), json.loads(dump_scheme(solve(high, platform)))
+
+
+def _variants(d):
+    return d["units"][0]["variants"]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        # the document
+        (lambda d: d.update(extra=1), "$: unknown field 'extra'"),
+        (lambda d: d.pop("units"), "$: missing field 'units'"),
+        (lambda d: d.update(units={}), "$.units: expected an array"),
+        (lambda d: d.update(connections=[["a"]]), "$.connections[0]: expected a [from, to] pair"),
+        (lambda d: d["connections"].insert(1, {}), "$.connections[1]: expected an array"),
+        # unit
+        (lambda d: d["units"].insert(1, 3), "$.units[1]: expected an object"),
+        (lambda d: d["units"][1].pop("id"), "$.units[1]: missing field 'id'"),
+        (
+            lambda d: [d["units"][1].pop(k) for k in ("variants", "id")],
+            "$.units[1]: missing field 'id'",
+        ),
+        (lambda d: d["units"][2].pop("variants"), "$.units[2]: missing field 'variants'"),
+        (lambda d: d["units"][0].update(policy="x"), "$.units[0]: unknown field 'policy'"),
+        (lambda d: d["units"][0].update(id=1), "$.units[0].id: expected a string"),
+        (lambda d: d["units"][0].update(variants="v"), "$.units[0].variants: expected an array"),
+        (
+            lambda d: d["units"][3].update(variants=[]),
+            "$.units[3].variants: a unit needs at least one variant",
+        ),
+        # variant
+        (lambda d: _variants(d).insert(2, None), "$.units[0].variants[2]: expected an object"),
+        (
+            lambda d: [_variants(d)[0].pop(k) for k in ("mem", "members")],
+            "$.units[0].variants[0]: missing field 'members'",
+        ),
+        (lambda d: _variants(d)[1].pop("cpu"), "$.units[0].variants[1]: missing field 'cpu'"),
+        (
+            lambda d: _variants(d)[1].update(gpu_threads=1.5),
+            "$.units[0].variants[1].gpu_threads: floats are not accepted (got 1.5);"
+            " write the value as a string",
+        ),
+        (
+            lambda d: _variants(d)[0].update(exec_ms="fast"),
+            "$.units[0].variants[0].exec_ms: not a valid number string: 'fast'",
+        ),
+        (
+            lambda d: _variants(d)[0].update(gpu_members=0, kind="GPU"),
+            "$.units[0].variants[0]: unknown field 'gpu_members'",
+        ),
+        # members
+        (
+            lambda d: _variants(d)[0].update(members="Camera1"),
+            "$.units[0].variants[0].members: expected an array",
+        ),
+        (
+            lambda d: _variants(d)[3]["members"].insert(1, 1),
+            "$.units[0].variants[3].members[1]: expected a string",
+        ),
+    ],
+)
+def test_parse_compacted_rejects_bad_documents(mutate, message):
+    doc = _robot_documents()[0]
+    mutate(doc)
+    _reject(parse_compacted, doc, message)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        # the document
+        (lambda d: d.update(extra=1), "$: unknown field 'extra'"),
+        (lambda d: d.pop("status"), "$: missing field 'status'"),
+        (lambda d: d.update(status=1), "$.status: expected a string"),
+        (lambda d: d.update(status="great"), "$.status: expected one of optimal, infeasible, timeout"),
+        (
+            lambda d: d.update(objective_ms=1.5),
+            "$.objective_ms: floats are not accepted (got 1.5); write the value as a string",
+        ),
+        (lambda d: d.update(placements=[]), "$.placements: expected an object"),
+        # placement
+        (
+            lambda d: d["placements"].update(FrontVision=1),
+            "$.placements['FrontVision']: expected an object",
+        ),
+        (
+            lambda d: [d["placements"]["BottomVision"].pop(k) for k in ("node", "variant")],
+            "$.placements['BottomVision']: missing field 'variant'",
+        ),
+        (
+            lambda d: d["placements"]["BottomVision"].pop("node"),
+            "$.placements['BottomVision']: missing field 'node'",
+        ),
+        (
+            lambda d: d["placements"]["FrontVision"].update(unit="FrontVision"),
+            "$.placements['FrontVision']: unknown field 'unit'",
+        ),
+        (
+            lambda d: d["placements"]["FrontVision"].update(variant="1/2"),
+            "$.placements['FrontVision'].variant: expected an integer, got '1/2'",
+        ),
+        (
+            lambda d: d["placements"]["VisionManager"].update(node=3),
+            "$.placements['VisionManager'].node: expected a string",
+        ),
+    ],
+)
+def test_parse_scheme_rejects_bad_documents(mutate, message):
+    doc = _robot_documents()[1]
+    mutate(doc)
+    _reject(parse_scheme, doc, message)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "$: expected an object"),
+        ({}, "$: missing field 'assignments'"),
+        ({"assignments": [], "x": 1}, "$: unknown field 'x'"),
+        ({"assignments": []}, "$.assignments: expected an object"),
+        ({"assignments": {"a": "n1", "b": 1}}, "$.assignments['b']: expected a string"),
+    ],
+)
+def test_parse_assignment_rejects_bad_documents(doc, message):
+    _reject(parse_assignment, doc, message)
 
 
 def test_compacted_rejects_empty_variants():
@@ -201,6 +496,15 @@ def test_write_atomic_replaces_existing_content(tmp_path):
     write_atomic(target, "new")
     assert target.read_text() == "new"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_write_atomic_gives_a_new_file_the_mode_open_would(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_atomic(tmp_path / "out.json", "new")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == 0o644
 
 
 def test_write_atomic_leaves_nothing_behind_on_failure(tmp_path):
