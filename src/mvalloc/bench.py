@@ -37,7 +37,7 @@ import gc
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .compaction import HighLayerModel, build_high_layer
@@ -65,7 +65,6 @@ __all__ = [
     "run_bench",
     "format_table",
     "reports_to_json",
-    "reports_to_csv",
 ]
 
 _MASK = (1 << 64) - 1
@@ -384,42 +383,10 @@ def format_table(reports: list[BenchReport]) -> str:
 
 
 def reports_to_json(reports: list[BenchReport]) -> str:
-    payload = {
-        "reports": [
-            {
-                "n": r.n,
-                "seed": r.seed,
-                "repetitions": r.repetitions,
-                "warmup": r.warmup,
-                "backend": r.backend,
-                "rejected": r.rejected,
-                "timed_out": r.timed_out,
-                "trend_ok": r.trend_ok,
-                "models": [
-                    {
-                        "model": s.model,
-                        "mean_ms": s.mean_ms,
-                        "median_ms": s.median_ms,
-                        "stddev_ms": s.stddev_ms,
-                        "objective_ms": s.objective_ms,
-                        "visited": s.visited,
-                        "times_ms": s.times_ms,
-                    }
-                    for s in r.stats
-                ],
-            }
-            for r in reports
-        ]
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def reports_to_csv(reports: list[BenchReport]) -> str:
-    lines = ["n,seed,repetitions,rejected,backend,model,mean_ms,median_ms,stddev_ms,objective_ms"]
-    for r in reports:
-        for s in r.stats:
-            lines.append(
-                f"{r.n},{r.seed},{r.repetitions},{r.rejected},{r.backend},"
-                f"{s.model},{s.mean_ms!r},{s.median_ms!r},{s.stddev_ms!r},{s.objective_ms}"
-            )
-    return "\n".join(lines) + "\n"
+    payload = []
+    for report in reports:
+        record = asdict(report)
+        record["models"] = record.pop("stats")
+        record["trend_ok"] = report.trend_ok
+        payload.append(record)
+    return json.dumps({"reports": payload}, indent=2, sort_keys=True) + "\n"

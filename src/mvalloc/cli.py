@@ -4,8 +4,10 @@ Subcommands: validate, compact, solve, unfold, export-lp, bench, example.
 Machine-readable results go to files (written atomically), human summaries
 to stdout, problems to stderr.  Exit codes: 0 success, 1 domain violation
 (failed validation, bad configuration, oracle mismatch), 2 unreadable or
-unparseable input, 3 proven infeasible, 4 solver timeout.  The ALLOC_LOG
-environment variable (error, info, debug) controls log verbosity.
+unparseable input, 3 proven infeasible, 4 solver timeout.  Every layer's
+domain error subclasses ValueError, so `main` maps them all to 1 in one
+place.  The ALLOC_LOG environment variable (error, info, debug) controls
+log verbosity.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import logging
 import os
 import sys
 
-from .compaction import CompactionError, UnfoldError, build_high_layer, unfold
-from .engine import available_backends
+from .compaction import UnfoldError, build_high_layer, unfold
 from .formats import (
     ParseError,
     dump_assignment,
@@ -114,7 +115,6 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         unit_weights=weights,
         time_limit_ms=getattr(args, "time_limit_ms", None),
-        unit_order=getattr(args, "unit_order", "demand"),
         incumbent_on_timeout=getattr(args, "incumbent", False),
     )
 
@@ -211,33 +211,23 @@ def cmd_export_lp(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import BenchSpec, format_table, reports_to_csv, reports_to_json, run_bench
+    from .bench import BenchSpec, format_table, reports_to_json, run_bench
 
-    if args.backend == "both":
-        backends = ["c", "python"]
-        if "c" not in available_backends():
-            raise SolverError("compiled backend is not available in this install")
-    else:
-        backends = [args.backend]
-    reports = []
-    for n in args.n:
-        for backend in backends:
-            reports.append(
-                run_bench(
-                    BenchSpec(
-                        n=n,
-                        seed=args.seed,
-                        repetitions=args.reps,
-                        warmup=args.warmup,
-                        backend=backend,
-                    )
-                )
+    reports = [
+        run_bench(
+            BenchSpec(
+                n=n,
+                seed=args.seed,
+                repetitions=args.reps,
+                warmup=args.warmup,
+                backend=args.backend,
             )
+        )
+        for n in args.n
+    ]
     print(format_table(reports))
     if args.json:
         write_atomic(args.json, reports_to_json(reports))
-    if args.csv:
-        write_atomic(args.csv, reports_to_csv(reports))
     return EXIT_OK
 
 
@@ -286,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--time-limit-ms", type=int, dest="time_limit_ms")
     p.add_argument(
-        "--unit-order",
-        default="demand",
-        choices=["demand", "declared"],
-        help="search order heuristic",
-    )
-    p.add_argument(
         "--incumbent-on-timeout",
         action="store_true",
         dest="incumbent",
@@ -329,11 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--reps", type=int, default=100, help="timed repetitions per model")
     p.add_argument("--warmup", type=int, default=5)
-    p.add_argument(
-        "--backend", default="auto", choices=["auto", "c", "python", "both"]
-    )
+    p.add_argument("--backend", default="auto", choices=["auto", "c", "python"])
     p.add_argument("--json", help="write the full report as JSON here")
-    p.add_argument("--csv", help="write per-model rows as CSV here")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("example", help="write the bundled robot example model")
@@ -358,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownIdError as exc:
         print(f"error: unknown id {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (CompactionError, UnfoldError, SolverError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

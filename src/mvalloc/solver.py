@@ -139,15 +139,12 @@ class SolverConfig:
     1).  time_limit_ms bounds the wall-clock search time; on expiry the
     scheme has status "timeout" and, only when incumbent_on_timeout is
     set, the best placements found so far without any optimality claim.
-    unit_order "demand" sorts units hardest-first before the search,
-    "declared" keeps model order; nodes are always tried in platform
-    order.  The order does not affect which objective value is optimal,
-    only how fast it is reached.
+    No setting changes the search order (module docstring), so none
+    changes which optimum is reported.
     """
 
     unit_weights: dict[str, Fraction] = field(default_factory=dict)
     time_limit_ms: int | None = None
-    unit_order: str = "demand"
     incumbent_on_timeout: bool = False
 
 
@@ -178,8 +175,6 @@ class _Scaled:
 
 
 def _check_config(cfg: SolverConfig) -> None:
-    if cfg.unit_order not in ("demand", "declared"):
-        raise SolverError(f"unknown unit_order {cfg.unit_order!r}")
     if cfg.time_limit_ms is not None and cfg.time_limit_ms < 0:
         raise SolverError("time_limit_ms must be non-negative")
     for unit_id, weight in cfg.unit_weights.items():
@@ -188,9 +183,12 @@ def _check_config(cfg: SolverConfig) -> None:
 
 
 def _scale(
-    model: HighLayerModel, platform: Platform, cfg: SolverConfig, unit_order: str
+    model: HighLayerModel, platform: Platform, cfg: SolverConfig, by_demand: bool
 ) -> _Scaled:
     """Scale every demand and capacity to integers, once.
+
+    With by_demand the units come in the search order `solve` walks,
+    otherwise in declared order (`brute_force`, `lp.export_lp`).
 
     Per resource the common denominator is the lcm of every value's
     denominator.  Values sit in flat per-variant columns in declared order,
@@ -264,7 +262,7 @@ def _scale(
     int64_safe = max(maxima) < bound and all(c < bound for cap in caps for c in cap)
 
     order = range(len(units))
-    if unit_order == "demand":
+    if by_demand:
         # max over resources of min demand / total capacity, compared
         # exactly over the common denominator; the sort is stable, so
         # ties keep declared order
@@ -341,7 +339,7 @@ def solve(
     if cfg.time_limit_ms is not None:
         deadline_ns = time.monotonic_ns() + cfg.time_limit_ms * 1_000_000
 
-    scaled = _scale(model, platform, cfg, cfg.unit_order)
+    scaled = _scale(model, platform, cfg, by_demand=True)
     be = engine.get_backend(backend)
     if be.name == "c" and not scaled.int64_safe:
         if backend == "c":
@@ -389,7 +387,7 @@ def brute_force(
     BRUTE_FORCE_GUARD.
     """
     cfg = config or SolverConfig()
-    scaled = _scale(model, platform, cfg, "declared")
+    scaled = _scale(model, platform, cfg, by_demand=False)
     assignments = 1
     k = len(scaled.node_ids)
     for count in scaled.kernel_args[0]:  # nv

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import random_detailed, random_high_model, random_scheme
+from random_models import random_detailed, random_high_model, random_scheme
 
 from mvalloc.bench import BenchSpec, run_bench
 from mvalloc.compaction import build_high_layer, unfold

@@ -11,7 +11,6 @@ from mvalloc.bench import (
     SplitMix64,
     format_table,
     generate_system,
-    reports_to_csv,
     reports_to_json,
     run_bench,
 )
@@ -211,7 +210,42 @@ def test_reports_serialize():
         ("naive_gpu", 12),
         ("two_variant", 12),
     ]
-    csv_text = reports_to_csv([report, report])
-    lines = csv_text.strip().splitlines()
-    assert lines[0].startswith("n,seed,")
-    assert len(lines) == 1 + 6
+
+
+def _reports_to_json_by_field(reports):
+    """The report layout written field by field: the reference that pins
+    `reports_to_json`'s keys, values and bytes."""
+    payload = {
+        "reports": [
+            {
+                "n": r.n,
+                "seed": r.seed,
+                "repetitions": r.repetitions,
+                "warmup": r.warmup,
+                "backend": r.backend,
+                "rejected": r.rejected,
+                "timed_out": r.timed_out,
+                "trend_ok": r.trend_ok,
+                "models": [
+                    {
+                        "model": s.model,
+                        "mean_ms": s.mean_ms,
+                        "median_ms": s.median_ms,
+                        "stddev_ms": s.stddev_ms,
+                        "objective_ms": s.objective_ms,
+                        "visited": s.visited,
+                        "times_ms": s.times_ms,
+                    }
+                    for s in r.stats
+                ],
+            }
+            for r in reports
+        ]
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_json_matches_the_field_by_field_layout():
+    real = run_bench(BenchSpec(n=3, seed=1, repetitions=2, warmup=0))
+    for reports in ([_fake_report(1.0)], [_fake_report(5.0), real], []):
+        assert reports_to_json(reports) == _reports_to_json_by_field(reports)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gen import random_high_model
+from random_models import random_high_model
 
 from mvalloc import engine
 from mvalloc.solver import SolverConfig, _scale
@@ -142,7 +142,7 @@ def test_skipping_the_forward_scan_changes_nothing(name):
     kernel = engine.get_backend(name).solve_search
     for seed in range(200):
         model, platform = random_high_model(seed, product_cap=30_000)
-        scaled = _scale(model, platform, SolverConfig(), "demand")
+        scaled = _scale(model, platform, SolverConfig(), by_demand=True)
         args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min)
         never = [sum(scaled.kernel_args[6]) + 1] * len(scaled.suffix_min)
         with_shortcut = kernel(*args, *scaled.suffix_need, None)
@@ -175,7 +175,7 @@ def test_target_returns_the_first_leaf_at_most_the_target(name):
     checked = 0
     for seed in range(100):
         model, platform = random_high_model(seed, max_units=5, product_cap=2_000)
-        scaled = _scale(model, platform, SolverConfig(), "demand")
+        scaled = _scale(model, platform, SolverConfig(), by_demand=True)
         args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min, *scaled.suffix_need)
         leaves = list(_leaves_in_walk_order(*scaled.kernel_args))
         assert kernel(*args, None, None) == kernel(*args, None)

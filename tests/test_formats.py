@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import random_detailed, random_high_model, random_scheme, self_named_unit_model
+from random_models import random_detailed, random_high_model, random_scheme, self_named_unit_model
 
 from mvalloc.compaction import build_high_layer
 from mvalloc.fixtures import robot_model_text

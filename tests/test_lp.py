@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import random_high_model
+from random_models import random_high_model
 
 from mvalloc.compaction import HighLayerModel
 from mvalloc.lp import _wrap, export_lp

@@ -1,11 +1,12 @@
 import dataclasses
 import gc
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from gen import random_high_model
+from random_models import random_high_model
 
 from mvalloc import engine
 from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant
@@ -18,6 +19,7 @@ from mvalloc.solver import (
     Placement,
     SolverConfig,
     SolverError,
+    _scale,
     brute_force,
     check_scheme,
     solve,
@@ -117,13 +119,17 @@ def test_solve_is_deterministic():
     assert dump_scheme(first) == dump_scheme(second)
 
 
-def test_unit_order_does_not_change_the_objective():
+def test_permuting_the_units_does_not_change_the_objective():
     for seed in range(40):
         model, platform = random_high_model(seed, product_cap=20_000)
-        demand = solve(model, platform, SolverConfig(unit_order="demand"))
-        declared = solve(model, platform, SolverConfig(unit_order="declared"))
-        assert demand.status == declared.status, f"seed {seed}"
-        assert demand.objective_ms == declared.objective_ms, f"seed {seed}"
+        units = model.all_units()
+        shuffled = random.Random(seed).sample(units, len(units))
+        permuted = HighLayerModel(units=shuffled, connections=model.connections)
+        given = solve(model, platform)
+        other = solve(permuted, platform)
+        assert (given.status, given.objective_ms) == (other.status, other.objective_ms), (
+            f"seed {seed}"
+        )
 
 
 def _presorted(model, platform):
@@ -170,13 +176,10 @@ def test_demand_order_is_the_documented_rule():
         cases.append((model, Platform(nodes=plain)))
     reordered = 0
     for model, platform in cases:
-        presorted = _presorted(model, platform)
-        if [u.id for u in presorted.all_units()] != [u.id for u in model.all_units()]:
+        presorted = [u.id for u in _presorted(model, platform).all_units()]
+        if presorted != [u.id for u in model.all_units()]:
             reordered += 1
-        by_demand = solve(model, platform, SolverConfig(unit_order="demand"))
-        declared = solve(presorted, platform, SolverConfig(unit_order="declared"))
-        assert dump_scheme(by_demand) == dump_scheme(declared)
-        assert by_demand.visited == declared.visited
+        assert _scale(model, platform, SolverConfig(), by_demand=True).unit_ids == presorted
     assert reordered > len(cases) // 2
     scheme = solve(tied, no_gpu)
     assert [(u, p.node) for u, p in scheme.placements.items()] == [
@@ -213,19 +216,18 @@ def _shrunk(platform):
     )
 
 
-def test_declared_order_returns_brute_force_placements():
-    # brute_force keeps the first optimum of the declared-order walk, so a
-    # cut that loses it changes the placements even where the objective holds
-    declared = SolverConfig(unit_order="declared")
+def test_solve_returns_brute_force_placements():
+    # brute_force keeps the first optimum of the declared-order walk, so on
+    # the units in search order a cut that loses it changes the placements
+    # even where the objective holds
     for seed in range(300):
         model, full = random_high_model(seed, product_cap=30_000)
-        weighted = SolverConfig(
-            unit_order="declared", unit_weights={model.all_units()[0].id: Fraction(7, 2)}
-        )
+        weighted = SolverConfig(unit_weights={model.all_units()[0].id: Fraction(7, 2)})
         for platform in (full, _shrunk(full)):
-            for cfg in (declared, weighted):
+            presorted = _presorted(model, platform)
+            for cfg in (SolverConfig(), weighted):
                 fast = solve(model, platform, cfg)
-                slow = brute_force(model, platform, cfg)
+                slow = brute_force(presorted, platform, cfg)
                 assert (fast.status, fast.placements) == (slow.status, slow.placements), (
                     f"seed {seed}"
                 )
@@ -260,8 +262,6 @@ def test_config_validation():
         solve(model, platform, SolverConfig(unit_weights={"nobody": Fraction(1)}))
     with pytest.raises(SolverError, match="positive"):
         solve(model, platform, SolverConfig(unit_weights={"A": Fraction(0)}))
-    with pytest.raises(SolverError, match="unit_order"):
-        solve(model, platform, SolverConfig(unit_order="random"))
     with pytest.raises(SolverError, match="non-negative"):
         solve(model, platform, SolverConfig(time_limit_ms=-1))
 
@@ -413,19 +413,14 @@ def test_backend_is_reported():
 
 @pytest.mark.skipif("c" not in available_backends(), reason="extension not built")
 def test_backends_agree_exactly():
-    # the instances of test_declared_order_returns_brute_force_placements,
-    # in both unit orders
+    # the instances of test_solve_returns_brute_force_placements
     def outcome(scheme):
         return scheme.status, scheme.objective_ms, scheme.placements, scheme.visited
 
     for seed in range(300):
         model, full = random_high_model(seed, product_cap=30_000)
         weight = {model.all_units()[0].id: Fraction(7, 2)}
-        configs = [
-            SolverConfig(unit_order=order, unit_weights=weights)
-            for order in ("demand", "declared")
-            for weights in ({}, weight)
-        ]
+        configs = [SolverConfig(unit_weights=weights) for weights in ({}, weight)]
         for platform in (full, _shrunk(full)):
             for cfg in configs:
                 a = solve(model, platform, cfg, backend="c")
@@ -474,18 +469,17 @@ def test_reversed_variants_return_brute_force_placements(monkeypatch):
         model, platform = random_high_model(seed, product_cap=30_000)
         model = _reversed(model)
         weight = {model.all_units()[0].id: Fraction(7, 2)}
+        presorted = _presorted(model, platform)
         for weights in ({}, weight):
-            for order in ("demand", "declared"):
-                walked = model if order == "declared" else _presorted(model, platform)
-                slow = brute_force(walked, platform, SolverConfig(unit_weights=weights))
-                cfg = SolverConfig(unit_order=order, unit_weights=weights)
-                for name in available_backends():
-                    fast = solve(model, platform, cfg, backend=name)
-                    assert (fast.status, fast.placements) == (slow.status, slow.placements), (
-                        f"seed {seed}"
-                    )
+            cfg = SolverConfig(unit_weights=weights)
+            slow = brute_force(presorted, platform, cfg)
+            for name in available_backends():
+                fast = solve(model, platform, cfg, backend=name)
+                assert (fast.status, fast.placements) == (slow.status, slow.placements), (
+                    f"seed {seed}"
+                )
     second_walks = sum(target is not None for target, _ in calls)
-    assert second_walks > 50 * len(available_backends())
+    assert second_walks > 40 * len(available_backends())
 
 
 @pytest.mark.parametrize("name", available_backends())
