@@ -23,6 +23,11 @@
  * the incumbent's (variant, node) pairs, and out = {status, best cost or
  * -1 without an incumbent, visited}.  A deadline of INT64_MAX never
  * passes.
+ *
+ * kernel_version() returns KERNEL_VERSION, and mvalloc.engine loads the
+ * library only when that equals its _KERNEL_VERSION, so a library built
+ * from an older copy of this file is refused.  Bump both whenever the
+ * arguments or the results of solve_search change.
  */
 #define _POSIX_C_SOURCE 199309L
 
@@ -31,6 +36,7 @@
 
 enum { INVALID = -1, OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
 enum { CHECK_INTERVAL = 8192 };
+enum { KERNEL_VERSION = 1 };
 
 typedef struct {
     int64_t n, k;
@@ -119,6 +125,11 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
                 break;
         }
     }
+}
+
+int64_t kernel_version(void)
+{
+    return KERNEL_VERSION;
 }
 
 void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,

@@ -31,7 +31,10 @@ Either way choices are (declared variant index, node) pairs.
 
 `brute_search` enumerates every capacity-feasible assignment in declared
 order and shares nothing with the bound logic, which is what makes it
-useful as an oracle for the solver.  It is the only brute-force oracle:
+useful as an oracle for the solver.  It walks the tree in one loop with
+a per-unit record of its position instead of recursing, so it answers
+at any number of units; every unit has at least one variant, which
+`solver._scale` checks.  It is the only brute-force oracle:
 it has no compiled twin, and `solver.brute_force` runs it whichever
 backend `solve` used.
 
@@ -41,6 +44,7 @@ Status codes: 0 optimal, 1 infeasible, 2 deadline hit.
 from __future__ import annotations
 
 import time
+from operator import sub
 
 OPTIMAL = 0
 INFEASIBLE = 1
@@ -171,41 +175,58 @@ def solve_search(
 
 def brute_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu):
     n = len(nv)
-    k = len(cap_mem)
+    if n == 0:
+        return OPTIMAL, 0, [], 1
+    nodes = range(len(cap_mem))
     rem_mem = list(cap_mem)
     rem_cpu = list(cap_cpu)
     rem_gpu = list(cap_gpu)
-    choice: list[tuple[int, int]] = [(-1, -1)] * n
+    # unit u tries flat variant at[u] on the nodes that left[u] has not yet
+    # yielded, and holds node held[u] (-1 for none); cost[u] is the cost
+    # of the units before u
+    at = list(off)
+    left = [iter(nodes)] + [None] * (n - 1)
+    held = [-1] * n
+    cost = [0] * n
     best_cost = None
     best_choice = None
-    visited = 0
-
-    def dfs(u: int, cur: int) -> None:
-        nonlocal best_cost, best_choice, visited
+    visited = 1
+    u = 0
+    while u >= 0:
+        i = at[u]
+        m = vmem[i]
+        p = vcpu[i]
+        g = vgpu[i]
+        h = held[u]
+        if h >= 0:  # every assignment below this placement is done
+            rem_mem[h] += m
+            rem_cpu[h] += p
+            rem_gpu[h] += g
+        for h in left[u]:
+            if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
+                break
+        else:  # no node left for this variant: the next one, or back up
+            held[u] = -1
+            if i + 1 < off[u] + nv[u]:
+                at[u] = i + 1
+                left[u] = iter(nodes)
+            else:
+                u -= 1
+            continue
+        rem_mem[h] -= m
+        rem_cpu[h] -= p
+        rem_gpu[h] -= g
+        held[u] = h
         visited += 1
-        if u == n:
-            if best_cost is None or cur < best_cost:
-                best_cost = cur
-                best_choice = choice.copy()
-            return
-        base = off[u]
-        for v in range(nv[u]):
-            i = base + v
-            m = vmem[i]
-            p = vcpu[i]
-            g = vgpu[i]
-            c = vcost[i]
-            for h in range(k):
-                if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
-                    rem_mem[h] -= m
-                    rem_cpu[h] -= p
-                    rem_gpu[h] -= g
-                    choice[u] = (v, h)
-                    dfs(u + 1, cur + c)
-                    rem_mem[h] += m
-                    rem_cpu[h] += p
-                    rem_gpu[h] += g
-
-    dfs(0, 0)
+        c = cost[u] + vcost[i]
+        if u + 1 < n:
+            u += 1
+            cost[u] = c
+            at[u] = off[u]
+            left[u] = iter(nodes)
+        elif best_cost is None or c < best_cost:
+            # a leaf; the next pass takes this placement back
+            best_cost = c
+            best_choice = list(zip(map(sub, at, off), held))
     status = INFEASIBLE if best_cost is None else OPTIMAL
     return status, best_cost, best_choice or [], visited

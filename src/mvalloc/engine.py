@@ -2,15 +2,19 @@
 
 The compiled kernel is `_kernels.c`, built as a shared library next to
 this package and loaded through ctypes; it works on int64 and is picked
-by "auto" when the library is there.  The Python kernel takes over when
-it is not, when the instance's scaled integers would not fit in int64,
-or when the caller asks for backend "python".  Both expose the same
+by "auto" when the library is there.  A library that was built from
+another `_kernels.c` (its `kernel_version()` is missing or differs from
+`_KERNEL_VERSION`) is not loaded, with a warning, so a stale build never
+answers for the current source.  The Python kernel takes over when no
+library is loaded, when the instance's scaled integers would not fit in
+int64, or when the caller asks for backend "python".  Both expose the same
 `solve_search` and return identical results.  The brute-force oracle is
 not a backend: `solver.brute_force` always runs `_kernels_py.brute_search`.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -28,6 +32,12 @@ INT64_SAFE_BOUND = 2**62
 # the deadline handed to the compiled kernel when there is none
 _NO_DEADLINE = 2**63 - 1
 
+# what _kernels.c's kernel_version() returns; bump both whenever the
+# kernel's arguments or results change
+_KERNEL_VERSION = 1
+
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class Backend:
@@ -40,13 +50,26 @@ _C: Backend | None = None
 
 
 def _load(path: str) -> None:
-    """Register the kernel of the shared library at `path` as backend "c"."""
+    """Register the kernel of the shared library at `path` as backend "c",
+    unless the library was built from another _kernels.c."""
     global _C
     import ctypes
     from array import array
     from itertools import accumulate, chain
 
     lib = ctypes.CDLL(path)
+    version = getattr(lib, "kernel_version", None)
+    if version is not None:
+        version.argtypes = []
+        version.restype = ctypes.c_int64
+        version = version()
+    if version != _KERNEL_VERSION:
+        log.warning(
+            "not loading %s: built from another _kernels.c (kernel version %s, not %d);"
+            " rebuild it, until then the Python kernel runs",
+            path, version, _KERNEL_VERSION,
+        )
+        return
     i64, address = ctypes.c_int64, ctypes.c_void_p
     lib.solve_search.argtypes = [i64, i64, i64, i64] + [address] * 17
     lib.solve_search.restype = None

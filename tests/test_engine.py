@@ -1,4 +1,6 @@
 import itertools
+import shutil
+import subprocess
 
 import pytest
 
@@ -24,6 +26,27 @@ def test_explicit_python():
 def test_unknown_backend_name():
     with pytest.raises(ValueError, match="unknown backend"):
         engine.get_backend("fortran")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("version", [None, engine._KERNEL_VERSION + 1])
+def test_a_library_built_from_another_kernel_source_is_refused(
+    version, tmp_path, monkeypatch, caplog
+):
+    source = tmp_path / "stale.c"
+    text = "#include <stdint.h>\nvoid solve_search(void) {}\n"
+    if version is not None:
+        text += f"int64_t kernel_version(void) {{ return {version}; }}\n"
+    source.write_text(text)
+    library = str(tmp_path / "stale.so")
+    subprocess.run(["cc", "-shared", "-fPIC", "-o", library, str(source)], check=True)
+    monkeypatch.setattr(engine, "_C", None)  # restores the conftest-built backend
+    engine._load(library)
+    assert engine.available_backends() == ["python"]
+    assert engine.get_backend("auto").name == "python"
+    with pytest.raises(ValueError, match="not available"):
+        engine.get_backend("c")
+    assert "rebuild it" in caplog.text
 
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")

@@ -351,6 +351,16 @@ def test_brute_force_guard_refuses_oversized_instances():
         brute_force(HighLayerModel(units=units), platform)
 
 
+def test_brute_force_answers_deeper_than_the_recursion_limit():
+    # one raw assignment, far inside the guard, on more units than
+    # Python's default recursion limit
+    units = [unit(f"u{i}", (1, 1, 0, 1)) for i in range(1100)]
+    platform = Platform(nodes=[node("h", 2000, 2000)])
+    scheme = brute_force(HighLayerModel(units=units), platform)
+    assert scheme.status == "optimal"
+    assert scheme.visited == 1101
+
+
 def test_brute_force_ignores_the_time_limit():
     model, platform = _weighted_instance()
     scheme = brute_force(model, platform, SolverConfig(time_limit_ms=0))
