@@ -17,12 +17,13 @@ Search: the child then builds the tree's `_kernels.c` into a temporary
 directory, as tests/conftest.py does, unless a library is already loaded
 or there is no C compiler.  On every available backend, with the
 collector paused, it solves the `tight_cases(1)` packings (the
-tight_search set), the three models of
-`bench.generate_system(BenchSpec(n, seed=1))` for n = 30, 40 and 50, and
-the three `large_cases(1)` models above with each unit's variants listed
-backwards: up to REPS solves per instance, fewer once the instance has
-taken BUDGET_S seconds.  A row gives the search nodes visited, the solve
-time and the nodes per second of that time.
+tight_search set) as generated and with each unit's variants listed
+backwards, the three models of `bench.generate_system(BenchSpec(n,
+seed=1))` for n = 30, 40 and 50, and the three `large_cases(1)` models
+above with each unit's variants listed backwards: up to REPS solves per
+instance, fewer once the instance has taken BUDGET_S seconds.  A row
+gives the search nodes visited, the solve time and the nodes per second
+of that time.
 
 Every time in the record is the median over ROUNDS child processes of
 the median within each.  With `--before DIR` the source tree of another
@@ -127,20 +128,24 @@ def _instances(gen, large):
     """(family, name, model, platform) of the search set, in a fixed order."""
     from mvalloc import bench, compaction, formats
 
-    def high(case):
+    def high(case, backwards=False):
         repo, plat, arch = formats.parse_model(case.text())
-        return compaction.build_high_layer(arch, repo), plat
+        model = compaction.build_high_layer(arch, repo)
+        if backwards:  # each unit's variants listed in reverse
+            units = [dataclasses.replace(u, variants=u.variants[::-1]) for u in model.units]
+            model = dataclasses.replace(model, units=units)
+        return model, plat
 
     for case in gen.tight_cases(1):
         yield ("tight_cases(1)", case.name, *high(case))
+    for case in gen.tight_cases(1):
+        yield ("tight_cases(1) reversed", case.name, *high(case, backwards=True))
     for n in BENCH_SIZES:
         system = bench.generate_system(bench.BenchSpec(n=n, seed=1))
         for name in ("naive_cpu", "naive_gpu", "two_variant"):
             yield (f"bench seed 1 n={n}", name, getattr(system, name), system.platform)
     for case in large:
-        model, plat = high(case)
-        units = [dataclasses.replace(u, variants=u.variants[::-1]) for u in model.units]
-        yield ("large_cases(1) reversed", case.name, dataclasses.replace(model, units=units), plat)
+        yield ("large_cases(1) reversed", case.name, *high(case, backwards=True))
 
 
 def _build_kernel(src: str) -> None:

@@ -8,21 +8,26 @@
  * child.  Fed the same scaled integers, both kernels return identical
  * results, visited counts included.  Without a `target` (-1) the walk
  * tries each unit's variants in `by_cost` order, cheapest first, and
- * proves the optimum.  With one it tries them in declared order, the cut
- * is cost so far plus `rest` above the target, and the walk stops at its
- * first leaf: the first one in declared order that costs at most the
- * target.  Choices are declared variant indices either way.  Values must
- * fit in int64, which the caller has checked; a `by_cost` entry outside
- * its unit's slice is refused before the walk with status INVALID.  The
- * brute-force oracle has no compiled twin; it lives in _kernels_py.py
- * only.
+ * proves the optimum, skipping every variant that is strictly dominated
+ * within its unit: some variant ahead of it in `by_cost` costs less and
+ * needs no more mem, cpu or GPU threads, and ending a unit's loop at the
+ * first variant that fails the cost cut.  The Python kernel tests a
+ * variant on first need; this one flags every dominated variant before
+ * the walk, which visits the same nodes.  With a target it tries the
+ * variants in declared order and skips none, the cut is cost so far plus
+ * `rest` above the target, and the walk stops at its first leaf: the
+ * first one in declared order that costs at most the target.  Choices
+ * are declared variant indices either way.  Values must fit in int64,
+ * which the caller has checked; a `by_cost` entry outside its unit's
+ * slice is refused before the walk with status INVALID.  The brute-force
+ * oracle has no compiled twin; it lives in _kernels_py.py only.
  *
  * mvalloc.engine loads this file's shared library through ctypes and
  * owns every buffer: the capacity arrays, which the walk uses as the
- * remaining capacities, the (variant, node) pairs of the current path,
- * the incumbent's (variant, node) pairs, and out = {status, best cost or
- * -1 without an incumbent, visited}.  A deadline of INT64_MAX never
- * passes.
+ * remaining capacities, the zeroed per-variant dominance flags, the
+ * (variant, node) pairs of the current path, the incumbent's (variant,
+ * node) pairs, and out = {status, best cost or -1 without an incumbent,
+ * visited}.  A deadline of INT64_MAX never passes.
  *
  * kernel_version() returns KERNEL_VERSION, and mvalloc.engine loads the
  * library only when that equals its _KERNEL_VERSION, so a library built
@@ -36,7 +41,7 @@
 
 enum { INVALID = -1, OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
 enum { CHECK_INTERVAL = 8192 };
-enum { KERNEL_VERSION = 1 };
+enum { KERNEL_VERSION = 2 };
 
 typedef struct {
     int64_t n, k;
@@ -44,6 +49,7 @@ typedef struct {
     int64_t *rem_mem, *rem_cpu, *rem_gpu;
     const int64_t *suffix_min, *need_mem, *need_cpu, *need_gpu;
     const int64_t *by_cost;
+    int64_t *dominated; /* per variant: 1 when walk 1 skips it */
     int64_t *choice, *best;
     int64_t best_cost; /* -1 until the first leaf */
     int64_t target;    /* -1 for none */
@@ -107,7 +113,12 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
     for (int64_t j = s->off[u]; j < s->off[u] + s->nv[u]; j++) {
         int64_t i = s->target < 0 ? s->by_cost[j] : j;
         int64_t c = cur + s->vcost[i], m = s->vmem[i], p = s->vcpu[i], g = s->vgpu[i];
-        if (cut(s, c + rest))
+        if (cut(s, c + rest)) {
+            if (s->target < 0) /* cheapest first: every later one fails too */
+                break;
+            continue;
+        }
+        if (s->dominated[i])
             continue;
         for (int64_t h = first_fit(s, 0, m, p, g); h < s->k; h = first_fit(s, h + 1, m, p, g)) {
             s->rem_mem[h] -= m;
@@ -138,20 +149,34 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,
                   int64_t *cap_mem, int64_t *cap_cpu, int64_t *cap_gpu,
                   const int64_t *by_cost, const int64_t *suffix_min,
                   const int64_t *need_mem, const int64_t *need_cpu,
-                  const int64_t *need_gpu, int64_t *choice, int64_t *best, int64_t *out)
+                  const int64_t *need_gpu, int64_t *dominated, int64_t *choice,
+                  int64_t *best, int64_t *out)
 {
     State s = {.n = n, .k = k, .nv = nv, .off = off, .vmem = vmem, .vcpu = vcpu,
                .vgpu = vgpu, .vcost = vcost, .rem_mem = cap_mem, .rem_cpu = cap_cpu,
                .rem_gpu = cap_gpu, .suffix_min = suffix_min, .need_mem = need_mem,
                .need_cpu = need_cpu, .need_gpu = need_gpu, .by_cost = by_cost,
-               .choice = choice, .best = best, .best_cost = -1, .target = target,
-               .limit = target >= 0 ? target + 1 : -1, .deadline_ns = deadline_ns,
-               .check_left = CHECK_INTERVAL};
+               .dominated = dominated, .choice = choice, .best = best, .best_cost = -1,
+               .target = target, .limit = target >= 0 ? target + 1 : -1,
+               .deadline_ns = deadline_ns, .check_left = CHECK_INTERVAL};
     for (int64_t u = 0; u < n; u++) {
-        for (int64_t j = off[u]; j < off[u] + nv[u]; j++) {
-            if (by_cost[j] < off[u] || by_cost[j] >= off[u] + nv[u]) {
+        int64_t a = off[u], end = off[u] + nv[u];
+        for (int64_t j = a; j < end; j++) {
+            if (by_cost[j] < a || by_cost[j] >= end) {
                 out[0] = INVALID;
                 return;
+            }
+        }
+        /* walk 1 skips a variant when a variant of the unit ahead of it in
+         * by_cost costs less and needs no more of any resource */
+        for (int64_t j = a; target < 0 && j < end; j++) {
+            int64_t i = by_cost[j];
+            for (int64_t q = a; q < end && vcost[by_cost[q]] < vcost[i]; q++) {
+                int64_t b = by_cost[q];
+                if (vmem[b] <= vmem[i] && vcpu[b] <= vcpu[i] && vgpu[b] <= vgpu[i]) {
+                    dominated[i] = 1;
+                    break;
+                }
             }
         }
     }

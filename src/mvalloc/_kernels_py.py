@@ -23,11 +23,22 @@ no strictly cheaper one, so the reported optimum is the first optimum
 in walk order.
 
 Without a `target` the walk tries each unit's variants in `by_cost`
-order and proves the optimum.  Given a `target`, it tries them in
-declared order, the cut is cost so far plus `rest` above the target,
-and the walk stops at its first leaf, the first one in declared order
-that costs at most the target (status infeasible when there is none).
-Either way choices are (declared variant index, node) pairs.
+order and proves the optimum.  It skips a variant that is strictly
+dominated within its unit: some variant ahead of it in `by_cost` costs
+less and needs no more mem, cpu or GPU threads.  The cheapest variant
+that dominates it is not dominated itself, and on every node where the
+skipped variant fits the walk has already searched or cut that one, so
+every leaf below the skipped variant costs more than the incumbent: the
+skip changes only `visited`.  A variant is tested on first need, when
+it passes the cost cut and is not first in its unit's slice, and its
+answer is kept for the rest of the walk.  As the slice is sorted by
+cost, the first variant that fails the cost cut ends the unit's loop.
+Given a `target`, the walk tries the variants in declared order and
+skips none, the cut is cost so far plus `rest` above the target, and
+the walk stops at its first leaf, the first one in declared order that
+costs at most the target (status infeasible when there is none).
+Either way choices are (declared variant index, node) pairs, and every
+unit has at least one variant, which `solver._scale` checks.
 
 `brute_search` enumerates every capacity-feasible assignment in declared
 order and shares nothing with the bound logic, which is what makes it
@@ -84,8 +95,9 @@ def solve_search(
     best_cost = None
     best_choice = None
     # a child is cut when its cost so far plus `rest` reaches this: the
-    # incumbent's cost, or one past the target
-    limit = None if target is None else target + 1
+    # incumbent's cost, or one past the target; before the first leaf of
+    # walk 1, one past the sum of every cost, which no child reaches
+    limit = sum(vcost) + 1 if target is None else target + 1
     timed_out = False
     visited = 0
     check_left = _CHECK_INTERVAL
@@ -96,6 +108,11 @@ def solve_search(
     # variant that fits a node gives the unit's bound; built by the first
     # scan, as the shortcut often makes none
     ranked = []
+    # walk 1 skips a variant that is strictly dominated within its unit:
+    # flags[i] is 0 until variant i is first tested, then 1 if it is kept
+    # and 2 if it is skipped (a bytearray, which the collector ignores);
+    # walk 2 keeps every variant
+    flags = bytearray(len(vcost)) if target is None else b"\x01" * len(vcost)
 
     def dfs(u: int, cur: int) -> None:
         nonlocal best_cost, best_choice, limit, timed_out, visited, check_left
@@ -140,13 +157,30 @@ def solve_search(
                 else:
                     return
         base = off[u]
-        for i in walk[base : base + nv[u]]:
+        variants = walk[base : base + nv[u]]
+        first = variants[0]  # in walk 1 the unit's cheapest, never dominated
+        for i in variants:
             c = cur + vcost[i]
-            if limit is not None and c + rest >= limit:
+            if c + rest >= limit:
+                if target is None:  # cheapest first: every later one fails too
+                    break
                 continue
             m = vmem[i]
             p = vcpu[i]
             g = vgpu[i]
+            if i != first:
+                skip = flags[i]
+                if not skip:  # first need: is it strictly dominated?
+                    skip = 1
+                    for a in variants:
+                        if vcost[a] >= c - cur:
+                            break
+                        if vmem[a] <= m and vcpu[a] <= p and vgpu[a] <= g:
+                            skip = 2
+                            break
+                    flags[i] = skip
+                if skip == 2:
+                    continue
             for h in range(k):
                 if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
                     rem_mem[h] -= m
@@ -157,7 +191,7 @@ def solve_search(
                     rem_mem[h] += m
                     rem_cpu[h] += p
                     rem_gpu[h] += g
-                    if limit is not None and c + rest >= limit:
+                    if c + rest >= limit:
                         break
 
     try:

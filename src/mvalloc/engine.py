@@ -34,7 +34,7 @@ _NO_DEADLINE = 2**63 - 1
 
 # what _kernels.c's kernel_version() returns; bump both whenever the
 # kernel's arguments or results change
-_KERNEL_VERSION = 1
+_KERNEL_VERSION = 2
 
 log = logging.getLogger(__name__)
 
@@ -71,7 +71,7 @@ def _load(path: str) -> None:
         )
         return
     i64, address = ctypes.c_int64, ctypes.c_void_p
-    lib.solve_search.argtypes = [i64, i64, i64, i64] + [address] * 17
+    lib.solve_search.argtypes = [i64, i64, i64, i64] + [address] * 18
     lib.solve_search.restype = None
 
     def solve_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
@@ -90,11 +90,11 @@ def _load(path: str) -> None:
         ):
             raise ValueError("kernel arrays have inconsistent lengths")
         deadline = _NO_DEADLINE if deadline_ns is None else min(deadline_ns, _NO_DEADLINE)
-        # one int64 buffer holds the columns and then zeroed scratch: the
-        # current path, the incumbent's (variant, node) pairs and out =
-        # {status, cost or -1, visited}; the kernel gets an address into
-        # it for each
-        scratch = [2 * n, 2 * n, 3]
+        # one int64 buffer holds the columns and then zeroed scratch: a
+        # flag per variant that walk 1 skips, the current path, the
+        # incumbent's (variant, node) pairs and out = {status, cost or -1,
+        # visited}; the kernel gets an address into it for each
+        scratch = [total, 2 * n, 2 * n, 3]
         data = array("q", chain.from_iterable(columns))
         data.frombytes(bytes(8 * sum(scratch)))
         base = data.buffer_info()[0]

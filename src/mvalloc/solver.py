@@ -40,12 +40,17 @@ takes up to two walks of the same kernel on the same arrays, sharing one
 deadline, and reports their summed `visited`:
 
 1. A walk without a target tries each unit's variants in `by_cost`
-   order.  It proves the optimal cost `opt`, or infeasibility.
+   order.  It proves the optimal cost `opt`, or infeasibility.  It
+   skips every variant that is strictly dominated within its unit:
+   another variant of the unit costs less and needs no more mem, cpu or
+   GPU threads.  Swapping the dominated variant for that one on the same
+   node stays feasible and is strictly cheaper, and the walk has met the
+   cheaper one first, so the skip changes only `visited`.
 2. A walk with `target = opt` tries them in declared order: it cuts each
    child whose cost so far plus the bound exceeds `opt` and stops at its
    first leaf.  Every cut subtree holds only leaves dearer than `opt`,
    so that leaf is the first in declared order costing at most `opt`:
-   the lexicographically first optimum.
+   the lexicographically first optimum.  This walk skips no variant.
 
 Either walk reports choices in declared variant indices.  Walk 2 is
 skipped when it cannot change the answer.  Every other unit costs at

@@ -29,7 +29,9 @@ def test_unknown_backend_name():
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.parametrize("version", [None, engine._KERNEL_VERSION + 1])
+# version 1 is the kernel that walks strictly dominated variants without a
+# target, so its visited counts differ from this source's
+@pytest.mark.parametrize("version", [None, 1, engine._KERNEL_VERSION + 1])
 def test_a_library_built_from_another_kernel_source_is_refused(
     version, tmp_path, monkeypatch, caplog
 ):
@@ -237,3 +239,23 @@ def test_target_cuts_every_child_above_it(name):
     # without a target the walk tries the cost-2 variant first, and its
     # leaf at 3 cuts the other two
     assert kernel(*args, by_cost, *bounds, None) == (0, 3, [(1, 0), (0, 0)], 3)
+
+
+@pytest.mark.parametrize("name", engine.available_backends())
+def test_walk_1_skips_a_strictly_dominated_variant(name):
+    # unit 0 lists A (mem 2, cpu 2, cost 1), B (mem 3, cpu 2, cost 2) and C
+    # (mem 1, cpu 1, cost 3); unit 1's one variant needs mem 9 of the one
+    # node's 10, so only C leaves room for it.  A costs less than B and
+    # needs no more of anything: B is strictly dominated.
+    args = ([3, 1], [0, 3], [2, 3, 1, 9], [2, 2, 1, 1], [0, 0, 0, 0], [1, 2, 3, 1],
+            [10], [10], [0])
+    by_cost = [0, 1, 2, 3]
+    bounds = ([2, 1, 0], [9, 9, 0], [2, 1, 0], [0, 0, 0])
+    kernel = engine.get_backend(name).solve_search
+    # without a target: the root, A (a dead end), C and the leaf; B is skipped
+    assert kernel(*args, by_cost, *bounds, None) == (0, 4, [(2, 0), (0, 0)], 4)
+    # with one, the walk keeps the declared tree and enters B too
+    assert kernel(*args, by_cost, *bounds, None, 4) == (0, 4, [(2, 0), (0, 0)], 5)
+    # a variant that only ties its dominator's cost is not skipped
+    tied = (*args[:5], [1, 1, 3, 1], *args[6:])
+    assert kernel(*tied, by_cost, *bounds, None) == (0, 4, [(2, 0), (0, 0)], 5)

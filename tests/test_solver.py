@@ -492,6 +492,55 @@ def test_reversed_variants_return_brute_force_placements(monkeypatch):
     assert second_walks > 40 * len(available_backends())
 
 
+def _with_dominated_copies(model, seed):
+    """The model with, in about half its units, a copy of one variant that
+    costs more than every variant of the unit and needs no less of any
+    resource, appended as the unit's last variant: the variant it copies
+    strictly dominates it, so no optimum takes it."""
+    rng = random.Random(seed)
+    units = []
+    for u in model.units:
+        variants = list(u.variants)
+        if rng.random() < 0.5:
+            props = rng.choice(variants).props
+            dearest = max(v.props.exec_ms for v in variants)
+            copy = ResourceDemand(
+                mem=props.mem + rng.choice((0, Fraction(1, 2), 3)),
+                cpu=props.cpu + rng.choice((0, Fraction(1, 4))),
+                gpu_threads=props.gpu_threads + rng.choice((0, 64)),
+                exec_ms=dearest + rng.choice((1, 2, 7)),  # keeps the cost scale
+            )
+            variants.append(Variant(members=[f"{u.id}copy"], props=copy))
+        units.append(MultiVariantUnit(u.id, variants))
+    return HighLayerModel(units=units, connections=model.connections)
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_dominated_copies_change_no_walk_and_no_scheme(name):
+    # the cheapest-first walk skips each copy, so it answers exactly as
+    # without them, visited included; solve, whose declared-order walk
+    # keeps the copies, still returns brute force's placements
+    kernel = engine.get_backend(name).solve_search
+    copied = 0
+    for seed in range(300):
+        model, platform = random_high_model(seed, max_units=6, product_cap=5_000)
+        padded = _with_dominated_copies(model, seed)
+        copied += padded != model
+        walks = []
+        for m in (model, padded):
+            scaled = _scale(m, platform, SolverConfig(), by_demand=True)
+            args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min, *scaled.suffix_need)
+            walks.append(kernel(*args))
+        assert walks[0] == walks[1], f"seed {seed}"
+        for m in (padded, _reversed(padded)):
+            slow = brute_force(_presorted(m, platform), platform)
+            fast = solve(m, platform, backend=name)
+            assert (fast.status, fast.placements) == (slow.status, slow.placements), (
+                f"seed {seed}"
+            )
+    assert copied > 200
+
+
 @pytest.mark.parametrize("name", available_backends())
 def test_variants_listed_dearest_first_take_one_walk(name):
     # each unit's cheapest variant comes last and the optimum takes it in
