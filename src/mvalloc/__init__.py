@@ -11,9 +11,14 @@ placements on the detailed layer.
 """
 
 from .compaction import (
+    INFEASIBLE,
+    OPTIMAL,
+    TIMED_OUT,
+    AllocationScheme,
     CompactionError,
     HighLayerModel,
     MultiVariantUnit,
+    Placement,
     UnfoldError,
     Variant,
     aggregate_variant,
@@ -39,18 +44,19 @@ from .model import (
     validate_platform,
     validate_repository,
 )
-from .solver import (
-    INFEASIBLE,
-    OPTIMAL,
-    TIMED_OUT,
-    AllocationScheme,
-    EnumerationGuardError,
-    Placement,
-    SolverConfig,
-    SolverError,
-    brute_force,
-    check_scheme,
-    solve,
-)
 
 __version__ = "0.1.0"
+
+# resolved on first access (PEP 562), so importing the package, or a
+# command that never solves, does not load the solver and its kernels
+_SOLVER_NAMES = frozenset(
+    ("EnumerationGuardError", "SolverConfig", "SolverError", "brute_force", "check_scheme", "solve")
+)
+
+
+def __getattr__(name: str):
+    if name in _SOLVER_NAMES:
+        from . import solver
+
+        return getattr(solver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

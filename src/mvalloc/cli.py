@@ -6,8 +6,10 @@ to stdout, problems to stderr.  Exit codes: 0 success, 1 domain violation
 (failed validation, bad configuration, oracle mismatch), 2 unreadable or
 unparseable input, 3 proven infeasible, 4 solver timeout.  Every layer's
 domain error subclasses ValueError, so `main` maps them all to 1 in one
-place.  The ALLOC_LOG environment variable (error, info, debug) controls
-log verbosity.
+place.  A command imports only the layers it runs: the solver, and with
+it the search kernels, loads for solve and export-lp only, as bench and
+the bundled example load only for their own commands.  The ALLOC_LOG
+environment variable (error, info, debug) controls log verbosity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import logging
 import os
 import sys
 
-from .compaction import UnfoldError, build_high_layer, unfold
+from .compaction import INFEASIBLE, OPTIMAL, TIMED_OUT, UnfoldError, build_high_layer, unfold
 from .formats import (
     ParseError,
     dump_assignment,
@@ -38,15 +40,6 @@ from .model import (
     validate_architecture,
     validate_platform,
     validate_repository,
-)
-from .solver import (
-    INFEASIBLE,
-    OPTIMAL,
-    TIMED_OUT,
-    SolverConfig,
-    SolverError,
-    brute_force,
-    solve,
 )
 
 EXIT_OK = 0
@@ -94,7 +87,7 @@ def _validated_model(path: str) -> tuple[Repository, Platform, SystemArchitectur
     if diags:
         for diag in diags:
             print(f"error: {diag}", file=sys.stderr)
-        raise SolverError(f"model {path} failed validation with {len(diags)} problem(s)")
+        raise ValueError(f"model {path} failed validation with {len(diags)} problem(s)")
     return repo, platform, architecture
 
 
@@ -102,13 +95,15 @@ def _high_layer(args, repo, architecture):
     if getattr(args, "compacted", None):
         return parse_compacted(_read(args.compacted))
     if architecture is None:
-        raise SolverError(
+        raise ValueError(
             "the model has no architecture section; pass --compacted instead"
         )
     return build_high_layer(architecture, repo)
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args):
+    from .solver import SolverConfig
+
     weights = {}
     if getattr(args, "weights", None):
         weights = parse_weights(_read(args.weights))
@@ -134,7 +129,7 @@ def cmd_validate(args) -> int:
 def cmd_compact(args) -> int:
     repo, _, architecture = _validated_model(args.model)
     if architecture is None:
-        raise SolverError("the model has no architecture section to compact")
+        raise ValueError("the model has no architecture section to compact")
     model = build_high_layer(architecture, repo)
     write_atomic(args.out, dump_compacted(model))
     compacted = len(architecture.units)
@@ -147,6 +142,8 @@ def cmd_compact(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .solver import brute_force, solve
+
     repo, platform, architecture = _validated_model(args.model)
     model = _high_layer(args, repo, architecture)
     cfg = _solver_config(args)

@@ -13,6 +13,14 @@ component's own demand.  Choosing a variant and a node for every unit is
 what the solver does, and `unfold` maps a solved scheme back onto
 individual components.
 
+The scheme that `unfold` takes is defined here too, beside the layer it
+describes: `AllocationScheme` holds a status, the objective and one
+`Placement` (variant index, node id) per unit.  `STATUSES` lists the
+status names in the order of the search kernels' status codes 0, 1, 2.
+The solver produces schemes and `formats` reads and writes them; both
+take these names from here, so neither the file formats nor unfolding
+need the solver.
+
 A unit's enumeration policy is its name in `UnitSpec.policy`.
 "declared" takes the hand-written list; "all_combinations" crosses all
 version choices of a chain topology; "contiguous_gpu_segment" keeps only
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from fractions import Fraction
 
 from .model import (
     POLICIES,
@@ -47,10 +55,13 @@ from .model import (
 )
 from .rationals import exact_sum
 
-if TYPE_CHECKING:
-    from .solver import AllocationScheme
-
 __all__ = [
+    "OPTIMAL",
+    "INFEASIBLE",
+    "TIMED_OUT",
+    "STATUSES",
+    "Placement",
+    "AllocationScheme",
     "Variant",
     "MultiVariantUnit",
     "HighLayerModel",
@@ -62,6 +73,12 @@ __all__ = [
     "build_high_layer",
     "unfold",
 ]
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+TIMED_OUT = "timeout"
+# indexed by the search kernels' status codes
+STATUSES = (OPTIMAL, INFEASIBLE, TIMED_OUT)
 
 
 class CompactionError(ValueError):
@@ -101,6 +118,24 @@ class HighLayerModel:
         """The same list as `units`; kept because the benchmark tracer
         counts variants through it."""
         return self.units
+
+
+@dataclass(frozen=True)
+class Placement:
+    variant: int
+    node: str
+
+
+@dataclass
+class AllocationScheme:
+    """A solved (or parsed) allocation: a status from STATUSES, the
+    objective and the placement of every unit, keyed by unit id."""
+
+    status: str
+    objective_ms: Fraction | None
+    placements: dict[str, Placement]
+    visited: int = field(default=0, compare=False)
+    backend: str = field(default="", compare=False)
 
 
 def aggregate_variant(members: list[str], repo: Repository) -> ResourceDemand:
@@ -201,7 +236,7 @@ def build_high_layer(arch: SystemArchitecture, repo: Repository) -> HighLayerMod
     return HighLayerModel(units=units, connections=list(arch.connections))
 
 
-def unfold(scheme: "AllocationScheme", model: HighLayerModel) -> dict[str, str]:
+def unfold(scheme: AllocationScheme, model: HighLayerModel) -> dict[str, str]:
     """Expand a solved scheme into a component-to-node assignment.
 
     Every unit's chosen variant contributes its members on the unit's
@@ -209,9 +244,9 @@ def unfold(scheme: "AllocationScheme", model: HighLayerModel) -> dict[str, str]:
     conflicting placements are an error, as is a scheme that does not
     cover the model or was never solved to optimality.
     """
-    if scheme.status != "optimal":
+    if scheme.status != OPTIMAL:
         raise UnfoldError(f"cannot unfold a scheme with status {scheme.status!r}")
-    placements: Mapping[str, object] = scheme.placements
+    placements = scheme.placements
     units = {unit.id: unit for unit in model.units}
     missing = sorted(set(units) - set(placements))
     if missing:

@@ -5,7 +5,8 @@ this package and loaded through ctypes; it works on int64 and is picked
 by "auto" when the library is there.  A library that was built from
 another `_kernels.c` (its `kernel_version()` is missing or differs from
 `_KERNEL_VERSION`) is not loaded, with a warning, so a stale build never
-answers for the current source.  The Python kernel takes over when no
+answers for the current source; nor is a file that ctypes cannot load.
+Neither case raises at import.  The Python kernel takes over when no
 library is loaded, when the instance's scaled integers would not fit in
 int64, or when the caller asks for backend "python".  Both expose the same
 `solve_search` and return identical results.  The brute-force oracle is
@@ -51,13 +52,18 @@ _C: Backend | None = None
 
 def _load(path: str) -> None:
     """Register the kernel of the shared library at `path` as backend "c",
-    unless the library was built from another _kernels.c."""
+    unless the library cannot be loaded or was built from another
+    _kernels.c."""
     global _C
     import ctypes
     from array import array
     from itertools import accumulate, chain
 
-    lib = ctypes.CDLL(path)
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError as exc:
+        log.warning("not loading %s: %s; until it loads, the Python kernel runs", path, exc)
+        return
     version = getattr(lib, "kernel_version", None)
     if version is not None:
         version.argtypes = []

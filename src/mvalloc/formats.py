@@ -8,6 +8,9 @@ offending field.  Serialization is canonical: exactly `json.dumps(data,
 indent=2, sort_keys=True, separators=(",", ": "))` and a newline, so the
 same data always gives the same bytes.
 
+The scheme's records and status names come from `compaction`, so
+reading and writing files never loads the solver.
+
 Files are written through `write_atomic`, temp-file-then-rename in the
 target directory, so readers never observe a partial file.  A new file
 gets the mode `open` would give it: 0o666 less the umask.
@@ -22,7 +25,14 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .compaction import HighLayerModel, MultiVariantUnit, Variant
+from .compaction import (
+    STATUSES,
+    AllocationScheme,
+    HighLayerModel,
+    MultiVariantUnit,
+    Placement,
+    Variant,
+)
 from .model import (
     Assembly,
     Component,
@@ -35,7 +45,6 @@ from .model import (
     UnitSpec,
 )
 from .rationals import format_number, parse_count, parse_number
-from .solver import INFEASIBLE, OPTIMAL, TIMED_OUT, AllocationScheme, Placement
 
 __all__ = [
     "ParseError",
@@ -50,9 +59,6 @@ __all__ = [
     "parse_weights",
     "write_atomic",
 ]
-
-_STATUSES = (OPTIMAL, INFEASIBLE, TIMED_OUT)
-
 
 class ParseError(ValueError):
     """Structurally invalid input; the message names the bad field."""
@@ -354,8 +360,8 @@ def _placement(raw: object, path: str) -> Placement:
 def parse_scheme(text: str) -> AllocationScheme:
     root = _record(_loads(text), "$", ("status", "objective_ms", "placements"))
     status = _field(root, "status", "$", _str)
-    if status not in _STATUSES:
-        raise ParseError(f"$.status: expected one of {', '.join(_STATUSES)}")
+    if status not in STATUSES:
+        raise ParseError(f"$.status: expected one of {', '.join(STATUSES)}")
     objective = None
     if root.get("objective_ms") is not None:
         objective = _number(root["objective_ms"], "$.objective_ms")

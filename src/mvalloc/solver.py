@@ -68,6 +68,11 @@ one independent oracle for `solve` on either backend: it always runs the
 Python enumeration, and the only code the two share is the scaling.
 `lp.export_lp` writes the same scaled integers, so `_scale` is the one
 place a rational becomes a solver number.
+
+The result record `AllocationScheme`, its `Placement`s and the status
+names are defined in `compaction`, beside `unfold`, which consumes them;
+this module re-exports them, and `STATUSES[code]` names a kernel's
+status code.
 """
 
 from __future__ import annotations
@@ -82,7 +87,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _kernels_py, engine
-from .compaction import HighLayerModel
+from .compaction import (
+    INFEASIBLE,
+    OPTIMAL,
+    STATUSES,
+    TIMED_OUT,
+    AllocationScheme,
+    HighLayerModel,
+    Placement,
+)
 from .model import Platform, ResourceDemand
 from .rationals import exact_sum
 
@@ -103,12 +116,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-TIMED_OUT = "timeout"
-
-_STATUS = {0: OPTIMAL, 1: INFEASIBLE, 2: TIMED_OUT}
-
 # brute_force refuses instances with more raw assignments than this
 BRUTE_FORCE_GUARD = 10_000_000
 
@@ -119,21 +126,6 @@ class SolverError(ValueError):
 
 class EnumerationGuardError(SolverError):
     """The instance is too large for exhaustive enumeration."""
-
-
-@dataclass(frozen=True)
-class Placement:
-    variant: int
-    node: str
-
-
-@dataclass
-class AllocationScheme:
-    status: str
-    objective_ms: Fraction | None
-    placements: dict[str, Placement]
-    visited: int = field(default=0, compare=False)
-    backend: str = field(default="", compare=False)
 
 
 @dataclass
@@ -369,7 +361,7 @@ def solve(
         visited += more
         if code == _kernels_py.OPTIMAL:
             choices = first
-    status = _STATUS[code]
+    status = STATUSES[code]
     log.debug("status %s after %d search nodes on backend %s", status, visited, be.name)
 
     placements: dict[str, Placement] = {}
@@ -402,7 +394,7 @@ def brute_force(
                 f"instance has more than {BRUTE_FORCE_GUARD} raw assignments"
             )
     code, cost, choices, visited = _kernels_py.brute_search(*scaled.kernel_args)
-    status = _STATUS[code]
+    status = STATUSES[code]
     placements = {}
     objective = None
     if status == OPTIMAL:

@@ -1,9 +1,12 @@
 """Minimal CPLEX-LP reader for cross-checking exported files.
 
 Parses only the subset export_lp emits (a Minimize objective, = and <=
-rows, a Binary section) and hands the matrices to scipy's MILP solver.
-Deliberately separate from the package: it rebuilds the problem from the
-text alone, so a bug in the exporter cannot cancel out.
+rows, a Binary section, every coefficient and right-hand side an
+integer) and hands the matrices to scipy's MILP solver.  HiGHS works in
+floating point, so its solution is rounded to 0/1, every row is checked
+again in integers, and the objective is the exact integer sum over the
+chosen columns.  Deliberately separate from the package: it rebuilds the
+problem from the text alone, so a bug in the exporter cannot cancel out.
 """
 
 from __future__ import annotations
@@ -11,17 +14,22 @@ from __future__ import annotations
 import re
 
 _LABEL = re.compile(r"^\s*([A-Za-z]\w*):\s*$")
-_TERM = re.compile(r"([+-])?\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s+(x_\w+)")
-_ROW = re.compile(r"^(.*?)(<=|=)\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*$")
+_TERM = re.compile(r"\s*([+-]?)\s*(\d+)\s+(x_\w+)\s*")
+_ROW = re.compile(r"^(.*?)(<=|=)\s*(-?\d+)\s*$")
 
 
-def _terms(expr: str) -> list[tuple[float, str]]:
+def _terms(expr: str) -> list[tuple[int, str]]:
+    """`<int> <var>` terms, each after the first led by + or -; anything
+    else, a non-integer coefficient included, raises ValueError."""
     out = []
-    for sign, coef, var in _TERM.findall(expr):
-        value = float(coef)
-        if sign == "-":
-            value = -value
-        out.append((value, var))
+    at = 0
+    while at < len(expr):
+        match = _TERM.match(expr, at)
+        if match is None or (out and not match[1]):
+            raise ValueError(f"not an integer term: {expr[at:]!r}")
+        sign, coef, var = match.groups()
+        out.append((-int(coef) if sign == "-" else int(coef), var))
+        at = match.end()
     return out
 
 
@@ -68,17 +76,18 @@ def parse_lp(text: str):
         if match is None:
             raise ValueError(f"cannot parse constraint {name!r}: {body!r}")
         expr, relation, rhs = match.groups()
-        constraints.append((name, _terms(expr), relation, float(rhs)))
+        constraints.append((name, _terms(expr), relation, int(rhs)))
 
     binaries = [line.strip() for line in lines[i_bin + 1 : i_end]]
     return objective, constraints, binaries
 
 
-def solve_lp_text(text: str) -> tuple[str, float | None, dict[str, int]]:
+def solve_lp_text(text: str) -> tuple[str, int | None, dict[str, int]]:
     """Solve an exported LP with scipy's MILP backend.
 
     Returns (status, objective, solution); status is "optimal" or
-    "infeasible".
+    "infeasible".  An optimal solution is HiGHS's rounded to 0/1 and
+    re-checked against every row in integers; its objective is exact.
     """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
@@ -105,7 +114,13 @@ def solve_lp_text(text: str) -> tuple[str, float | None, dict[str, int]]:
     )
     if result.status == 0:
         solution = {name: int(round(result.x[i])) for name, i in index.items()}
-        return "optimal", float(result.fun), solution
+        if set(solution.values()) - {0, 1}:
+            raise RuntimeError("HiGHS returned a value outside 0/1")
+        for name, terms, relation, rhs in constraints:
+            lhs = sum(coef * solution[var] for coef, var in terms)
+            if lhs > rhs or (relation == "=" and lhs != rhs):
+                raise RuntimeError(f"rounded solution violates row {name!r}: {lhs} vs {rhs}")
+        return "optimal", sum(coef * solution[var] for coef, var in objective), solution
     if result.status == 2:
         return "infeasible", None, {}
     raise RuntimeError(f"unexpected MILP status {result.status}: {result.message}")

@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -9,7 +8,6 @@ import pytest
 
 from random_models import self_named_unit_model
 
-from mvalloc import engine
 from mvalloc.cli import main
 from mvalloc.engine import available_backends
 from mvalloc.fixtures import robot_model_text
@@ -386,8 +384,7 @@ def test_module_main_guard(robot_file, tmp_path):
 
 
 def test_cli_import_leaves_bench_and_fixtures_unloaded():
-    # ctypes comes in only to load a library built next to the package
-    loaded = ["ctypes"] if os.path.exists(engine._LIBRARY) else []
+    # ctypes comes in only with the engine, which only solving commands load
     proc = subprocess.run(
         [
             sys.executable,
@@ -400,4 +397,43 @@ def test_cli_import_leaves_bench_and_fixtures_unloaded():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(loaded)
+    assert proc.stdout.strip() == "[]"
+
+
+_SOLVER_MODULES = ("mvalloc.solver", "mvalloc.engine", "mvalloc._kernels_py", "ctypes")
+
+
+@pytest.mark.parametrize(
+    "command, solves",
+    [("validate", False), ("compact", False), ("unfold", False), ("example", False), ("solve", True)],
+)
+def test_each_command_loads_only_what_it_runs(command, solves, robot_file, tmp_path):
+    scheme = str(tmp_path / "scheme.json")
+    assert main(["solve", robot_file, "-o", scheme]) == 0
+    argv = {
+        "validate": [robot_file],
+        "compact": [robot_file, "-o", str(tmp_path / "compacted.json")],
+        "unfold": [robot_file, scheme, "-o", str(tmp_path / "assignment.json")],
+        "example": ["-o", str(tmp_path / "example.json")],
+        "solve": [robot_file, "-o", str(tmp_path / "again.json")],
+    }[command]
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json, sys; from mvalloc.cli import main; code = main(sys.argv[1:]); "
+            f"print(json.dumps([code, sorted(set({_SOLVER_MODULES!r}) & set(sys.modules))]))",
+            command,
+            *argv,
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    if solves:
+        assert "mvalloc.solver" in loaded
+    else:
+        assert loaded == []

@@ -51,6 +51,16 @@ def test_a_library_built_from_another_kernel_source_is_refused(
     assert "rebuild it" in caplog.text
 
 
+def test_a_file_that_cannot_be_loaded_is_refused(tmp_path, caplog):
+    junk = tmp_path / "junk.so"
+    junk.write_bytes(b"not a shared library")
+    before = engine.available_backends()
+    engine._load(str(junk))
+    assert engine.available_backends() == before
+    assert f"not loading {junk}" in caplog.text
+    assert "Python kernel runs" in caplog.text
+
+
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
 def test_kernels_return_identical_tuples():
     # one unit with two variants, one with one, two nodes

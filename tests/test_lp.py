@@ -98,6 +98,23 @@ def test_weights_scale_objective_coefficients():
     assert "\\ objective_ms = obj / 2\n" in text
 
 
+def test_lp_check_reads_integers_only():
+    lp_check = pytest.importorskip("lp_check")
+    objective, constraints, binaries = lp_check.parse_lp(GOLDEN)
+    assert objective == [(5, "x_u0_v0_h0"), (3, "x_u0_v1_h0")]
+    assert constraints[0] == ("assign_u0", [(1, "x_u0_v0_h0"), (1, "x_u0_v1_h0")], "=", 1)
+    assert binaries == ["x_u0_v0_h0", "x_u0_v1_h0"]
+    faults = [
+        ("5 x_u0_v0_h0", "5.0 x_u0_v0_h0"),  # a non-integer coefficient
+        ("5 x_u0_v0_h0", "5e0 x_u0_v0_h0"),
+        ("<= 10", "<= 10.5"),  # a non-integer right-hand side
+        ("+ 3 x_u0_v1_h0", "3 x_u0_v1_h0"),  # a later term with no sign
+    ]
+    for old, new in faults:
+        with pytest.raises(ValueError):
+            lp_check.parse_lp(GOLDEN.replace(old, new, 1))
+
+
 def _milp_cross_check(seeds, integral):
     """HiGHS on the exported text agrees with `solve`: same status, and
     the LP objective is objective_ms times the header's divisor."""
@@ -115,7 +132,7 @@ def _milp_cross_check(seeds, integral):
         if status == "optimal":
             solved += 1
             scale = int(divisor[1]) if divisor else 1
-            assert objective == float(expected.objective_ms * scale), f"seed {seed}"
+            assert objective == expected.objective_ms * scale, f"seed {seed}"
     assert solved >= 2
 
 
