@@ -9,7 +9,8 @@ domain error subclasses ValueError, so `main` maps them all to 1 in one
 place.  A command imports only the layers it runs: the solver, and with
 it the search kernels, loads for solve and export-lp only, as bench and
 the bundled example load only for their own commands.  The ALLOC_LOG
-environment variable (error, info, debug) controls log verbosity.
+environment variable (error, warning, info, debug; warning by default)
+controls log verbosity.
 """
 
 from __future__ import annotations
@@ -52,12 +53,17 @@ log = logging.getLogger("mvalloc")
 
 
 def _configure_logging() -> None:
-    name = os.environ.get("ALLOC_LOG", "error").strip().lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    name = os.environ.get("ALLOC_LOG", "warning").strip().lower()
+    levels = {
+        "error": logging.ERROR,
+        "warning": logging.WARNING,
+        "info": logging.INFO,
+        "debug": logging.DEBUG,
+    }
     level = levels.get(name)
     if level is None:
-        print(f"warning: ALLOC_LOG={name!r} not recognized, using error", file=sys.stderr)
-        level = logging.ERROR
+        print(f"warning: ALLOC_LOG={name!r} not recognized, using warning", file=sys.stderr)
+        level = logging.WARNING
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )

@@ -15,6 +15,11 @@ The objective is the weighted exec_ms times the lcm of their
 denominators; when that lcm is not 1 the header says so with a line
 `\\ objective_ms = obj / <lcm>`.  A model whose values are all integers
 scales by 1 and needs no such line.
+
+Every row is laid out one term per line, so lines stay short whatever
+the model's size: the row's first term on a line indented by two
+columns, each later term on its own line as `  + <coef> <var>`, and the
+relation and right-hand side after the last term.
 """
 
 from __future__ import annotations
@@ -25,24 +30,6 @@ from .solver import SolverConfig, SolverError, _scale
 
 __all__ = ["export_lp"]
 
-_WRAP = 72
-
-
-def _wrap(parts: list[str]) -> str:
-    """One or more non-blank `parts` joined by spaces on lines indented
-    by two columns, continuation lines by four; a part goes to a new line
-    when it would pass column _WRAP."""
-    lines = []
-    start = 0
-    width = 1  # columns of the line so far, its indent counted as one
-    for i, part in enumerate(parts):
-        if width + len(part) + 1 > _WRAP and i > start:
-            lines.append(" ".join(parts[start:i]))
-            start, width = i, 3
-        width += len(part) + 1
-    lines.append(" ".join(parts[start:]))
-    return "  " + "\n    ".join(lines)
-
 
 def _terms(coefs: list[int], columns: list[str]) -> list[str]:
     """`<coef> x_u<i>_v<j>_h` for each non-zero coefficient; the node
@@ -51,11 +38,9 @@ def _terms(coefs: list[int], columns: list[str]) -> list[str]:
 
 
 def _row(terms: list[str], hosts: list[str]) -> str:
-    parts = [f"+ {term}{h}" for term in terms for h in hosts]
-    if not parts:
-        return _wrap(["0 x_u0_v0_h0"])
-    parts[0] = parts[0][2:]
-    return _wrap(parts)
+    """The row's terms, one per line; a row with no term reads `0 x_u0_v0_h0`."""
+    parts = [f"{term}{h}" for term in terms for h in hosts]
+    return "  " + "\n  + ".join(parts or ["0 x_u0_v0_h0"])
 
 
 def export_lp(

@@ -1,6 +1,7 @@
 import itertools
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -59,6 +60,28 @@ def test_a_file_that_cannot_be_loaded_is_refused(tmp_path, caplog):
     assert engine.available_backends() == before
     assert f"not loading {junk}" in caplog.text
     assert "Python kernel runs" in caplog.text
+
+
+def test_a_refused_library_is_reported_on_stderr(tmp_path, monkeypatch):
+    # `main` configures logging before a solving command loads the engine,
+    # so the default level must let the refusal through
+    junk = tmp_path / "junk.so"
+    junk.write_bytes(b"not a shared library")
+    monkeypatch.delenv("ALLOC_LOG", raising=False)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from mvalloc import cli; cli._configure_logging(); "
+            "from mvalloc import engine; engine._load(sys.argv[1])",
+            str(junk),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"not loading {junk}" in proc.stderr
 
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")

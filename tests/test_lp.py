@@ -1,13 +1,18 @@
-import random
+import functools
+import importlib.util
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from random_models import random_high_model
 
-from mvalloc.compaction import HighLayerModel
-from mvalloc.lp import _wrap, export_lp
+from mvalloc.compaction import OPTIMAL, HighLayerModel, build_high_layer
+from mvalloc.fixtures import robot_model_text
+from mvalloc.formats import parse_model
+from mvalloc.lp import export_lp
 from mvalloc.model import Platform
 from mvalloc.solver import SolverConfig, SolverError, solve
 from test_solver import node, unit
@@ -18,14 +23,18 @@ GOLDEN = """\
 \\ h0 = H
 Minimize
  obj:
-  5 x_u0_v0_h0 + 3 x_u0_v1_h0
+  5 x_u0_v0_h0
+  + 3 x_u0_v1_h0
 Subject To
  assign_u0:
-  1 x_u0_v0_h0 + 1 x_u0_v1_h0 = 1
+  1 x_u0_v0_h0
+  + 1 x_u0_v1_h0 = 1
  mem_h0:
-  1 x_u0_v0_h0 + 2 x_u0_v1_h0 <= 10
+  1 x_u0_v0_h0
+  + 2 x_u0_v1_h0 <= 10
  cpu_h0:
-  1 x_u0_v0_h0 + 1 x_u0_v1_h0 <= 10
+  1 x_u0_v0_h0
+  + 1 x_u0_v1_h0 <= 10
  gpu_h0:
   0 x_u0_v0_h0 <= 0
 Binary
@@ -68,7 +77,7 @@ def test_coefficients_are_scaled_integers(robot, robot_high):
     # each row is multiplied through by its resource's common denominator
     assert "+ 11 x_u0_v1_h0" in text  # CPU 0.55, times 20
     assert "+ 9 x_u1_v1_h0" in text  # memory 4.5, times 2
-    assert "    + 8 x_u3_v0_h1 + 6 x_u4_v0_h1 + 4 x_u5_v0_h1 + 4 x_u6_v0_h1 <= 30\n" in text
+    assert "  + 8 x_u3_v0_h1\n  + 6 x_u4_v0_h1\n  + 4 x_u5_v0_h1\n  + 4 x_u6_v0_h1 <= 30\n" in text
     assert "objective_ms" not in text  # integral exec times need no divisor
 
 
@@ -144,43 +153,52 @@ def test_milp_cross_check_on_fractional_instances():
     _milp_cross_check(range(7000, 7008), integral=False)
 
 
-def _wrap_by_line_text(parts: list[str]) -> str:
-    """The layout `_wrap` keeps, as first written: grow each line as text,
-    measuring and stripping it once per part."""
-    lines = []
-    current = " "
-    for part in parts:
-        if len(current) + len(part) + 1 > 72 and current.strip():
-            lines.append(current)
-            current = "   "
-        current += " " + part
-    lines.append(current)
-    return "\n".join(lines)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_wrap_keeps_the_line_layout():
-    rng = random.Random(4)
-    cases = [
-        ["a" * 34, "b" * 35],  # a first line of exactly 72 columns
-        ["a" * 34, "b" * 36],  # one column over: the second part moves down
-        ["a" * 70],
-        ["a" * 71],
-        ["a" * 90, "b", "c" * 80, "d"],  # parts longer than a line
-        ["x"] + ["y" * 33, "z" * 33] * 3,  # continuation lines at the edge
-    ]
-    for _ in range(500):
-        cases.append(
-            [
-                f"+ {rng.randint(0, 10 ** rng.randint(0, 14))} "
-                f"x_u{rng.randint(0, 999)}_v{rng.randint(0, 30)}_h{rng.randint(0, 11)}"
-                for _ in range(rng.randint(1, 40))
-            ]
-        )
-    for width in range(1, 80):
-        cases.append(["p" * width] * rng.randint(1, 6))
-    wrapped = 0
-    for parts in cases:
-        text = _wrap(parts)
-        assert text == _wrap_by_line_text(parts), parts
-        wrapped += "\n" in text
-    assert wrapped > len(cases) // 2
+def _perfbench(name):
+    """A module of the benchmark, loaded by path (perfbench is not a
+    package) and registered before it runs, as its dataclasses need."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, PERFBENCH / f"{name}.py")
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
+
+
+@functools.cache
+def _planted_300():
+    """The smallest planted model of the benchmark's cli_large workload."""
+    return _perfbench("gen").large_cases(1)[0]
+
+
+def _high_layer(case):
+    repo, platform, architecture = parse_model(case.text())
+    return build_high_layer(architecture, repo), platform
+
+
+def test_the_benchmark_lp_check_accepts_the_export():
+    gen, check = _perfbench("gen"), _perfbench("check")
+    cases = gen.robot_cases(robot_model_text()) + gen.tight_cases(1)[:1] + [_planted_300()]
+    for case in cases:
+        inst = check.Instance.from_model(case.model, case.variants)
+        text = export_lp(*_high_layer(case))
+        assert check.lp_problems(text, inst, list(inst.units)) == [], case.name
+
+
+def test_highs_agrees_on_the_benchmark_packings():
+    """An exact check beyond the oracle's reach: HiGHS on the exported LP
+    of every tight 12-16 unit packing and of the planted 300-unit model
+    finds `solve`'s status and objective."""
+    lp_check = pytest.importorskip("lp_check")
+    pytest.importorskip("scipy")
+    for case in _perfbench("gen").tight_cases(1) + [_planted_300()]:
+        high, platform = _high_layer(case)
+        expected = solve(high, platform)
+        text = export_lp(high, platform)
+        divisor = re.search(r"^\\ objective_ms = obj / (\d+)$", text, re.M)
+        status, objective, _ = lp_check.solve_lp_text(text)
+        assert status == expected.status == OPTIMAL, case.name
+        assert objective == expected.objective_ms * (int(divisor[1]) if divisor else 1), case.name
