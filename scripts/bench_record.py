@@ -20,10 +20,12 @@ collector paused, it solves the `tight_cases(1)` packings (the
 tight_search set) as generated and with each unit's variants listed
 backwards, the three models of `bench.generate_system(BenchSpec(n,
 seed=1))` for n = 30, 40 and 50, and the three `large_cases(1)` models
-above with each unit's variants listed backwards: up to REPS solves per
-instance, fewer once the instance has taken BUDGET_S seconds.  A row
-gives the search nodes visited, the solve time and the nodes per second
-of that time.
+above with each unit's variants listed backwards, and the GPU-only model
+of the first draw of bench seed 1 at n = HARD_N, which `generate_system`
+would skip after its trial solves: up to REPS solves per instance, each
+with a time limit of BUDGET_S seconds, fewer once the instance has taken
+BUDGET_S seconds.  A row gives the status, the search nodes visited, the
+solve time and the nodes per second of that time.
 
 Every time in the record is the median over ROUNDS child processes of
 the median within each.  With `--before DIR` the source tree of another
@@ -59,6 +61,7 @@ BENCH_SIZES = (30, 40, 50)
 ROUNDS = 6
 REPS = 5
 BUDGET_S = 2.0
+HARD_N = 100
 
 
 def _pass(text: str, times: dict[str, list[float]]) -> None:
@@ -104,20 +107,23 @@ def _pass(text: str, times: dict[str, list[float]]) -> None:
 
 
 def _solve(model, plat, backend: str) -> dict:
-    """Up to REPS solves on `backend`, fewer past BUDGET_S seconds: the
-    scheme without `visited`, `visited`, and each solve's ms."""
+    """Up to REPS solves on `backend`, each within BUDGET_S seconds, fewer
+    past BUDGET_S seconds in all: the status, the scheme without
+    `visited`, `visited`, and each solve's ms."""
     from mvalloc import formats, solver
 
+    budget = solver.SolverConfig(time_limit_ms=int(BUDGET_S * 1e3))
     times: list[float] = []
     while len(times) < REPS and sum(times) < BUDGET_S * 1e3:
         gc.collect()
         gc.disable()
         start = time.perf_counter_ns()
-        scheme = solver.solve(model, plat, backend=backend)
+        scheme = solver.solve(model, plat, budget, backend=backend)
         elapsed = time.perf_counter_ns() - start
         gc.enable()
         times.append(elapsed / 1e6)
     return {
+        "status": scheme.status,
         "scheme": formats.dump_scheme(dataclasses.replace(scheme, visited=0)),
         "visited": scheme.visited,
         "times": times,
@@ -144,6 +150,11 @@ def _instances(gen, large):
         system = bench.generate_system(bench.BenchSpec(n=n, seed=1))
         for name in ("naive_cpu", "naive_gpu", "two_variant"):
             yield (f"bench seed 1 n={n}", name, getattr(system, name), system.platform)
+    # the first draw of seed 1 at n=100, whose GPU-only model is hard for
+    # a unit order that scores against nodes a unit cannot use
+    repo, plat = bench._draw_instance(bench.SplitMix64(1), HARD_N)
+    _, _, naive_gpu, _ = bench._models(repo, HARD_N)
+    yield (f"bench seed 1 n={HARD_N} first draw", "naive_gpu", naive_gpu, plat)
     for case in large:
         yield ("large_cases(1) reversed", case.name, *high(case, backwards=True))
 
@@ -223,6 +234,7 @@ def _search_rows(runs: dict[str, list[dict]]) -> tuple[list[dict], dict[str, flo
             for label, tree_runs in runs.items():
                 visited = first[label][backend][key]["visited"]
                 ms = _ms(tree_runs, lambda run: run["search"][backend][key]["times"])
+                row[f"status_{label}"] = first[label][backend][key]["status"]
                 row[f"visited_{label}"] = visited
                 row[f"solve_ms_{label}"] = ms
                 row[f"nodes_per_s_{label}"] = round(visited / ms * 1e3)
@@ -263,8 +275,9 @@ def main() -> int:
         " goes first alternates from round to round. setup: the in-process pipeline"
         f" per stage without file I/O, {REPS} passes after one warm-up, before any"
         " kernel is built. search: solver.solve per instance and backend, demand"
-        f" order, collector paused, up to {REPS} solves (fewer past {BUDGET_S} s per"
-        " instance and child), with visited nodes per second of that solve time",
+        f" order, collector paused, up to {REPS} solves of at most {BUDGET_S} s each"
+        f" (fewer past {BUDGET_S} s per instance and child), with the status and the"
+        " visited nodes per second of that solve time",
         "command": "PYTHONPATH=src python3 scripts/bench_record.py -o BENCH_record.json"
         + (" --before <parent checkout>" if args.before else ""),
         "environment": {

@@ -11,13 +11,17 @@ All arithmetic is exact.  Demands and capacities are rationals; `_scale`
 multiplies each resource through by the least common denominator of
 every value involved, once, so the kernels compare plain integers and two
 equal objectives are equal bit for bit, not within a tolerance.  The same
-pass takes each unit's cheapest demand per resource, which proves some
-instances infeasible before any search (cheapest total demand above total
-capacity) and orders the rest: units by descending max over resources of
-cheapest demand / total capacity, ties in declared order.  The kernels
-get their arrays already in that order, with two suffix tables for the
-bound: the summed cheapest cost of the remaining units, and the largest
-demand per resource among their cheapest variants.
+pass takes each unit's cheapest demand per resource.  Those minima prove
+some instances infeasible before any search: the cheapest total demand of
+a resource exceeds its total capacity, or no node holds some unit's three
+minima at once.  They also order the rest, fail first.  A unit's eligible
+nodes are those that hold its minimum mem, cpu and GPU threads at once;
+its score is the sum over the three resources of that minimum divided by
+the eligible nodes' summed capacity (0 where that is 0), compared
+exactly; units come by descending score, ties in declared order.  The
+kernels get their arrays already in that order, with two suffix tables
+for the bound: the summed cheapest cost of the remaining units, and the
+largest demand per resource among their cheapest variants.
 
 At each node the search checks forward: every remaining unit must still
 fit some node's remaining capacity, and the bound adds each one's
@@ -157,7 +161,8 @@ class _Scaled:
     and `suffix_need[r][i]` is the largest resource-r demand among those
     units' cheapest variants (the first one on a cost tie).  `overloaded`
     names the first resource whose cheapest total demand exceeds total
-    capacity, which proves infeasibility.
+    capacity, and `unplaceable` (demand order only) the first unit that no
+    single node can hold; either proves infeasibility.
     """
 
     unit_ids: list[str]
@@ -168,6 +173,7 @@ class _Scaled:
     suffix_need: tuple[list[int], list[int], list[int]]
     cost_den: int
     overloaded: str | None
+    unplaceable: str | None
     int64_safe: bool
 
 
@@ -191,7 +197,9 @@ def _scale(
     denominator.  Values sit in flat per-variant columns in declared order,
     unit u owning the slice spans[u].  The same pass takes each unit's
     minimum and maximum per resource: the minima give the pre-search
-    infeasibility check and the demand score, the maxima the int64 check.
+    infeasibility checks and the demand order (`_demand_order`: summed
+    shares of the capacity of the nodes that hold all three minima), the
+    maxima the int64 check.
     Once the units are in search order, a stable sort per unit lists its
     variants cheapest first (`by_cost`); the first entry of each gives the
     cost bound and the demands whose suffix maxima let the search skip its
@@ -259,14 +267,11 @@ def _scale(
     int64_safe = max(maxima) < bound and all(c < bound for cap in caps for c in cap)
 
     order = range(len(units))
+    unplaceable = None
     if by_demand:
-        # max over resources of min demand / total capacity, compared
-        # exactly over the common denominator; the sort is stable, so
-        # ties keep declared order
-        common = math.prod(t for t in totals if t)
-        factors = [common // t if t else 0 for t in totals]
-        score = [max(m * f for m, f in zip(ms, factors)) for ms in zip(*minima)]
-        order = sorted(order, key=lambda u: -score[u])
+        order, homeless = _demand_order(minima, caps)
+        if homeless is not None:
+            unplaceable = units[homeless].id
 
     nv = [len(units[u].variants) for u in order]
     off = list(itertools.accumulate(nv, initial=0))[:-1]
@@ -291,8 +296,65 @@ def _scale(
         suffix_need=suffix_need,
         cost_den=cost_den,
         overloaded=overloaded,
+        unplaceable=unplaceable,
         int64_safe=int64_safe,
     )
+
+
+def _demand_order(
+    minima: list[list[int]], caps: tuple[list[int], list[int], list[int]]
+) -> tuple[list[int], int | None]:
+    """The demand order of the units, and the first unit no node can hold.
+
+    `minima[r][u]` is unit u's smallest resource-r demand over its
+    variants and `caps[r][h]` node h's capacity, both scaled.  A unit's
+    eligible nodes hold all three of its minima at once; its score sums,
+    over the resources, the minimum divided by the eligible nodes' summed
+    capacity (0 where that is 0).  Units come by descending score, ties in
+    declared order.  The second value is the index of the first unit,
+    in declared order, with no eligible node, or None.
+
+    With the nodes sorted by GPU threads a unit's GPU minimum selects a
+    suffix of that order, and when the suffix's smallest mem and cpu cover
+    the unit's minima the suffix is its eligible set, with capacities
+    summed once per suffix; only the other units take a pass over their
+    suffix.  Scores are compared exactly, as integers over the lcm of the
+    capacity sums that occur.
+    """
+    k = len(caps[0])
+    by_gpu = sorted(range(k), key=caps[2].__getitem__)
+    gpu_sorted = [caps[2][h] for h in by_gpu]
+    # per suffix by_gpu[s:], s < k: smallest mem and cpu, summed capacities
+    back = [[cap[h] for h in reversed(by_gpu)] for cap in caps]
+    low_mem, low_cpu = (list(itertools.accumulate(col, min))[::-1] for col in back[:2])
+    # eligible capacities (mem, cpu, gpu): the suffixes', then the others'
+    groups = list(zip(*(itertools.accumulate(col) for col in back)))[::-1]
+    mem, cpu, _ = caps
+    group = []
+    other = {}  # eligible nodes, as a tuple, -> their index in groups
+    homeless = None
+    for u, (m_mem, m_cpu, m_gpu) in enumerate(zip(*minima)):
+        s = bisect.bisect_left(gpu_sorted, m_gpu)
+        if s < k and m_mem <= low_mem[s] and m_cpu <= low_cpu[s]:
+            group.append(s)
+            continue
+        eligible = tuple([h for h in by_gpu[s:] if mem[h] >= m_mem and cpu[h] >= m_cpu])
+        if not eligible and homeless is None:
+            homeless = u
+        if eligible not in other:
+            other[eligible] = len(groups)
+            groups.append(tuple(sum(cap[h] for h in eligible) for cap in caps))
+        group.append(other[eligible])
+    common = math.lcm(*{c for g in set(group) for c in groups[g] if c})
+    factors = [tuple(common // c if c else 0 for c in sums) for sums in groups]
+    score = [
+        m_mem * f_mem + m_cpu * f_cpu + m_gpu * f_gpu
+        for m_mem, m_cpu, m_gpu, (f_mem, f_cpu, f_gpu) in zip(
+            *minima, (factors[g] for g in group)
+        )
+    ]
+    # a stable sort keeps ties in declared order, reversed or not
+    return sorted(range(len(score)), key=score.__getitem__, reverse=True), homeless
 
 
 def _reordered_within(scaled: _Scaled, slack: int) -> bool:
@@ -348,6 +410,12 @@ def solve(
     if scaled.overloaded is not None:
         log.info(
             "infeasible before search: total %s demand exceeds capacity", scaled.overloaded
+        )
+        return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
+    if scaled.unplaceable is not None:
+        # every variant needs at least the unit's minima, so none fits a node alone
+        log.info(
+            "infeasible before search: no node holds unit %r alone", scaled.unplaceable
         )
         return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:

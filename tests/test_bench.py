@@ -24,7 +24,7 @@ from mvalloc.bench import (
 )
 from mvalloc.engine import available_backends, get_backend
 from mvalloc.formats import dump_compacted, dump_model
-from mvalloc.solver import solve
+from mvalloc.solver import SolverConfig, solve
 
 
 def test_splitmix64_matches_the_reference_stream():
@@ -122,6 +122,20 @@ def test_accepted_instance_has_consistent_objectives():
     assert objectives["two_variant"] == min(
         objectives["naive_cpu"], objectives["naive_gpu"]
     )
+
+
+def test_the_gpu_only_model_of_seed_1_at_n_100_solves():
+    # its 100 GPU-only units fit only the three GPU nodes, and the demand
+    # order scores them against those nodes alone; an order that counts
+    # the CPU-only nodes too searches for millions of nodes
+    repo, platform = bench._draw_instance(SplitMix64(1), 100)
+    _, _, naive_gpu, _ = bench._models(repo, 100)
+    timed = SolverConfig(time_limit_ms=1000)
+    python = solve(naive_gpu, platform, timed, backend="python")
+    assert python.status == "optimal"
+    for name in available_backends():
+        other = solve(naive_gpu, platform, timed, backend=name)
+        assert (other, other.visited) == (python, python.visited), name
 
 
 def test_run_bench_report_shape():

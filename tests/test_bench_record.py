@@ -32,6 +32,7 @@ def test_harness_times_a_robot_pass_and_a_solve_per_backend(robot, robot_high):
     _, platform, _ = robot
     for backend in engine.available_backends():
         solved = script._solve(robot_high, platform, backend)
+        assert solved["status"] == "optimal"
         assert '"objective_ms": "45"' in solved["scheme"]
         assert solved["visited"] > 0
         assert 1 <= len(solved["times"]) <= script.REPS

@@ -101,6 +101,19 @@ def test_aggregate_overload_is_caught_before_the_search():
     assert scheme.visited == 0
 
 
+@pytest.mark.parametrize("name", available_backends())
+def test_a_unit_no_node_can_hold_is_caught_before_the_search(name, caplog):
+    # each minimum fits some node, and the totals fit, but no node holds
+    # all three of "gpu"'s minima at once
+    units = [unit("cpu", (1, 1, 0, 1)), unit("gpu", (8, 1, 100, 1), (6, 2, 300, 2))]
+    platform = Platform(nodes=[node("big", 10, 10), node("g", 4, 10, gpu=1000)])
+    with caplog.at_level("INFO", logger="mvalloc.solver"):
+        scheme = solve(HighLayerModel(units=units), platform, backend=name)
+    assert (scheme.status, scheme.visited, scheme.placements) == ("infeasible", 0, {})
+    assert "'gpu'" in caplog.text
+    assert brute_force(HighLayerModel(units=units), platform).status == "infeasible"
+
+
 def test_gpu_threads_sum_across_units_on_a_node():
     units = [unit("a", (1, 1, 600, 1)), unit("b", (1, 1, 600, 1))]
     platform = Platform(nodes=[node("g", 10, 10, gpu=1000)])
@@ -134,14 +147,10 @@ def test_permuting_the_units_does_not_change_the_objective():
 
 def _presorted(model, platform):
     """The model with its units in the documented search order, computed
-    independently: descending max over resources of the unit's cheapest
-    demand / total capacity (0 where the total is 0), ties in declaration
-    order."""
-    totals = (
-        sum(n.use_mem for n in platform.nodes),
-        sum(n.use_cpu for n in platform.nodes),
-        sum(n.use_gpu for n in platform.nodes),
-    )
+    independently.  A unit's eligible nodes hold its minimum mem, cpu and
+    GPU threads (each over its variants) at once; its score sums, over the
+    three resources, that minimum / the eligible nodes' summed capacity (0
+    where that is 0).  Descending score, ties in declaration order."""
 
     def score(u):
         minima = (
@@ -149,7 +158,19 @@ def _presorted(model, platform):
             min(v.props.cpu for v in u.variants),
             min(v.props.gpu_threads for v in u.variants),
         )
-        return max(Fraction(m) / t if t else Fraction(0) for m, t in zip(minima, totals))
+        eligible = [
+            n
+            for n in platform.nodes
+            if n.use_mem >= minima[0]
+            and n.use_cpu >= minima[1]
+            and n.use_gpu >= minima[2]
+        ]
+        capacities = (
+            sum(n.use_mem for n in eligible),
+            sum(n.use_cpu for n in eligible),
+            sum(n.use_gpu for n in eligible),
+        )
+        return sum(Fraction(m) / c if c else Fraction(0) for m, c in zip(minima, capacities))
 
     units = model.all_units()
     ranked = sorted(range(len(units)), key=lambda i: (-score(units[i]), i))
@@ -168,7 +189,15 @@ def test_demand_order_is_the_documented_rule():
             unit("d", (2, 2, 256, 1), (2, 2, 0, 4)),
         ]
     )
-    cases = [(tied, no_gpu)]
+    # eligibility decides: against total capacity cpu-only y's mem share
+    # (40/210) beats GPU-only x's largest or summed share (0.1 + 6/210),
+    # but x can use only g, where its shares sum to 0.7
+    mixed = Platform(
+        nodes=[node("g", 10, 10, gpu=1000), node("p0", 100, 100), node("p1", 100, 100)]
+    )
+    gpu_only = HighLayerModel(units=[unit("y", (40, 1, 0, 5)), unit("x", (5, 1, 100, 5))])
+    assert [u.id for u in _presorted(gpu_only, mixed).all_units()] == ["x", "y"]
+    cases = [(tied, no_gpu), (gpu_only, mixed)]
     for seed in range(60):
         model, platform = random_high_model(seed, product_cap=20_000)
         cases.append((model, platform))
@@ -188,6 +217,8 @@ def test_demand_order_is_the_documented_rule():
         ("a", "h0"),
         ("c", "h1"),
     ]
+    scheme = solve(gpu_only, mixed)
+    assert [(u, p.node) for u, p in scheme.placements.items()] == [("x", "g"), ("y", "p0")]
 
 
 def test_solve_agrees_with_brute_force():
