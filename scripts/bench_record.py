@@ -169,8 +169,8 @@ def _build_kernel(src: str) -> None:
     source = str(Path(src) / "mvalloc" / "_kernels.c")
     with tempfile.TemporaryDirectory() as build:
         library = os.path.join(build, "_kernels.so")
-        cc = ["cc", "-O2", "-std=c99", "-shared", "-fPIC", "-o", library, source]
-        subprocess.run(cc, check=True)
+        cc = ["cc", "-O2", "-std=c99", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
+        subprocess.run([*cc, "-o", library, source], check=True)
         engine._load(library)  # loaded, so the file may go
 
 

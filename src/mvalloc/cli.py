@@ -216,19 +216,14 @@ def cmd_export_lp(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import BenchSpec, format_table, reports_to_json, run_bench
 
-    reports = [
-        run_bench(
-            BenchSpec(
-                n=n,
-                seed=args.seed,
-                repetitions=args.reps,
-                warmup=args.warmup,
-                backend=args.backend,
-            )
-        )
-        for n in args.n
-    ]
-    print(format_table(reports))
+    reports = []
+    try:
+        for n in args.n:
+            spec = BenchSpec(n, args.seed, args.reps, args.warmup, args.backend)
+            reports.append(run_bench(spec))
+    finally:  # a later n that fails keeps the rows already finished
+        if reports:
+            print(format_table(reports))
     if args.json:
         write_atomic(args.json, reports_to_json(reports))
     return EXIT_OK

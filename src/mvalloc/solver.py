@@ -159,10 +159,11 @@ class _Scaled:
     off[u]:off[u] + nv[u] listing its own variants cheapest first, ties in
     declared order.  `suffix_min[i]` sums the cheapest cost of units i..,
     and `suffix_need[r][i]` is the largest resource-r demand among those
-    units' cheapest variants (the first one on a cost tie).  `overloaded`
-    names the first resource whose cheapest total demand exceeds total
-    capacity, and `unplaceable` (demand order only) the first unit that no
-    single node can hold; either proves infeasibility.
+    units' cheapest variants (the first one on a cost tie).  `infeasible`
+    says why the units' minima alone prove the model infeasible, or is
+    None: the first resource whose cheapest total demand exceeds total
+    capacity, else (demand order only) the first unit that no single node
+    can hold.
     """
 
     unit_ids: list[str]
@@ -172,8 +173,7 @@ class _Scaled:
     suffix_min: list[int]
     suffix_need: tuple[list[int], list[int], list[int]]
     cost_den: int
-    overloaded: str | None
-    unplaceable: str | None
+    infeasible: str | None
     int64_safe: bool
 
 
@@ -257,21 +257,20 @@ def _scale(
         raise SolverError("negative demand values; validate the model first")
     if any(c < 0 for cap in caps for c in cap):
         raise SolverError("negative capacity values; validate the model first")
-    totals = [sum(cap) for cap in caps]
-    overloaded = None
-    for r, label in enumerate(("mem", "cpu", "gpu_threads")):
-        if sum(minima[r]) > totals[r]:
-            overloaded = label
+    infeasible = None
+    for label, need, cap in zip(("mem", "cpu", "gpu_threads"), minima, caps):
+        if sum(need) > sum(cap):
+            infeasible = f"total {label} demand exceeds capacity"
             break
     bound = engine.INT64_SAFE_BOUND
     int64_safe = max(maxima) < bound and all(c < bound for cap in caps for c in cap)
 
     order = range(len(units))
-    unplaceable = None
     if by_demand:
         order, homeless = _demand_order(minima, caps)
-        if homeless is not None:
-            unplaceable = units[homeless].id
+        if infeasible is None and homeless is not None:
+            # every variant needs at least the unit's minima, so none fits a node alone
+            infeasible = f"no node holds unit {units[homeless].id!r} alone"
 
     nv = [len(units[u].variants) for u in order]
     off = list(itertools.accumulate(nv, initial=0))[:-1]
@@ -295,8 +294,7 @@ def _scale(
         suffix_min=suffix_min,
         suffix_need=suffix_need,
         cost_den=cost_den,
-        overloaded=overloaded,
-        unplaceable=unplaceable,
+        infeasible=infeasible,
         int64_safe=int64_safe,
     )
 
@@ -314,44 +312,31 @@ def _demand_order(
     declared order.  The second value is the index of the first unit,
     in declared order, with no eligible node, or None.
 
-    With the nodes sorted by GPU threads a unit's GPU minimum selects a
-    suffix of that order, and when the suffix's smallest mem and cpu cover
-    the unit's minima the suffix is its eligible set, with capacities
-    summed once per suffix; only the other units take a pass over their
-    suffix.  Scores are compared exactly, as integers over the lcm of the
-    capacity sums that occur.
+    Eligible sets are bit masks over the nodes.  Per resource, with the
+    nodes sorted by capacity, the nodes holding a minimum are a suffix of
+    that order, found by one `bisect` into it, and each suffix's mask is
+    computed once; a unit's eligible set is the AND of its three.
+    Capacities are summed once per distinct set, and scores are compared
+    exactly, as integers over the lcm of the sums that occur.
     """
-    k = len(caps[0])
-    by_gpu = sorted(range(k), key=caps[2].__getitem__)
-    gpu_sorted = [caps[2][h] for h in by_gpu]
-    # per suffix by_gpu[s:], s < k: smallest mem and cpu, summed capacities
-    back = [[cap[h] for h in reversed(by_gpu)] for cap in caps]
-    low_mem, low_cpu = (list(itertools.accumulate(col, min))[::-1] for col in back[:2])
-    # eligible capacities (mem, cpu, gpu): the suffixes', then the others'
-    groups = list(zip(*(itertools.accumulate(col) for col in back)))[::-1]
-    mem, cpu, _ = caps
-    group = []
-    other = {}  # eligible nodes, as a tuple, -> their index in groups
-    homeless = None
-    for u, (m_mem, m_cpu, m_gpu) in enumerate(zip(*minima)):
-        s = bisect.bisect_left(gpu_sorted, m_gpu)
-        if s < k and m_mem <= low_mem[s] and m_cpu <= low_cpu[s]:
-            group.append(s)
-            continue
-        eligible = tuple([h for h in by_gpu[s:] if mem[h] >= m_mem and cpu[h] >= m_cpu])
-        if not eligible and homeless is None:
-            homeless = u
-        if eligible not in other:
-            other[eligible] = len(groups)
-            groups.append(tuple(sum(cap[h] for h in eligible) for cap in caps))
-        group.append(other[eligible])
-    common = math.lcm(*{c for g in set(group) for c in groups[g] if c})
-    factors = [tuple(common // c if c else 0 for c in sums) for sums in groups]
+    eligible = [-1] * len(minima[0])
+    for cap, need in zip(caps, minima):
+        order = sorted(range(len(cap)), key=cap.__getitem__)
+        at_least = [cap[h] for h in order]
+        # suffix[s] is the mask of order[s:], the nodes holding at least at_least[s]
+        bits = (1 << h for h in reversed(order))
+        suffix = list(itertools.accumulate(bits, operator.or_, initial=0))[::-1]
+        eligible = [m & suffix[bisect.bisect_left(at_least, v)] for m, v in zip(eligible, need)]
+    homeless = eligible.index(0) if 0 in eligible else None
+    sums = {
+        m: [sum(c for h, c in enumerate(cap) if m >> h & 1) for cap in caps]
+        for m in set(eligible)
+    }
+    common = math.lcm(*{c for s in sums.values() for c in s if c})
+    factors = {m: [common // c if c else 0 for c in s] for m, s in sums.items()}
     score = [
         m_mem * f_mem + m_cpu * f_cpu + m_gpu * f_gpu
-        for m_mem, m_cpu, m_gpu, (f_mem, f_cpu, f_gpu) in zip(
-            *minima, (factors[g] for g in group)
-        )
+        for m_mem, m_cpu, m_gpu, (f_mem, f_cpu, f_gpu) in zip(*minima, map(factors.get, eligible))
     ]
     # a stable sort keeps ties in declared order, reversed or not
     return sorted(range(len(score)), key=score.__getitem__, reverse=True), homeless
@@ -407,16 +392,8 @@ def solve(
             )
         log.debug("values exceed int64 range, using python kernels")
         be = engine.get_backend("python")
-    if scaled.overloaded is not None:
-        log.info(
-            "infeasible before search: total %s demand exceeds capacity", scaled.overloaded
-        )
-        return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
-    if scaled.unplaceable is not None:
-        # every variant needs at least the unit's minima, so none fits a node alone
-        log.info(
-            "infeasible before search: no node holds unit %r alone", scaled.unplaceable
-        )
+    if scaled.infeasible is not None:
+        log.info("infeasible before search: %s", scaled.infeasible)
         return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
         return AllocationScheme(TIMED_OUT, None, {}, visited=0, backend=be.name)

@@ -26,9 +26,8 @@ def pytest_configure():
     source = os.path.join(os.path.dirname(engine.__file__), "_kernels.c")
     with tempfile.TemporaryDirectory() as build:
         library = os.path.join(build, "_kernels.so")
-        subprocess.run(
-            ["cc", "-O2", "-std=c99", "-shared", "-fPIC", "-o", library, source], check=True
-        )
+        cc = ["cc", "-O2", "-std=c99", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
+        subprocess.run([*cc, "-o", library, source], check=True)
         engine._load(library)  # loaded, so the file may go
 
 

@@ -322,6 +322,26 @@ def test_bench_smoke(tmp_path, capsys):
     assert len(payload["reports"]) == 1
 
 
+def test_bench_prints_the_rows_it_finished_when_a_later_n_fails(capsys, monkeypatch):
+    from mvalloc import bench
+
+    finished = bench.run_bench
+
+    def run_bench(spec):
+        if spec.n == 4:
+            raise RuntimeError("no instance accepted at n=4")
+        return finished(spec)
+
+    monkeypatch.setattr(bench, "run_bench", run_bench)
+    code, stdout, stderr = run(
+        capsys, "bench", "--n", "3", "--n", "4", "--reps", "2", "--warmup", "1"
+    )
+    assert code == 1
+    rows = [line.split()[0] for line in stdout.splitlines()[2:-2]]
+    assert rows == ["3"]
+    assert "no instance accepted at n=4" in stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -190,15 +190,21 @@ def test_the_benchmark_lp_check_accepts_the_export():
 
 def test_highs_agrees_on_the_benchmark_packings():
     """An exact check beyond the oracle's reach: HiGHS on the exported LP
-    of every tight 12-16 unit packing and of the planted 300-unit model
+    of every tight 12-16 unit packing, of the planted 300-unit model and of
+    that model with every node's mem and cpu cut to 17/20 (near full)
     finds `solve`'s status and objective."""
     lp_check = pytest.importorskip("lp_check")
     pytest.importorskip("scipy")
-    for case in _perfbench("gen").tight_cases(1) + [_planted_300()]:
-        high, platform = _high_layer(case)
+    packings = _perfbench("gen").tight_cases(1) + [_planted_300()]
+    cases = [(case.name, *_high_layer(case)) for case in packings]
+    high, platform = cases[-1][1:]
+    cut = Fraction(17, 20)
+    near_full = [node(n.id, n.use_mem * cut, n.use_cpu * cut, n.use_gpu) for n in platform.nodes]
+    cases.append(("large300 at 17/20", high, Platform(nodes=near_full)))
+    for name, high, platform in cases:
         expected = solve(high, platform)
         text = export_lp(high, platform)
         divisor = re.search(r"^\\ objective_ms = obj / (\d+)$", text, re.M)
         status, objective, _ = lp_check.solve_lp_text(text)
-        assert status == expected.status == OPTIMAL, case.name
-        assert objective == expected.objective_ms * (int(divisor[1]) if divisor else 1), case.name
+        assert status == expected.status == OPTIMAL, name
+        assert objective == expected.objective_ms * (int(divisor[1]) if divisor else 1), name

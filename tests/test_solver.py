@@ -93,12 +93,22 @@ def test_infeasible_reports_no_placements():
     assert scheme.placements == {}
 
 
-def test_aggregate_overload_is_caught_before_the_search():
+def test_aggregate_overload_is_caught_before_the_search(caplog):
     units = [unit(f"u{i}", (6, 1, 0, 1)) for i in range(4)]
     platform = Platform(nodes=[node("h0", 10, 99), node("h1", 10, 99)])
-    scheme = solve(HighLayerModel(units=units), platform)
+    with caplog.at_level("INFO", logger="mvalloc.solver"):
+        scheme = solve(HighLayerModel(units=units), platform)
     assert scheme.status == "infeasible"
     assert scheme.visited == 0
+    assert "total mem demand" in caplog.text
+    # also holds a unit no node can hold: the total demand is reported first
+    caplog.clear()
+    homeless = HighLayerModel(units=[*units, unit("big", (1, 1, 100, 1))])
+    with caplog.at_level("INFO", logger="mvalloc.solver"):
+        scheme = solve(homeless, platform)
+    assert (scheme.status, scheme.visited) == ("infeasible", 0)
+    assert "total mem demand" in caplog.text
+    assert "'big'" not in caplog.text
 
 
 @pytest.mark.parametrize("name", available_backends())
@@ -197,12 +207,31 @@ def test_demand_order_is_the_documented_rule():
     )
     gpu_only = HighLayerModel(units=[unit("y", (40, 1, 0, 5)), unit("x", (5, 1, 100, 5))])
     assert [u.id for u in _presorted(gpu_only, mixed).all_units()] == ["x", "y"]
-    cases = [(tied, no_gpu), (gpu_only, mixed)]
+    # every node ties in GPU threads, so mem and cpu alone split eligibility
+    gpu_tie = Platform(
+        nodes=[
+            node("t0", 10, 100, gpu=500),
+            node("t1", 100, 10, gpu=500),
+            node("t2", 50, 50, gpu=500),
+        ]
+    )
+    mixed_units = HighLayerModel(
+        units=[
+            unit("m", (60, 5, 0, 5)),
+            unit("c", (5, 60, 100, 5)),
+            unit("g", (5, 5, 500, 5)),
+            unit("both", (20, 20, 0, 5), (40, 8, 0, 2)),
+        ]
+    )
+    cases = [(tied, no_gpu), (gpu_only, mixed), (mixed_units, gpu_tie)]
     for seed in range(60):
         model, platform = random_high_model(seed, product_cap=20_000)
         cases.append((model, platform))
         plain = [node(n.id, n.use_mem, n.use_cpu) for n in platform.nodes]
         cases.append((model, Platform(nodes=plain)))
+        # every third node zeroed, as on the tight_search platforms
+        zeroed = [node(n.id, 0, 0) if i % 3 == 2 else n for i, n in enumerate(platform.nodes)]
+        cases.append((model, Platform(nodes=zeroed)))
     reordered = 0
     for model, platform in cases:
         presorted = [u.id for u in _presorted(model, platform).all_units()]
