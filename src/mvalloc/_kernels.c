@@ -18,9 +18,10 @@
  * `rest` above the target, and the walk stops at its first leaf: the
  * first one in declared order that costs at most the target.  Choices
  * are declared variant indices either way.  Values must fit in int64,
- * which the caller has checked; a `by_cost` entry outside its unit's
- * slice is refused before the walk with status INVALID.  The brute-force
- * oracle has no compiled twin; it lives in _kernels_py.py only.
+ * which the caller has checked, so no cost plus `rest` reaches the
+ * INT64_MAX limit that walk 1 starts with.  A `by_cost` entry outside its
+ * unit's slice is refused before the walk with status INVALID.  The
+ * brute-force oracle has no compiled twin; it lives in _kernels_py.py only.
  *
  * mvalloc.engine loads this file's shared library through ctypes and
  * owns every buffer: the capacity arrays, which the walk uses as the
@@ -53,7 +54,7 @@ typedef struct {
     int64_t *choice, *best;
     int64_t best_cost; /* -1 until the first leaf */
     int64_t target;    /* -1 for none */
-    int64_t limit;     /* a child is cut at cost + rest >= limit; -1 for none */
+    int64_t limit;     /* a child is cut at cost + rest >= limit */
     int64_t deadline_ns, check_left, visited;
     int timed_out, found;
 } State;
@@ -71,11 +72,6 @@ static int64_t first_fit(const State *s, int64_t h, int64_t m, int64_t p, int64_
     while (h < s->k && !(m <= s->rem_mem[h] && p <= s->rem_cpu[h] && g <= s->rem_gpu[h]))
         h++;
     return h;
-}
-
-static int cut(const State *s, int64_t bound)
-{
-    return s->limit >= 0 && bound >= s->limit;
 }
 
 static void solve_dfs(State *s, int64_t u, int64_t cur)
@@ -113,7 +109,7 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
     for (int64_t j = s->off[u]; j < s->off[u] + s->nv[u]; j++) {
         int64_t i = s->target < 0 ? s->by_cost[j] : j;
         int64_t c = cur + s->vcost[i], m = s->vmem[i], p = s->vcpu[i], g = s->vgpu[i];
-        if (cut(s, c + rest)) {
+        if (c + rest >= s->limit) {
             if (s->target < 0) /* cheapest first: every later one fails too */
                 break;
             continue;
@@ -132,7 +128,7 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
             s->rem_gpu[h] += g;
             if (s->timed_out || s->found)
                 return;
-            if (cut(s, c + rest))
+            if (c + rest >= s->limit)
                 break;
         }
     }
@@ -157,7 +153,7 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,
                .rem_gpu = cap_gpu, .suffix_min = suffix_min, .need_mem = need_mem,
                .need_cpu = need_cpu, .need_gpu = need_gpu, .by_cost = by_cost,
                .dominated = dominated, .choice = choice, .best = best, .best_cost = -1,
-               .target = target, .limit = target >= 0 ? target + 1 : -1,
+               .target = target, .limit = target >= 0 ? target + 1 : INT64_MAX,
                .deadline_ns = deadline_ns, .check_left = CHECK_INTERVAL};
     for (int64_t u = 0; u < n; u++) {
         int64_t a = off[u], end = off[u] + nv[u];

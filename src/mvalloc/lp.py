@@ -48,7 +48,7 @@ def export_lp(
     platform: Platform,
     config: SolverConfig | None = None,
 ) -> str:
-    scaled = _scale(model, platform, config or SolverConfig(), by_demand=False)
+    scaled = _scale(model, platform, config or SolverConfig())
     if not scaled.unit_ids:
         raise SolverError("nothing to export: the model has no units")
     if not scaled.node_ids:

@@ -8,20 +8,22 @@ node contend for it.  The objective is the weighted sum of chosen
 variants' execution times, minimized exactly.
 
 All arithmetic is exact.  Demands and capacities are rationals; `_scale`
-multiplies each resource through by the least common denominator of
-every value involved, once, so the kernels compare plain integers and two
-equal objectives are equal bit for bit, not within a tolerance.  The same
-pass takes each unit's cheapest demand per resource.  Those minima prove
-some instances infeasible before any search: the cheapest total demand of
-a resource exceeds its total capacity, or no node holds some unit's three
-minima at once.  They also order the rest, fail first.  A unit's eligible
-nodes are those that hold its minimum mem, cpu and GPU threads at once;
-its score is the sum over the three resources of that minimum divided by
-the eligible nodes' summed capacity (0 where that is 0), compared
-exactly; units come by descending score, ties in declared order.  The
-kernels get their arrays already in that order, with two suffix tables
-for the bound: the summed cheapest cost of the remaining units, and the
-largest demand per resource among their cheapest variants.
+checks the inputs and multiplies each resource through by the least
+common denominator of every value involved, once, so the kernels compare
+plain integers and two equal objectives are equal bit for bit, not
+within a tolerance.  Its record keeps declared order.  `_search`, which
+only `solve` calls, takes each unit's cheapest demand per resource.
+Those minima prove some instances infeasible before any search: the
+cheapest total demand of a resource exceeds its total capacity, or no
+node holds some unit's three minima at once.  They also order the rest,
+fail first.  A unit's eligible nodes are those that hold its minimum
+mem, cpu and GPU threads at once; its score is the sum over the three
+resources of that minimum divided by the eligible nodes' summed capacity
+(0 where that is 0), compared exactly; units come by descending score,
+ties in declared order.  The kernels get their arrays already in that
+order, with two suffix tables for the bound: the summed cheapest cost of
+the remaining units, and the largest demand per resource among their
+cheapest variants.
 
 At each node the search checks forward: every remaining unit must still
 fit some node's remaining capacity, and the bound adds each one's
@@ -38,7 +40,7 @@ feasible leaf, so a walk reports the first optimum it meets.
 The contract's answer is the first optimum of the walk in declared
 variant order, the lexicographically first one, so solve is
 deterministic.  A walk in that order reaches good incumbents late when a
-unit lists a slow variant first.  So `_scale` also lists each unit's
+unit lists a slow variant first.  So `_search` also lists each unit's
 variants cheapest first, ties in declared order, as `by_cost`, and solve
 takes up to two walks of the same kernel on the same arrays, sharing one
 deadline, and reports their summed `visited`:
@@ -69,9 +71,9 @@ status is "timeout".
 `brute_force` enumerates every capacity-feasible assignment in declared
 order with no cost bound, guarded against oversized instances.  It is the
 one independent oracle for `solve` on either backend: it always runs the
-Python enumeration, and the only code the two share is the scaling.
-`lp.export_lp` writes the same scaled integers, so `_scale` is the one
-place a rational becomes a solver number.
+Python enumeration on `_scale`'s declared-order record, the only code the
+two share.  `lp.export_lp` writes that same record, so `_scale` is the
+one place a rational becomes a solver number.
 
 The result record `AllocationScheme`, its `Placement`s and the status
 names are defined in `compaction`, beside `unfold`, which consumes them;
@@ -151,28 +153,43 @@ class SolverConfig:
 
 @dataclass
 class _Scaled:
-    """One model scaled to integers, units in search order.
+    """One model scaled to integers, units and variants in declared order.
 
     `kernel_args` are the arrays both kernels take (nv, off, vmem, vcpu,
-    vgpu, vcost, cap_mem, cap_cpu, cap_gpu); `unit_ids[i]` is the unit
-    searched i-th.  `by_cost` holds flat variant indices, each unit's slice
-    off[u]:off[u] + nv[u] listing its own variants cheapest first, ties in
-    declared order.  `suffix_min[i]` sums the cheapest cost of units i..,
-    and `suffix_need[r][i]` is the largest resource-r demand among those
-    units' cheapest variants (the first one on a cost tie).  `infeasible`
-    says why the units' minima alone prove the model infeasible, or is
-    None: the first resource whose cheapest total demand exceeds total
-    capacity, else (demand order only) the first unit that no single node
-    can hold.
+    vgpu, vcost, cap_mem, cap_cpu, cap_gpu): unit u owns the flat variant
+    slice off[u]:off[u] + nv[u], and a cost divided by `cost_den` is in
+    milliseconds.  `brute_force` and `lp.export_lp` read this record as it
+    is; `solve` first builds its `_Search` from it.
     """
 
     unit_ids: list[str]
     node_ids: list[str]
     kernel_args: tuple[list[int], ...]
+    cost_den: int
+
+
+@dataclass
+class _Search:
+    """A scaled model in search order, with the tables `solve`'s walks read.
+
+    `args` are the 14 arrays `solve_search` takes: `_Scaled.kernel_args`
+    with the units permuted, `by_cost`, `suffix_min` and the three
+    `suffix_need` columns.  `unit_ids[i]` is the unit searched i-th.
+    `by_cost` holds flat variant indices, each unit's slice listing its own
+    variants cheapest first, ties in declared order.  `suffix_min[i]` sums
+    the cheapest cost of units i..; the `suffix_need` column of resource r
+    holds at i the largest resource-r demand among those units' cheapest
+    variants (the first one on a cost tie).  `infeasible` says why the
+    units' minima alone prove the model infeasible, or is None: the first
+    resource whose cheapest total demand exceeds total capacity, else the
+    first unit, in declared order, that no single node can hold.
+    `int64_safe` says whether the values fit the compiled kernel.
+    """
+
+    unit_ids: list[str]
+    args: tuple[list[int], ...]
     by_cost: list[int]
     suffix_min: list[int]
-    suffix_need: tuple[list[int], list[int], list[int]]
-    cost_den: int
     infeasible: str | None
     int64_safe: bool
 
@@ -185,25 +202,11 @@ def _check_config(cfg: SolverConfig) -> None:
             raise SolverError(f"weight of unit {unit_id!r} must be positive")
 
 
-def _scale(
-    model: HighLayerModel, platform: Platform, cfg: SolverConfig, by_demand: bool
-) -> _Scaled:
-    """Scale every demand and capacity to integers, once.
-
-    With by_demand the units come in the search order `solve` walks,
-    otherwise in declared order (`brute_force`, `lp.export_lp`).
+def _scale(model: HighLayerModel, platform: Platform, cfg: SolverConfig) -> _Scaled:
+    """Check the inputs and scale every demand and capacity to integers, once.
 
     Per resource the common denominator is the lcm of every value's
-    denominator.  Values sit in flat per-variant columns in declared order,
-    unit u owning the slice spans[u].  The same pass takes each unit's
-    minimum and maximum per resource: the minima give the pre-search
-    infeasibility checks and the demand order (`_demand_order`: summed
-    shares of the capacity of the nodes that hold all three minima), the
-    maxima the int64 check.
-    Once the units are in search order, a stable sort per unit lists its
-    variants cheapest first (`by_cost`); the first entry of each gives the
-    cost bound and the demands whose suffix maxima let the search skip its
-    forward scan.
+    denominator.  Values sit in flat per-variant columns in declared order.
     """
     _check_config(cfg)
     units = model.units
@@ -222,8 +225,6 @@ def _scale(
             raise SolverError(f"unit {unit.id!r} has no variants")
 
     props = [v.props for u in units for v in u.variants]
-    starts = list(itertools.accumulate((len(u.variants) for u in units), initial=0))
-    spans = list(zip(starts, starts[1:]))
     weights = cfg.unit_weights
     costs = [
         weights[u.id] * v.props.exec_ms if u.id in weights else v.props.exec_ms
@@ -249,14 +250,28 @@ def _scale(
         [p.gpu_threads for p in props],
         [c.numerator * (cost_den // c.denominator) for c in costs],
     )
-    # per resource, per unit
-    minima = [[min(col[s:e]) for s, e in spans] for col in cols[:3]]
-    maxima = [sum(max(col[s:e]) for s, e in spans) for col in cols]
-
     if any(min(col, default=0) < 0 for col in cols):
         raise SolverError("negative demand values; validate the model first")
     if any(c < 0 for cap in caps for c in cap):
         raise SolverError("negative capacity values; validate the model first")
+    nv = [len(u.variants) for u in units]
+    off = list(itertools.accumulate(nv, initial=0))[:-1]
+    return _Scaled([u.id for u in units], node_ids, (nv, off, *cols, *caps), cost_den)
+
+
+def _search(scaled: _Scaled) -> _Search:
+    """Order a scaled model for `solve` and build what its walks read.
+
+    Each unit's minima per resource give the pre-search verdict and the
+    demand order (`_demand_order`), its maxima the int64 check.  Once the
+    units are in search order, a stable sort per unit gives `by_cost`.
+    """
+    nv, off, *cols, cap_mem, cap_cpu, cap_gpu = scaled.kernel_args
+    caps = (cap_mem, cap_cpu, cap_gpu)
+    spans = [(a, a + count) for a, count in zip(off, nv)]
+    # per resource, per unit
+    minima = [[min(col[s:e]) for s, e in spans] for col in cols[:3]]
+    maxima = [sum(max(col[s:e]) for s, e in spans) for col in cols]
     infeasible = None
     for label, need, cap in zip(("mem", "cpu", "gpu_threads"), minima, caps):
         if sum(need) > sum(cap):
@@ -264,15 +279,12 @@ def _scale(
             break
     bound = engine.INT64_SAFE_BOUND
     int64_safe = max(maxima) < bound and all(c < bound for cap in caps for c in cap)
+    order, homeless = _demand_order(minima, caps)
+    if infeasible is None and homeless is not None:
+        # every variant needs at least the unit's minima, so none fits a node alone
+        infeasible = f"no node holds unit {scaled.unit_ids[homeless]!r} alone"
 
-    order = range(len(units))
-    if by_demand:
-        order, homeless = _demand_order(minima, caps)
-        if infeasible is None and homeless is not None:
-            # every variant needs at least the unit's minima, so none fits a node alone
-            infeasible = f"no node holds unit {units[homeless].id!r} alone"
-
-    nv = [len(units[u].variants) for u in order]
+    nv = [nv[u] for u in order]
     off = list(itertools.accumulate(nv, initial=0))[:-1]
     flat = [i for u in order for i in range(*spans[u])]
     columns = [[col[i] for i in flat] for col in cols]  # mem, cpu, gpu, cost
@@ -282,21 +294,13 @@ def _scale(
     ]
     cheapest = [by_cost[a] for a in reversed(off)]  # back to front
     suffix_min = list(itertools.accumulate((vcost[i] for i in cheapest), initial=0))[::-1]
-    suffix_need = tuple(
+    suffix_need = (
         list(itertools.accumulate((col[i] for i in cheapest), max, initial=0))[::-1]
         for col in columns[:3]
     )
-    return _Scaled(
-        unit_ids=[units[u].id for u in order],
-        node_ids=node_ids,
-        kernel_args=(nv, off, *columns, *caps),
-        by_cost=by_cost,
-        suffix_min=suffix_min,
-        suffix_need=suffix_need,
-        cost_den=cost_den,
-        infeasible=infeasible,
-        int64_safe=int64_safe,
-    )
+    args = (nv, off, *columns, *caps, by_cost, suffix_min, *suffix_need)
+    unit_ids = [scaled.unit_ids[u] for u in order]
+    return _Search(unit_ids, args, by_cost, suffix_min, infeasible, int64_safe)
 
 
 def _demand_order(
@@ -342,12 +346,12 @@ def _demand_order(
     return sorted(range(len(score)), key=score.__getitem__, reverse=True), homeless
 
 
-def _reordered_within(scaled: _Scaled, slack: int) -> bool:
+def _reordered_within(search: _Search, slack: int) -> bool:
     """Whether, in some unit, the variants costing at most `slack` more
     than the unit's cheapest stand out of declared order in `by_cost`."""
     if not slack:  # only each unit's cheapest, ties kept in declared order
         return False
-    off, vcost, by_cost = scaled.kernel_args[1], scaled.kernel_args[5], scaled.by_cost
+    off, vcost, by_cost = search.args[1], search.args[5], search.by_cost
     # each slice is sorted by cost, so those variants are its prefix, and
     # by_cost descends only inside a slice: check each descent's unit
     descents = map(operator.gt, by_cost, by_cost[1:])
@@ -358,11 +362,10 @@ def _reordered_within(scaled: _Scaled, slack: int) -> bool:
     return False
 
 
-def _placements(scaled: _Scaled, choices: list[tuple[int, int]]) -> dict[str, Placement]:
-    return {
-        unit_id: Placement(v, scaled.node_ids[h])
-        for unit_id, (v, h) in zip(scaled.unit_ids, choices)
-    }
+def _placements(
+    unit_ids: list[str], node_ids: list[str], choices: list[tuple[int, int]]
+) -> dict[str, Placement]:
+    return {unit_id: Placement(v, node_ids[h]) for unit_id, (v, h) in zip(unit_ids, choices)}
 
 
 def solve(
@@ -383,26 +386,26 @@ def solve(
     if cfg.time_limit_ms is not None:
         deadline_ns = time.monotonic_ns() + cfg.time_limit_ms * 1_000_000
 
-    scaled = _scale(model, platform, cfg, by_demand=True)
+    scaled = _scale(model, platform, cfg)
+    search = _search(scaled)
     be = engine.get_backend(backend)
-    if be.name == "c" and not scaled.int64_safe:
+    if be.name == "c" and not search.int64_safe:
         if backend == "c":
             raise SolverError(
                 "scaled values do not fit the compiled kernel; use backend=python"
             )
         log.debug("values exceed int64 range, using python kernels")
         be = engine.get_backend("python")
-    if scaled.infeasible is not None:
-        log.info("infeasible before search: %s", scaled.infeasible)
+    if search.infeasible is not None:
+        log.info("infeasible before search: %s", search.infeasible)
         return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
         return AllocationScheme(TIMED_OUT, None, {}, visited=0, backend=be.name)
-    args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min, *scaled.suffix_need)
     # walk 1: each unit's variants cheapest first, to prove the optimum
-    code, cost, choices, visited = be.solve_search(*args, deadline_ns=deadline_ns)
-    if code == _kernels_py.OPTIMAL and _reordered_within(scaled, cost - scaled.suffix_min[0]):
+    code, cost, choices, visited = be.solve_search(*search.args, deadline_ns=deadline_ns)
+    if code == _kernels_py.OPTIMAL and _reordered_within(search, cost - search.suffix_min[0]):
         # walk 2: declared order down to the first leaf at that cost
-        code, _, first, more = be.solve_search(*args, deadline_ns=deadline_ns, target=cost)
+        code, _, first, more = be.solve_search(*search.args, deadline_ns=deadline_ns, target=cost)
         visited += more
         if code == _kernels_py.OPTIMAL:
             choices = first
@@ -412,7 +415,7 @@ def solve(
     placements: dict[str, Placement] = {}
     objective = None
     if status == OPTIMAL or (status == TIMED_OUT and cfg.incumbent_on_timeout and choices):
-        placements = _placements(scaled, choices)
+        placements = _placements(search.unit_ids, scaled.node_ids, choices)
         objective = Fraction(cost, scaled.cost_den)
     return AllocationScheme(status, objective, placements, visited=visited, backend=be.name)
 
@@ -429,7 +432,7 @@ def brute_force(
     BRUTE_FORCE_GUARD.
     """
     cfg = config or SolverConfig()
-    scaled = _scale(model, platform, cfg, by_demand=False)
+    scaled = _scale(model, platform, cfg)
     assignments = 1
     k = len(scaled.node_ids)
     for count in scaled.kernel_args[0]:  # nv
@@ -443,7 +446,7 @@ def brute_force(
     placements = {}
     objective = None
     if status == OPTIMAL:
-        placements = _placements(scaled, choices)
+        placements = _placements(scaled.unit_ids, scaled.node_ids, choices)
         objective = Fraction(cost, scaled.cost_den)
     return AllocationScheme(status, objective, placements, visited=visited, backend="python")
 

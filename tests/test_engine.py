@@ -8,7 +8,7 @@ import pytest
 from random_models import random_high_model
 
 from mvalloc import engine
-from mvalloc.solver import SolverConfig, _scale
+from mvalloc.solver import SolverConfig, _scale, _search
 
 
 def test_python_backend_is_always_available():
@@ -200,11 +200,10 @@ def test_skipping_the_forward_scan_changes_nothing(name):
     kernel = engine.get_backend(name).solve_search
     for seed in range(200):
         model, platform = random_high_model(seed, product_cap=30_000)
-        scaled = _scale(model, platform, SolverConfig(), by_demand=True)
-        args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min)
-        never = [sum(scaled.kernel_args[6]) + 1] * len(scaled.suffix_min)
-        with_shortcut = kernel(*args, *scaled.suffix_need, None)
-        scan_only = kernel(*args, never, never, never, None)
+        search = _search(_scale(model, platform, SolverConfig()))
+        never = [sum(search.args[6]) + 1] * len(search.suffix_min)
+        with_shortcut = kernel(*search.args, None)
+        scan_only = kernel(*search.args[:11], never, never, never, None)
         assert with_shortcut == scan_only, f"seed {seed}"
 
 
@@ -233,9 +232,8 @@ def test_target_returns_the_first_leaf_at_most_the_target(name):
     checked = 0
     for seed in range(100):
         model, platform = random_high_model(seed, max_units=5, product_cap=2_000)
-        scaled = _scale(model, platform, SolverConfig(), by_demand=True)
-        args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min, *scaled.suffix_need)
-        leaves = list(_leaves_in_walk_order(*scaled.kernel_args))
+        args = _search(_scale(model, platform, SolverConfig())).args
+        leaves = list(_leaves_in_walk_order(*args[:9]))
         assert kernel(*args, None, None) == kernel(*args, None)
         status, best, _, visited = kernel(*args, None)
         if not leaves:

@@ -12,6 +12,7 @@ from mvalloc import engine
 from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant
 from mvalloc.engine import available_backends
 from mvalloc.formats import dump_scheme
+from mvalloc.lp import export_lp
 from mvalloc.model import HardwareNode, Platform, ResourceDemand, UnknownIdError
 from mvalloc.solver import (
     BRUTE_FORCE_GUARD,
@@ -20,6 +21,7 @@ from mvalloc.solver import (
     SolverConfig,
     SolverError,
     _scale,
+    _search,
     brute_force,
     check_scheme,
     solve,
@@ -237,7 +239,9 @@ def test_demand_order_is_the_documented_rule():
         presorted = [u.id for u in _presorted(model, platform).all_units()]
         if presorted != [u.id for u in model.all_units()]:
             reordered += 1
-        assert _scale(model, platform, SolverConfig(), by_demand=True).unit_ids == presorted
+        scaled = _scale(model, platform, SolverConfig())
+        assert _search(scaled).unit_ids == presorted
+        assert scaled.unit_ids == [u.id for u in model.units]
     assert reordered > len(cases) // 2
     scheme = solve(tied, no_gpu)
     assert [(u, p.node) for u, p in scheme.placements.items()] == [
@@ -316,30 +320,36 @@ def test_weights_steer_the_scarce_gpu_to_the_heavy_unit():
     assert favour_b.objective_ms == Fraction(110)
 
 
-def test_config_validation():
+# every caller of _scale gets its input checks
+@pytest.mark.parametrize("run", [solve, brute_force, export_lp])
+def test_config_validation(run):
     model, platform = _weighted_instance()
     with pytest.raises(SolverError, match="unknown units"):
-        solve(model, platform, SolverConfig(unit_weights={"nobody": Fraction(1)}))
+        run(model, platform, SolverConfig(unit_weights={"nobody": Fraction(1)}))
     with pytest.raises(SolverError, match="positive"):
-        solve(model, platform, SolverConfig(unit_weights={"A": Fraction(0)}))
+        run(model, platform, SolverConfig(unit_weights={"A": Fraction(0)}))
     with pytest.raises(SolverError, match="non-negative"):
-        solve(model, platform, SolverConfig(time_limit_ms=-1))
+        run(model, platform, SolverConfig(time_limit_ms=-1))
 
 
-def test_model_validation():
+@pytest.mark.parametrize("run", [solve, brute_force, export_lp])
+def test_model_validation(run):
     platform = Platform(nodes=[node("h", 10, 10)])
     twice = HighLayerModel(units=[unit("u", (1, 1, 0, 1)), unit("u", (1, 1, 0, 1))])
     with pytest.raises(SolverError, match="duplicate unit"):
-        solve(twice, platform)
+        run(twice, platform)
     dup_nodes = Platform(nodes=[node("h", 10, 10), node("h", 10, 10)])
     with pytest.raises(SolverError, match="duplicate node"):
-        solve(HighLayerModel(units=[unit("u", (1, 1, 0, 1))]), dup_nodes)
+        run(HighLayerModel(units=[unit("u", (1, 1, 0, 1))]), dup_nodes)
     empty = HighLayerModel(units=[MultiVariantUnit(id="u", variants=[])])
     with pytest.raises(SolverError, match="no variants"):
-        solve(empty, platform)
+        run(empty, platform)
     negative = HighLayerModel(units=[unit("u", (-1, 1, 0, 1))])
     with pytest.raises(SolverError, match="negative"):
-        solve(negative, platform)
+        run(negative, platform)
+    below_zero = Platform(nodes=[node("h", 10, -1)])
+    with pytest.raises(SolverError, match="negative capacity values"):
+        run(HighLayerModel(units=[unit("u", (1, 1, 0, 1))]), below_zero)
 
 
 def test_zero_time_limit_times_out_without_searching():
@@ -588,9 +598,7 @@ def test_dominated_copies_change_no_walk_and_no_scheme(name):
         copied += padded != model
         walks = []
         for m in (model, padded):
-            scaled = _scale(m, platform, SolverConfig(), by_demand=True)
-            args = (*scaled.kernel_args, scaled.by_cost, scaled.suffix_min, *scaled.suffix_need)
-            walks.append(kernel(*args))
+            walks.append(kernel(*_search(_scale(m, platform, SolverConfig())).args))
         assert walks[0] == walks[1], f"seed {seed}"
         for m in (padded, _reversed(padded)):
             slow = brute_force(_presorted(m, platform), platform)
