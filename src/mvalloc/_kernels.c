@@ -1,27 +1,31 @@
 /* Compiled search kernel: the branch and bound of mvalloc/_kernels_py.py
  * in C99.
  *
- * Same tree walk, same ordering, same strict-improvement rule and the
- * same cuts: the forward check with its still-fitting cost bound `rest`,
- * read in `by_cost` order and skipped when one node covers the `need_*`
- * suffix maxima, and the cost cut before each variant and after each
- * child.  Fed the same scaled integers, both kernels return identical
- * results, visited counts included.  Without a `target` (-1) the walk
- * tries each unit's variants in `by_cost` order, cheapest first, and
- * proves the optimum, skipping every variant that is strictly dominated
- * within its unit: some variant ahead of it in `by_cost` costs less and
- * needs no more mem, cpu or GPU threads, and ending a unit's loop at the
- * first variant that fails the cost cut.  The Python kernel tests a
- * variant on first need; this one flags every dominated variant before
- * the walk, which visits the same nodes.  With a target it tries the
- * variants in declared order and skips none, the cut is cost so far plus
- * `rest` above the target, and the walk stops at its first leaf: the
- * first one in declared order that costs at most the target.  Choices
- * are declared variant indices either way.  Values must fit in int64,
- * which the caller has checked, so no cost plus `rest` reaches the
- * INT64_MAX limit that walk 1 starts with.  A `by_cost` entry outside its
- * unit's slice is refused before the walk with status INVALID.  The
- * brute-force oracle has no compiled twin; it lives in _kernels_py.py only.
+ * Same tree walk, same ordering, same cuts: the forward check with its
+ * still-fitting cost bound `rest`, read in `by_cost` order and skipped
+ * when one node covers the `need_*` suffix maxima, and the lexicographic
+ * tie rule before each variant and after each child.  A child is cut when
+ * its cost so far plus `rest` exceeds the incumbent's cost, or ties it
+ * while the path's (declared variant, node) pairs through the child do
+ * not come before the incumbent's.  Before a variant, the pairs are
+ * compared only on a tie, with the variant's node taken as -1.  After a
+ * child even a tie needs no comparison: the path still comes before the
+ * incumbent unless the child replaced it, which the count of leaves
+ * shows.  A leaf that is reached always replaces the incumbent, so the
+ * walk returns the lexicographically first optimum.  Fed the same scaled integers, both
+ * kernels return identical results, visited counts included.  The walk
+ * tries each unit's variants in `by_cost` order, cheapest first, ending
+ * a unit's loop at the first variant whose sum exceeds the incumbent's
+ * cost, and skips every variant that is strictly dominated within its
+ * unit: some variant ahead of it in `by_cost` costs less and needs no
+ * more mem, cpu or GPU threads.  The Python kernel tests a variant on
+ * first need; this one flags every dominated variant before the walk,
+ * which visits the same nodes.  Choices are declared variant indices.
+ * Values must fit in int64, which the caller has checked, so no cost plus
+ * `rest` reaches the INT64_MAX limit that the walk starts with.  A
+ * `by_cost` entry outside its unit's slice is refused before the walk
+ * with status INVALID.  The brute-force oracle has no compiled twin; it
+ * lives in _kernels_py.py only.
  *
  * mvalloc.engine loads this file's shared library through ctypes and
  * owns every buffer: the capacity arrays, which the walk uses as the
@@ -42,7 +46,7 @@
 
 enum { INVALID = -1, OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
 enum { CHECK_INTERVAL = 8192 };
-enum { KERNEL_VERSION = 2 };
+enum { KERNEL_VERSION = 3 };
 
 typedef struct {
     int64_t n, k;
@@ -50,13 +54,13 @@ typedef struct {
     int64_t *rem_mem, *rem_cpu, *rem_gpu;
     const int64_t *suffix_min, *need_mem, *need_cpu, *need_gpu;
     const int64_t *by_cost;
-    int64_t *dominated; /* per variant: 1 when walk 1 skips it */
+    int64_t *dominated; /* per variant: 1 when the walk skips it */
     int64_t *choice, *best;
     int64_t best_cost; /* -1 until the first leaf */
-    int64_t target;    /* -1 for none */
-    int64_t limit;     /* a child is cut at cost + rest >= limit */
+    int64_t limit;     /* the incumbent's cost, INT64_MAX before the first leaf */
     int64_t deadline_ns, check_left, visited;
-    int timed_out, found;
+    int64_t leaves; /* leaves reached, each one a new incumbent */
+    int timed_out;
 } State;
 
 static int64_t monotonic_ns(void)
@@ -74,6 +78,16 @@ static int64_t first_fit(const State *s, int64_t h, int64_t m, int64_t p, int64_
     return h;
 }
 
+/* Whether the path's (variant, node) pairs through unit u come before the
+ * incumbent's; the node of unit u may be -1, before every node. */
+static int before_best(const State *s, int64_t u)
+{
+    for (int64_t j = 0; j < 2 * u + 2; j++)
+        if (s->choice[j] != s->best[j])
+            return s->choice[j] < s->best[j];
+    return 0;
+}
+
 static void solve_dfs(State *s, int64_t u, int64_t cur)
 {
     s->visited++;
@@ -84,11 +98,11 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
             return;
         }
     }
-    if (u == s->n) { /* every leaf reached is below the limit */
+    if (u == s->n) { /* every leaf reached is cheaper, or as cheap and before */
         s->best_cost = s->limit = cur;
         for (int64_t j = 0; j < 2 * s->n; j++)
             s->best[j] = s->choice[j];
-        s->found = s->target >= 0;
+        s->leaves++;
         return;
     }
     int64_t rest = s->suffix_min[u + 1];
@@ -107,12 +121,16 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
         }
     }
     for (int64_t j = s->off[u]; j < s->off[u] + s->nv[u]; j++) {
-        int64_t i = s->target < 0 ? s->by_cost[j] : j;
+        int64_t i = s->by_cost[j];
         int64_t c = cur + s->vcost[i], m = s->vmem[i], p = s->vcpu[i], g = s->vgpu[i];
         if (c + rest >= s->limit) {
-            if (s->target < 0) /* cheapest first: every later one fails too */
+            if (c + rest > s->limit) /* cheapest first: every later one fails too */
                 break;
-            continue;
+            /* a tie: enter only if some node puts the path before the incumbent */
+            s->choice[2 * u] = i - s->off[u];
+            s->choice[2 * u + 1] = -1;
+            if (!before_best(s, u))
+                continue;
         }
         if (s->dominated[i])
             continue;
@@ -122,13 +140,16 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
             s->rem_gpu[h] -= g;
             s->choice[2 * u] = i - s->off[u];
             s->choice[2 * u + 1] = h;
+            int64_t leaves = s->leaves;
             solve_dfs(s, u + 1, c);
             s->rem_mem[h] += m;
             s->rem_cpu[h] += p;
             s->rem_gpu[h] += g;
-            if (s->timed_out || s->found)
+            if (s->timed_out)
                 return;
-            if (c + rest >= s->limit)
+            /* on a tie, a later node comes before the incumbent unless
+             * this child replaced it */
+            if (c + rest >= s->limit && (c + rest > s->limit || s->leaves != leaves))
                 break;
         }
     }
@@ -139,7 +160,7 @@ int64_t kernel_version(void)
     return KERNEL_VERSION;
 }
 
-void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,
+void solve_search(int64_t n, int64_t k, int64_t deadline_ns,
                   const int64_t *nv, const int64_t *off, const int64_t *vmem,
                   const int64_t *vcpu, const int64_t *vgpu, const int64_t *vcost,
                   int64_t *cap_mem, int64_t *cap_cpu, int64_t *cap_gpu,
@@ -153,7 +174,7 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,
                .rem_gpu = cap_gpu, .suffix_min = suffix_min, .need_mem = need_mem,
                .need_cpu = need_cpu, .need_gpu = need_gpu, .by_cost = by_cost,
                .dominated = dominated, .choice = choice, .best = best, .best_cost = -1,
-               .target = target, .limit = target >= 0 ? target + 1 : INT64_MAX,
+               .limit = INT64_MAX,
                .deadline_ns = deadline_ns, .check_left = CHECK_INTERVAL};
     for (int64_t u = 0; u < n; u++) {
         int64_t a = off[u], end = off[u] + nv[u];
@@ -163,9 +184,9 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns, int64_t target,
                 return;
             }
         }
-        /* walk 1 skips a variant when a variant of the unit ahead of it in
-         * by_cost costs less and needs no more of any resource */
-        for (int64_t j = a; target < 0 && j < end; j++) {
+        /* the walk skips a variant when a variant of the unit ahead of it
+         * in by_cost costs less and needs no more of any resource */
+        for (int64_t j = a; j < end; j++) {
             int64_t i = by_cost[j];
             for (int64_t q = a; q < end && vcost[by_cost[q]] < vcost[i]; q++) {
                 int64_t b = by_cost[q];

@@ -2,43 +2,49 @@
 
 Both kernels walk the assignment tree unit by unit, trying each unit's
 variants in a given order and nodes in platform order, on demands and
-capacities that the caller has already scaled to integers.  That
-ordering is part of the contract: together with strict-improvement
-updates it makes the reported optimum the first one in walk order, so
-results are reproducible and `solve_search` must match the compiled
-kernel of _kernels.c bit for bit.
+capacities that the caller has already scaled to integers.  Each
+reports the lexicographically first optimum over (declared variant,
+node) pairs in unit order, so results are reproducible, and
+`solve_search` must match the compiled kernel of _kernels.c bit for
+bit, `visited` included.
 
 `solve_search` is branch and bound with forward checking.  `by_cost`
 lists, in each unit's slice off[u]:off[u] + nv[u], that unit's flat
-variant indices cheapest first, ties in declared order.  On entering a
-node the search takes `rest`, the sum over the units after the current
-one of the first variant in `by_cost` order that still fits some node's
-remaining capacity, and returns at once if one of them fits nowhere.
-When one node can hold the largest demand of every remaining unit's
-cheapest variant (`need_*`), `rest` is simply `suffix_min` and the scan
-is skipped.  A child is entered only while its cost so far plus `rest`
-is below the incumbent, tested before each variant and again after each
-child returns.  Every cut drops only subtrees with no feasible leaf or
-no strictly cheaper one, so the reported optimum is the first optimum
-in walk order.
+variant indices cheapest first, ties in declared order, and the walk
+tries each unit's variants in that order.  On entering a node the search
+takes `rest`, the sum over the units after the current one of the first
+variant in `by_cost` order that still fits some node's remaining
+capacity, and returns at once if one of them fits nowhere.  When one
+node can hold the largest demand of every remaining unit's cheapest
+variant (`need_*`), `rest` is simply `suffix_min` and the scan is
+skipped.
 
-Without a `target` the walk tries each unit's variants in `by_cost`
-order and proves the optimum.  It skips a variant that is strictly
-dominated within its unit: some variant ahead of it in `by_cost` costs
-less and needs no more mem, cpu or GPU threads.  The cheapest variant
-that dominates it is not dominated itself, and on every node where the
-skipped variant fits the walk has already searched or cut that one, so
-every leaf below the skipped variant costs more than the incumbent: the
-skip changes only `visited`.  A variant is tested on first need, when
-it passes the cost cut and is not first in its unit's slice, and its
-answer is kept for the rest of the walk.  As the slice is sorted by
-cost, the first variant that fails the cost cut ends the unit's loop.
-Given a `target`, the walk tries the variants in declared order and
-skips none, the cut is cost so far plus `rest` above the target, and
-the walk stops at its first leaf, the first one in declared order that
-costs at most the target (status infeasible when there is none).
-Either way choices are (declared variant index, node) pairs, and every
-unit has at least one variant, which `solver._scale` checks.
+The walk minimizes one lexicographic objective: the cost, then the
+path's (declared variant, node) pairs in unit order.  A child whose cost
+so far plus `rest` exceeds the incumbent's cost is cut; one whose sum
+ties it is cut unless the path's pairs through the child come before
+the incumbent's.  Before a variant that ties, its node is taken as -1,
+below every node.  Both tests run before each variant and again after
+each child returns, and the pairs are compared only on a tie.  After a
+child even a tie needs no comparison: the entry test held, so the path
+still comes before the incumbent unless the child replaced it, and then
+the incumbent holds the very pair made for that child.  A leaf
+that is reached is therefore cheaper than the incumbent, or as cheap and
+before it, and always replaces it.  As the slice is sorted by cost, the
+first variant whose sum exceeds the incumbent's cost ends the unit's
+loop.  Every cut drops only subtrees whose leaves all cost more than the
+incumbent or come after it at its cost, so the walk returns the
+lexicographically first optimum, whatever order it meets the optima in.
+
+The walk skips a variant that is strictly dominated within its unit:
+some variant ahead of it in `by_cost` costs less and needs no more mem,
+cpu or GPU threads.  Swapping it for the one that dominates it on the
+same node stays feasible and is strictly cheaper, so no optimum takes
+it, and the skip changes only `visited`.  A variant is tested on first
+need, when it passes the cost cut and is not first in its unit's slice,
+and its answer is kept for the rest of the walk.  Choices are (declared
+variant index, node) pairs, and every unit has at least one variant,
+which `solver._scale` checks.
 
 `brute_search` enumerates every capacity-feasible assignment in declared
 order and shares nothing with the bound logic, which is what makes it
@@ -84,7 +90,6 @@ def solve_search(
     need_cpu,
     need_gpu,
     deadline_ns=None,
-    target=None,
 ):
     n = len(nv)
     k = len(cap_mem)
@@ -94,25 +99,21 @@ def solve_search(
     choice: list[tuple[int, int]] = [(-1, -1)] * n
     best_cost = None
     best_choice = None
-    # a child is cut when its cost so far plus `rest` reaches this: the
-    # incumbent's cost, or one past the target; before the first leaf of
-    # walk 1, one past the sum of every cost, which no child reaches
-    limit = sum(vcost) + 1 if target is None else target + 1
+    # the incumbent's cost; before the first leaf, one past the sum of
+    # every cost, which no cost so far plus `rest` reaches
+    limit = sum(vcost) + 1
     timed_out = False
     visited = 0
     check_left = _CHECK_INTERVAL
     monotonic_ns = time.monotonic_ns
-    # flat variant indices in the order the walk tries them
-    walk = by_cost if target is None else range(len(by_cost))
     # each unit's slice of by_cost, for the forward scan, where the first
     # variant that fits a node gives the unit's bound; built by the first
     # scan, as the shortcut often makes none
     ranked = []
-    # walk 1 skips a variant that is strictly dominated within its unit:
     # flags[i] is 0 until variant i is first tested, then 1 if it is kept
-    # and 2 if it is skipped (a bytearray, which the collector ignores);
-    # walk 2 keeps every variant
-    flags = bytearray(len(vcost)) if target is None else b"\x01" * len(vcost)
+    # and 2 if it is strictly dominated and skipped (a bytearray, which the
+    # collector ignores)
+    flags = bytearray(len(vcost))
 
     def dfs(u: int, cur: int) -> None:
         nonlocal best_cost, best_choice, limit, timed_out, visited, check_left
@@ -125,11 +126,9 @@ def solve_search(
                     timed_out = True
                     raise _Stop
         if u == n:
-            # every leaf reached is below the limit
+            # every leaf reached is cheaper, or as cheap and before
             best_cost = limit = cur
             best_choice = choice.copy()
-            if target is not None:
-                raise _Stop
             return
         rest = suffix_min[u + 1]
         m = need_mem[u + 1]
@@ -157,14 +156,18 @@ def solve_search(
                 else:
                     return
         base = off[u]
-        variants = walk[base : base + nv[u]]
-        first = variants[0]  # in walk 1 the unit's cheapest, never dominated
+        variants = by_cost[base : base + nv[u]]
+        first = variants[0]  # the unit's cheapest, never dominated
         for i in variants:
             c = cur + vcost[i]
-            if c + rest >= limit:
-                if target is None:  # cheapest first: every later one fails too
+            bound = c + rest
+            if bound >= limit:
+                if bound > limit:  # cheapest first: every later one fails too
                     break
-                continue
+                # a tie: enter only if some node puts the path before the incumbent
+                choice[u] = (i - base, -1)
+                if choice[: u + 1] >= best_choice[: u + 1]:
+                    continue
             m = vmem[i]
             p = vcpu[i]
             g = vgpu[i]
@@ -191,7 +194,9 @@ def solve_search(
                     rem_mem[h] += m
                     rem_cpu[h] += p
                     rem_gpu[h] += g
-                    if c + rest >= limit:
+                    # on a tie, a later node comes before the incumbent
+                    # unless this child replaced it
+                    if bound >= limit and (bound > limit or best_choice[u] is choice[u]):
                         break
 
     try:

@@ -35,7 +35,7 @@ _NO_DEADLINE = 2**63 - 1
 
 # what _kernels.c's kernel_version() returns; bump both whenever the
 # kernel's arguments or results change
-_KERNEL_VERSION = 2
+_KERNEL_VERSION = 3
 
 log = logging.getLogger(__name__)
 
@@ -77,12 +77,11 @@ def _load(path: str) -> None:
         )
         return
     i64, address = ctypes.c_int64, ctypes.c_void_p
-    lib.solve_search.argtypes = [i64, i64, i64, i64] + [address] * 18
+    lib.solve_search.argtypes = [i64, i64, i64] + [address] * 18
     lib.solve_search.restype = None
 
     def solve_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
-                     by_cost, suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None,
-                     target=None):
+                     by_cost, suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None):
         columns = (nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
                    by_cost, suffix_min, need_mem, need_cpu, need_gpu)
         # the kernel indexes by these lengths and offsets unchecked
@@ -97,7 +96,7 @@ def _load(path: str) -> None:
             raise ValueError("kernel arrays have inconsistent lengths")
         deadline = _NO_DEADLINE if deadline_ns is None else min(deadline_ns, _NO_DEADLINE)
         # one int64 buffer holds the columns and then zeroed scratch: a
-        # flag per variant that walk 1 skips, the current path, the
+        # flag per variant that the walk skips, the current path, the
         # incumbent's (variant, node) pairs and out = {status, cost or -1,
         # visited}; the kernel gets an address into it for each
         scratch = [total, 2 * n, 2 * n, 3]
@@ -106,7 +105,7 @@ def _load(path: str) -> None:
         base = data.buffer_info()[0]
         sizes = [len(col) for col in columns] + scratch[:-1]
         addresses = (base + 8 * at for at in accumulate(sizes, initial=0))
-        lib.solve_search(n, k, deadline, -1 if target is None else target, *addresses)
+        lib.solve_search(n, k, deadline, *addresses)
         status, cost, visited = data[-3:]
         if status < 0:  # the kernel checks by_cost itself, before the walk
             raise ValueError("by_cost lists a variant outside its unit")

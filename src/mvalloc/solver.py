@@ -29,44 +29,28 @@ At each node the search checks forward: every remaining unit must still
 fit some node's remaining capacity, and the bound adds each one's
 cheapest still-fitting variant to the cost so far.  When a single node
 can hold the largest cheapest-variant demand, that sum is the suffix
-table's and the scan is skipped.  A branch is cut when its cost plus
-that bound cannot beat the incumbent, tested before each variant and
-again after each child returns.  The incumbent is replaced only on
-strict improvement and the tree is walked in a fixed order (search order
-of units, then each unit's variants in the walk's order, then platform
-node order); the cuts remove only subtrees with no strictly cheaper
-feasible leaf, so a walk reports the first optimum it meets.
+table's and the scan is skipped.
 
-The contract's answer is the first optimum of the walk in declared
-variant order, the lexicographically first one, so solve is
-deterministic.  A walk in that order reaches good incumbents late when a
-unit lists a slow variant first.  So `_search` also lists each unit's
-variants cheapest first, ties in declared order, as `by_cost`, and solve
-takes up to two walks of the same kernel on the same arrays, sharing one
-deadline, and reports their summed `visited`:
-
-1. A walk without a target tries each unit's variants in `by_cost`
-   order.  It proves the optimal cost `opt`, or infeasibility.  It
-   skips every variant that is strictly dominated within its unit:
-   another variant of the unit costs less and needs no more mem, cpu or
-   GPU threads.  Swapping the dominated variant for that one on the same
-   node stays feasible and is strictly cheaper, and the walk has met the
-   cheaper one first, so the skip changes only `visited`.
-2. A walk with `target = opt` tries them in declared order: it cuts each
-   child whose cost so far plus the bound exceeds `opt` and stops at its
-   first leaf.  Every cut subtree holds only leaves dearer than `opt`,
-   so that leaf is the first in declared order costing at most `opt`:
-   the lexicographically first optimum.  This walk skips no variant.
-
-Either walk reports choices in declared variant indices.  Walk 2 is
-skipped when it cannot change the answer.  Every other unit costs at
-least its cheapest variant, so an optimum takes, in each unit, a variant
-costing at most `slack = opt - suffix_min[0]` more than the unit's
-cheapest.  When those variants stand in declared order in every unit's
-`by_cost` slice, both orders rank the optima alike, and walk 1 has
-already met the first.  A timeout in walk 1 reports its incumbent; a
-timeout in walk 2 reports walk 1's optimum as the incumbent.  Either way
-status is "timeout".
+The contract's answer is the lexicographically first optimum: least
+cost, then, over the units in search order, the least declared variant
+index and then the least node index.  So solve is deterministic.  A walk
+in declared order reaches good incumbents late when a unit lists a slow
+variant first, so `_search` also lists each unit's variants cheapest
+first, ties in declared order, as `by_cost`, and `solve` makes one walk
+in that order with the whole order as its objective: a branch is cut
+when its cost plus the bound exceeds the incumbent's, or ties it and the
+branch's (declared variant, node) pairs do not come before the
+incumbent's, tested before each variant and again after each child
+returns.  Every leaf the walk reaches replaces the incumbent, and the
+cuts remove only subtrees with no leaf that would, so the walk ends on
+the lexicographically first optimum whatever order it meets the optima
+in.  It skips every variant that is strictly dominated within its unit:
+another variant of the unit costs less and needs no more mem, cpu or GPU
+threads.  Swapping the dominated variant for that one on the same node
+stays feasible and is strictly cheaper, so no optimum takes it and the
+skip changes only `visited`.  The walk reports choices in declared
+variant indices; on a timeout its incumbent, if any, with status
+"timeout".
 
 `brute_force` enumerates every capacity-feasible assignment in declared
 order with no cost bound, guarded against oversized instances.  It is the
@@ -141,7 +125,8 @@ class SolverConfig:
     unit_weights multiply each unit's exec_ms in the objective (default
     1).  time_limit_ms bounds the wall-clock search time; on expiry the
     scheme has status "timeout" and, only when incumbent_on_timeout is
-    set, the best placements found so far without any optimality claim.
+    set, the walk's incumbent without any optimality claim: of the leaves
+    it has reached, the cheapest, ties broken as for the optimum.
     No setting changes the search order (module docstring), so none
     changes which optimum is reported.
     """
@@ -170,7 +155,7 @@ class _Scaled:
 
 @dataclass
 class _Search:
-    """A scaled model in search order, with the tables `solve`'s walks read.
+    """A scaled model in search order, with the tables `solve`'s walk reads.
 
     `args` are the 14 arrays `solve_search` takes: `_Scaled.kernel_args`
     with the units permuted, `by_cost`, `suffix_min` and the three
@@ -188,8 +173,6 @@ class _Search:
 
     unit_ids: list[str]
     args: tuple[list[int], ...]
-    by_cost: list[int]
-    suffix_min: list[int]
     infeasible: str | None
     int64_safe: bool
 
@@ -260,7 +243,7 @@ def _scale(model: HighLayerModel, platform: Platform, cfg: SolverConfig) -> _Sca
 
 
 def _search(scaled: _Scaled) -> _Search:
-    """Order a scaled model for `solve` and build what its walks read.
+    """Order a scaled model for `solve` and build what its walk reads.
 
     Each unit's minima per resource give the pre-search verdict and the
     demand order (`_demand_order`), its maxima the int64 check.  Once the
@@ -300,7 +283,7 @@ def _search(scaled: _Scaled) -> _Search:
     )
     args = (nv, off, *columns, *caps, by_cost, suffix_min, *suffix_need)
     unit_ids = [scaled.unit_ids[u] for u in order]
-    return _Search(unit_ids, args, by_cost, suffix_min, infeasible, int64_safe)
+    return _Search(unit_ids, args, infeasible, int64_safe)
 
 
 def _demand_order(
@@ -346,22 +329,6 @@ def _demand_order(
     return sorted(range(len(score)), key=score.__getitem__, reverse=True), homeless
 
 
-def _reordered_within(search: _Search, slack: int) -> bool:
-    """Whether, in some unit, the variants costing at most `slack` more
-    than the unit's cheapest stand out of declared order in `by_cost`."""
-    if not slack:  # only each unit's cheapest, ties kept in declared order
-        return False
-    off, vcost, by_cost = search.args[1], search.args[5], search.by_cost
-    # each slice is sorted by cost, so those variants are its prefix, and
-    # by_cost descends only inside a slice: check each descent's unit
-    descents = map(operator.gt, by_cost, by_cost[1:])
-    for j in itertools.compress(range(1, len(by_cost)), descents):
-        cheapest = by_cost[off[bisect.bisect_right(off, j) - 1]]
-        if vcost[by_cost[j]] <= vcost[cheapest] + slack:
-            return True
-    return False
-
-
 def _placements(
     unit_ids: list[str], node_ids: list[str], choices: list[tuple[int, int]]
 ) -> dict[str, Placement]:
@@ -401,14 +368,7 @@ def solve(
         return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
         return AllocationScheme(TIMED_OUT, None, {}, visited=0, backend=be.name)
-    # walk 1: each unit's variants cheapest first, to prove the optimum
     code, cost, choices, visited = be.solve_search(*search.args, deadline_ns=deadline_ns)
-    if code == _kernels_py.OPTIMAL and _reordered_within(search, cost - search.suffix_min[0]):
-        # walk 2: declared order down to the first leaf at that cost
-        code, _, first, more = be.solve_search(*search.args, deadline_ns=deadline_ns, target=cost)
-        visited += more
-        if code == _kernels_py.OPTIMAL:
-            choices = first
     status = STATUSES[code]
     log.debug("status %s after %d search nodes on backend %s", status, visited, be.name)
 

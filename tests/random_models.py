@@ -10,6 +10,7 @@ small.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 from mvalloc.bench import SplitMix64
@@ -115,6 +116,35 @@ def random_high_model(
         connections.append((all_ids[0], all_ids[1]))
     model = HighLayerModel(units=units, connections=connections)
     return model, Platform(nodes=nodes)
+
+
+def tie_heavy_model(seed: int, **kwargs) -> tuple[HighLayerModel, Platform]:
+    """`random_high_model(seed, integral=True, **kwargs)` with every node
+    listed twice (each copy appended after the originals, with a `c`
+    suffix) and every variant's exec_ms redrawn from 1 to 3: many optima
+    of equal cost, which only the tie-break tells apart.  The costs come
+    from a stream of their own, so the model's other values are those of
+    the integral seed."""
+    model, platform = random_high_model(seed, integral=True, **kwargs)
+    rng = SplitMix64(seed ^ 0x5EED)
+    units = [
+        MultiVariantUnit(
+            id=u.id,
+            variants=[
+                Variant(
+                    members=v.members,
+                    props=dataclasses.replace(v.props, exec_ms=Fraction(rng.draw(1, 3))),
+                )
+                for v in u.variants
+            ],
+        )
+        for u in model.units
+    ]
+    copies = [dataclasses.replace(n, id=f"{n.id}c") for n in platform.nodes]
+    return (
+        HighLayerModel(units=units, connections=model.connections),
+        Platform(nodes=platform.nodes + copies),
+    )
 
 
 def random_detailed(

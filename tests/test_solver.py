@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from random_models import random_high_model
+from random_models import random_high_model, tie_heavy_model
 
 from mvalloc import engine
 from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant
@@ -518,8 +518,8 @@ def _reversed(model):
 
 def _spy(monkeypatch, on_call=None):
     """Route `solve`'s kernel calls through a wrapper and return the list
-    of (target, result) it records per call.  `on_call(i, kernel, *args,
-    **kwargs)`, when given, stands in for the i-th call (from 1)."""
+    of results it records, one per call.  `on_call(kernel, *args,
+    **kwargs)`, when given, stands in for each call."""
     calls = []
     get_backend = engine.get_backend
 
@@ -530,8 +530,8 @@ def _spy(monkeypatch, on_call=None):
             if on_call is None:
                 result = real.solve_search(*args, **kwargs)
             else:
-                result = on_call(len(calls) + 1, real.solve_search, *args, **kwargs)
-            calls.append((kwargs.get("target"), result))
+                result = on_call(real.solve_search, *args, **kwargs)
+            calls.append(result)
             return result
 
         return dataclasses.replace(real, solve_search=solve_search)
@@ -542,9 +542,10 @@ def _spy(monkeypatch, on_call=None):
 
 def test_reversed_variants_return_brute_force_placements(monkeypatch):
     # each unit's variants listed backwards: the cheapest-first walk meets
-    # the optima in another order than the declared one, so the second
-    # walk must find the lexicographically first of them
+    # the optima in another order than the declared one, so the tie rule
+    # must keep the lexicographically first of them, in one kernel call
     calls = _spy(monkeypatch)
+    searched = 0
     for seed in range(300):
         model, platform = random_high_model(seed, product_cap=30_000)
         model = _reversed(model)
@@ -558,8 +559,8 @@ def test_reversed_variants_return_brute_force_placements(monkeypatch):
                 assert (fast.status, fast.placements) == (slow.status, slow.placements), (
                     f"seed {seed}"
                 )
-    second_walks = sum(target is not None for target, _ in calls)
-    assert second_walks > 40 * len(available_backends())
+                searched += fast.visited > 0
+    assert len(calls) == searched
 
 
 def _with_dominated_copies(model, seed):
@@ -587,9 +588,9 @@ def _with_dominated_copies(model, seed):
 
 @pytest.mark.parametrize("name", available_backends())
 def test_dominated_copies_change_no_walk_and_no_scheme(name):
-    # the cheapest-first walk skips each copy, so it answers exactly as
-    # without them, visited included; solve, whose declared-order walk
-    # keeps the copies, still returns brute force's placements
+    # the walk skips each copy, so it answers exactly as without them,
+    # visited included, and solve still returns brute force's placements,
+    # the variants listed forwards or backwards
     kernel = engine.get_backend(name).solve_search
     copied = 0
     for seed in range(300):
@@ -626,17 +627,15 @@ def test_variants_listed_dearest_first_take_one_walk(name):
 
 @pytest.mark.parametrize("name", available_backends())
 @pytest.mark.parametrize("flag", [False, True])
-def test_timeout_in_the_first_walk_reports_its_incumbent(monkeypatch, name, flag):
+def test_timeout_reports_the_walks_incumbent(monkeypatch, name, flag):
     # the hard packing with each unit's small, slow variant listed first:
-    # the cheapest-first walk meets a passed deadline at its first clock
-    # check, and its incumbent comes back in declared variant indices
+    # the walk meets a passed deadline at its first clock check, and its
+    # incumbent comes back in declared variant indices
     model, platform = _hard_packing()
     model = _reversed(model)
-    calls = _spy(
-        monkeypatch, lambda i, kernel, *args, **kw: kernel(*args, **{**kw, "deadline_ns": 0})
-    )
+    calls = _spy(monkeypatch, lambda kernel, *args, **kw: kernel(*args, **{**kw, "deadline_ns": 0}))
     scheme = solve(model, platform, SolverConfig(incumbent_on_timeout=flag), backend=name)
-    assert [target for target, _ in calls] == [None]
+    assert len(calls) == 1
     assert scheme.status == "timeout"
     assert scheme.visited == 8192
     if not flag:
@@ -650,28 +649,58 @@ def test_timeout_in_the_first_walk_reports_its_incumbent(monkeypatch, name, flag
     )
 
 
+# A and B list their CPU variant (10 ms) before the GPU one (1 ms), and only
+# one GPU variant fits: the cheapest-first walk meets A on the GPU first, at
+# 11 ms, then B on it at the same cost, under A's CPU variant, which comes
+# first and so replaces it
+_FIRST_OPTIMUM = {"A": Placement(0, "g"), "B": Placement(1, "g")}
+
+
+@pytest.mark.parametrize("name", available_backends())
+def test_the_first_optimum_takes_one_kernel_call(monkeypatch, name):
+    model, platform = _weighted_instance()
+    calls = _spy(monkeypatch)
+    scheme = solve(model, platform, backend=name)
+    assert (scheme.placements, scheme.objective_ms) == (_FIRST_OPTIMUM, 11)
+    assert len(calls) == 1
+    assert scheme.visited == calls[0][3]
+
+
 @pytest.mark.parametrize("name", available_backends())
 @pytest.mark.parametrize("flag", [False, True])
-def test_timeout_in_the_second_walk_reports_the_first_walks_optimum(monkeypatch, name, flag):
-    # A and B list their CPU variant (10 ms) before the GPU one (1 ms) and
-    # only one GPU variant fits: the cheapest-first walk finds A on the GPU,
-    # the declared-order walk finds the lexicographically first, B on it
+def test_timeout_after_the_tie_reports_the_replacing_incumbent(monkeypatch, name, flag):
+    # the deadline passes as the walk ends: the incumbent is the leaf that
+    # replaced the one the walk met first
+    def times_out(kernel, *args, **kwargs):
+        _, cost, choices, visited = kernel(*args, **kwargs)
+        return 2, cost, choices, visited
+
     model, platform = _weighted_instance()
-    assert solve(model, platform, backend=name).placements == {
-        "A": Placement(0, "g"),
-        "B": Placement(1, "g"),
-    }
-
-    def second_times_out(i, kernel, *args, **kwargs):
-        return (2, None, [], 7) if i == 2 else kernel(*args, **kwargs)
-
-    calls = _spy(monkeypatch, second_times_out)
+    calls = _spy(monkeypatch, times_out)
     scheme = solve(model, platform, SolverConfig(incumbent_on_timeout=flag), backend=name)
-    assert [target for target, _ in calls] == [None, 11]
+    assert len(calls) == 1
     assert scheme.status == "timeout"
-    assert scheme.visited == calls[0][1][3] + 7
+    assert scheme.visited == calls[0][3]
     if flag:
-        assert scheme.placements == {"A": Placement(1, "g"), "B": Placement(0, "g")}
-        assert scheme.objective_ms == 11
+        assert (scheme.placements, scheme.objective_ms) == (_FIRST_OPTIMUM, 11)
     else:
         assert (scheme.placements, scheme.objective_ms) == ({}, None)
+
+
+def test_tie_heavy_models_return_brute_force_schemes():
+    # integral values, every node twice and costs from 1 to 3: optima tie
+    # by the dozen, listed forwards and backwards
+    optimal = 0
+    for seed in range(200):
+        model, platform = tie_heavy_model(seed, max_units=6, max_nodes=3, product_cap=500)
+        for m in (model, _reversed(model)):
+            slow = brute_force(_presorted(m, platform), platform)
+            for name in available_backends():
+                fast = solve(m, platform, backend=name)
+                assert (fast.status, fast.objective_ms, fast.placements) == (
+                    slow.status,
+                    slow.objective_ms,
+                    slow.placements,
+                ), f"seed {seed}"
+            optimal += slow.status == "optimal"
+    assert optimal > 200
