@@ -56,7 +56,6 @@ typedef struct {
     const int64_t *by_cost;
     int64_t *dominated; /* per variant: 1 when the walk skips it */
     int64_t *choice, *best;
-    int64_t best_cost; /* -1 until the first leaf */
     int64_t limit;     /* the incumbent's cost, INT64_MAX before the first leaf */
     int64_t deadline_ns, check_left, visited;
     int64_t leaves; /* leaves reached, each one a new incumbent */
@@ -99,7 +98,7 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
         }
     }
     if (u == s->n) { /* every leaf reached is cheaper, or as cheap and before */
-        s->best_cost = s->limit = cur;
+        s->limit = cur;
         for (int64_t j = 0; j < 2 * s->n; j++)
             s->best[j] = s->choice[j];
         s->leaves++;
@@ -173,8 +172,7 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns,
                .vgpu = vgpu, .vcost = vcost, .rem_mem = cap_mem, .rem_cpu = cap_cpu,
                .rem_gpu = cap_gpu, .suffix_min = suffix_min, .need_mem = need_mem,
                .need_cpu = need_cpu, .need_gpu = need_gpu, .by_cost = by_cost,
-               .dominated = dominated, .choice = choice, .best = best, .best_cost = -1,
-               .limit = INT64_MAX,
+               .dominated = dominated, .choice = choice, .best = best, .limit = INT64_MAX,
                .deadline_ns = deadline_ns, .check_left = CHECK_INTERVAL};
     for (int64_t u = 0; u < n; u++) {
         int64_t a = off[u], end = off[u] + nv[u];
@@ -198,7 +196,9 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns,
         }
     }
     solve_dfs(&s, 0, 0);
-    out[0] = s.timed_out ? TIMED_OUT : s.best_cost < 0 ? INFEASIBLE : OPTIMAL;
-    out[1] = s.best_cost;
+    /* no leaf reached leaves the limit at INT64_MAX */
+    int found = s.limit != INT64_MAX;
+    out[0] = s.timed_out ? TIMED_OUT : found ? OPTIMAL : INFEASIBLE;
+    out[1] = found ? s.limit : -1;
     out[2] = s.visited;
 }

@@ -97,7 +97,6 @@ def solve_search(
     rem_cpu = list(cap_cpu)
     rem_gpu = list(cap_gpu)
     choice: list[tuple[int, int]] = [(-1, -1)] * n
-    best_cost = None
     best_choice = None
     # the incumbent's cost; before the first leaf, one past the sum of
     # every cost, which no cost so far plus `rest` reaches
@@ -116,7 +115,7 @@ def solve_search(
     flags = bytearray(len(vcost))
 
     def dfs(u: int, cur: int) -> None:
-        nonlocal best_cost, best_choice, limit, timed_out, visited, check_left
+        nonlocal best_choice, limit, timed_out, visited, check_left
         visited += 1
         if deadline_ns is not None:
             check_left -= 1
@@ -127,7 +126,7 @@ def solve_search(
                     raise _Stop
         if u == n:
             # every leaf reached is cheaper, or as cheap and before
-            best_cost = limit = cur
+            limit = cur
             best_choice = choice.copy()
             return
         rest = suffix_min[u + 1]
@@ -203,13 +202,9 @@ def solve_search(
         dfs(0, 0)
     except _Stop:
         pass
-    if timed_out:
-        status = TIMED_OUT
-    elif best_cost is None:
-        status = INFEASIBLE
-    else:
-        status = OPTIMAL
-    return status, best_cost, best_choice or [], visited
+    if best_choice is None:  # a model with no units has the incumbent []
+        return (TIMED_OUT if timed_out else INFEASIBLE), None, [], visited
+    return (TIMED_OUT if timed_out else OPTIMAL), limit, best_choice, visited
 
 
 def brute_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu):

@@ -116,7 +116,6 @@ def _solver_config(args):
     return SolverConfig(
         unit_weights=weights,
         time_limit_ms=getattr(args, "time_limit_ms", None),
-        incumbent_on_timeout=getattr(args, "incumbent", False),
     )
 
 
@@ -273,12 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="search kernels to use",
     )
     p.add_argument("--time-limit-ms", type=int, dest="time_limit_ms")
-    p.add_argument(
-        "--incumbent-on-timeout",
-        action="store_true",
-        dest="incumbent",
-        help="report the best placements found when the time limit expires",
-    )
     p.add_argument(
         "--oracle",
         action="store_true",

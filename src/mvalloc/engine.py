@@ -11,6 +11,8 @@ library is loaded, when the instance's scaled integers would not fit in
 int64, or when the caller asks for backend "python".  Both expose the same
 `solve_search` and return identical results.  The brute-force oracle is
 not a backend: `solver.brute_force` always runs `_kernels_py.brute_search`.
+`_build` compiles `_kernels.c` into a temporary directory and loads it,
+for the test suite and the benchmark record, which run from a source tree.
 """
 
 from __future__ import annotations
@@ -115,6 +117,23 @@ def _load(path: str) -> None:
         return status, cost, list(zip(best[0::2], best[1::2])), visited
 
     _C = Backend(name="c", solve_search=solve_search)
+
+
+def _build() -> None:
+    """Build this package's _kernels.c into a temp dir and register it as
+    backend "c", unless a library is already loaded or cc is missing."""
+    import shutil
+    import subprocess
+    import tempfile
+
+    if _C is not None or shutil.which("cc") is None:
+        return
+    source = os.path.join(os.path.dirname(__file__), "_kernels.c")
+    with tempfile.TemporaryDirectory() as build:
+        library = os.path.join(build, "_kernels.so")
+        cc = ["cc", "-O2", "-std=c99", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
+        subprocess.run([*cc, "-o", library, source], check=True)
+        _load(library)  # loaded, so the file may go
 
 
 _LIBRARY = os.path.join(os.path.dirname(__file__), "_kernels" + EXTENSION_SUFFIXES[0])

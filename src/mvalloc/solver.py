@@ -124,16 +124,15 @@ class SolverConfig:
 
     unit_weights multiply each unit's exec_ms in the objective (default
     1).  time_limit_ms bounds the wall-clock search time; on expiry the
-    scheme has status "timeout" and, only when incumbent_on_timeout is
-    set, the walk's incumbent without any optimality claim: of the leaves
-    it has reached, the cheapest, ties broken as for the optimum.
+    scheme has status "timeout" and, when the walk has reached a leaf,
+    its incumbent without any optimality claim: of the leaves it has
+    reached, the cheapest, ties broken as for the optimum.
     No setting changes the search order (module docstring), so none
     changes which optimum is reported.
     """
 
     unit_weights: dict[str, Fraction] = field(default_factory=dict)
     time_limit_ms: int | None = None
-    incumbent_on_timeout: bool = False
 
 
 @dataclass
@@ -374,7 +373,7 @@ def solve(
 
     placements: dict[str, Placement] = {}
     objective = None
-    if status == OPTIMAL or (status == TIMED_OUT and cfg.incumbent_on_timeout and choices):
+    if cost is not None:  # optimal, or a timeout with an incumbent
         placements = _placements(search.unit_ids, scaled.node_ids, choices)
         objective = Fraction(cost, scaled.cost_den)
     return AllocationScheme(status, objective, placements, visited=visited, backend=be.name)

@@ -1,10 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import os
-import shutil
-import subprocess
-import tempfile
 
 import pytest
 
@@ -21,14 +17,7 @@ def pytest_configure():
     Without a C compiler, or with a library already next to the package,
     nothing is built.
     """
-    if "c" in engine.available_backends() or shutil.which("cc") is None:
-        return
-    source = os.path.join(os.path.dirname(engine.__file__), "_kernels.c")
-    with tempfile.TemporaryDirectory() as build:
-        library = os.path.join(build, "_kernels.so")
-        cc = ["cc", "-O2", "-std=c99", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
-        subprocess.run([*cc, "-o", library, source], check=True)
-        engine._load(library)  # loaded, so the file may go
+    engine._build()
 
 
 @pytest.fixture(scope="session")

@@ -385,33 +385,16 @@ def _solve_collector_paused(model, platform, config):
             gc.enable()
 
 
-def test_timeout_mid_search_keeps_no_placements_by_default():
+def test_timeout_with_incumbent_reports_a_feasible_scheme():
     model, platform = _hard_packing()
     start = time.monotonic()
     scheme = _solve_collector_paused(model, platform, SolverConfig(time_limit_ms=25))
     assert time.monotonic() - start < 10
     assert scheme.status == "timeout"
-    assert scheme.placements == {}
-    assert scheme.objective_ms is None
     assert scheme.visited > 0
-
-
-def test_timeout_with_incumbent_reports_a_feasible_scheme():
-    model, platform = _hard_packing()
-    scheme = _solve_collector_paused(
-        model, platform, SolverConfig(time_limit_ms=25, incumbent_on_timeout=True)
-    )
-    assert scheme.status == "timeout"
     assert len(scheme.placements) == 30
     assert scheme.objective_ms is not None
     assert check_scheme(scheme, model, platform) == []
-
-
-def test_incumbent_flag_changes_nothing_when_optimal():
-    model, platform = _weighted_instance()
-    plain = solve(model, platform)
-    flagged = solve(model, platform, SolverConfig(incumbent_on_timeout=True))
-    assert plain == flagged
 
 
 def test_brute_force_guard_refuses_oversized_instances():
@@ -626,21 +609,17 @@ def test_variants_listed_dearest_first_take_one_walk(name):
 
 
 @pytest.mark.parametrize("name", available_backends())
-@pytest.mark.parametrize("flag", [False, True])
-def test_timeout_reports_the_walks_incumbent(monkeypatch, name, flag):
+def test_timeout_reports_the_walks_incumbent(monkeypatch, name):
     # the hard packing with each unit's small, slow variant listed first:
     # the walk meets a passed deadline at its first clock check, and its
     # incumbent comes back in declared variant indices
     model, platform = _hard_packing()
     model = _reversed(model)
     calls = _spy(monkeypatch, lambda kernel, *args, **kw: kernel(*args, **{**kw, "deadline_ns": 0}))
-    scheme = solve(model, platform, SolverConfig(incumbent_on_timeout=flag), backend=name)
+    scheme = solve(model, platform, backend=name)
     assert len(calls) == 1
     assert scheme.status == "timeout"
     assert scheme.visited == 8192
-    if not flag:
-        assert (scheme.placements, scheme.objective_ms) == ({}, None)
-        return
     assert len(scheme.placements) == 30
     assert check_scheme(scheme, model, platform) == []
     variants = {u.id: u.variants for u in model.units}
@@ -667,8 +646,7 @@ def test_the_first_optimum_takes_one_kernel_call(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", available_backends())
-@pytest.mark.parametrize("flag", [False, True])
-def test_timeout_after_the_tie_reports_the_replacing_incumbent(monkeypatch, name, flag):
+def test_timeout_after_the_tie_reports_the_replacing_incumbent(monkeypatch, name):
     # the deadline passes as the walk ends: the incumbent is the leaf that
     # replaced the one the walk met first
     def times_out(kernel, *args, **kwargs):
@@ -677,14 +655,11 @@ def test_timeout_after_the_tie_reports_the_replacing_incumbent(monkeypatch, name
 
     model, platform = _weighted_instance()
     calls = _spy(monkeypatch, times_out)
-    scheme = solve(model, platform, SolverConfig(incumbent_on_timeout=flag), backend=name)
+    scheme = solve(model, platform, backend=name)
     assert len(calls) == 1
     assert scheme.status == "timeout"
     assert scheme.visited == calls[0][3]
-    if flag:
-        assert (scheme.placements, scheme.objective_ms) == (_FIRST_OPTIMUM, 11)
-    else:
-        assert (scheme.placements, scheme.objective_ms) == ({}, None)
+    assert (scheme.placements, scheme.objective_ms) == (_FIRST_OPTIMUM, 11)
 
 
 def test_tie_heavy_models_return_brute_force_schemes():
