@@ -270,3 +270,51 @@ def test_the_walk_skips_a_strictly_dominated_variant(name):
     # a variant that only ties its dominator's cost is not skipped
     tied = (*args[:5], [1, 1, 3, 1], *args[6:])
     assert kernel(*tied, by_cost, *bounds, None) == (0, 4, [(2, 0), (0, 0)], 5)
+
+
+@pytest.mark.parametrize("name", engine.available_backends())
+def test_a_walk_over_no_units_is_optimal_at_cost_0(name):
+    # the root is the leaf, and its incumbent is the empty list
+    kernel = engine.get_backend(name).solve_search
+    bounds = ([0], [0], [0], [0])
+    assert kernel([], [], [], [], [], [], [9], [9], [0], [], *bounds, None) == (0, 0, [], 1)
+
+
+@pytest.mark.parametrize("name", engine.available_backends())
+def test_a_walk_that_reaches_no_leaf_reports_no_cost(name):
+    # two units of mem 6 and one node of mem 10: the root and unit 0 on
+    # the node, where the forward check finds no room for unit 1
+    args = ([1, 1], [0, 1], [6, 6], [1, 1], [0, 0], [1, 1], [10], [9], [0])
+    bounds = ([2, 1, 0], [6, 6, 0], [1, 1, 0], [0, 0, 0])
+    kernel = engine.get_backend(name).solve_search
+    assert kernel(*args, [0, 1], *bounds, None) == (1, None, [], 2)
+
+
+def _no_compiler_run(*args, **kwargs):
+    raise AssertionError("the compiler ran")
+
+
+def test_build_compiles_nothing_while_a_library_is_loaded(monkeypatch):
+    loaded = engine.Backend(name="c", solve_search=None)
+    monkeypatch.setattr(engine, "_C", loaded)
+    monkeypatch.setattr(subprocess, "run", _no_compiler_run)
+    engine._build()
+    assert engine._C is loaded
+
+
+def test_build_loads_nothing_without_a_compiler(monkeypatch):
+    monkeypatch.setattr(engine, "_C", None)  # restores the conftest-built backend
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    monkeypatch.setattr(subprocess, "run", _no_compiler_run)
+    engine._build()
+    assert engine.available_backends() == ["python"]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_build_compiles_and_loads_the_package_source(monkeypatch):
+    monkeypatch.setattr(engine, "_C", None)  # restores the conftest-built backend
+    engine._build()
+    assert engine.available_backends() == ["c", "python"]
+    kernel = engine.get_backend("c").solve_search
+    args = ([1], [0], [2], [1], [0], [4], [9], [9], [0], [0], [4, 0], [2, 0], [1, 0], [0, 0])
+    assert kernel(*args, None) == (0, 4, [(0, 0)], 2)

@@ -628,6 +628,20 @@ def test_timeout_reports_the_walks_incumbent(monkeypatch, name):
     )
 
 
+@pytest.mark.parametrize("name", available_backends())
+def test_timeout_before_any_leaf_keeps_no_placements(monkeypatch, name):
+    # eleven units of mem 4 on five nodes of mem 10: the totals fit, but a
+    # node holds two units at most, so the walk reaches no leaf before it
+    # meets a passed deadline at its first clock check
+    units = [unit(f"u{i}", (4, 1, 0, 1)) for i in range(11)]
+    platform = Platform(nodes=[node(f"h{j}", 10, 100) for j in range(5)])
+    calls = _spy(monkeypatch, lambda kernel, *args, **kw: kernel(*args, **{**kw, "deadline_ns": 0}))
+    scheme = solve(HighLayerModel(units=units), platform, backend=name)
+    assert len(calls) == 1
+    assert (scheme.status, scheme.visited) == ("timeout", 8192)
+    assert (scheme.placements, scheme.objective_ms) == ({}, None)
+
+
 # A and B list their CPU variant (10 ms) before the GPU one (1 ms), and only
 # one GPU variant fits: the cheapest-first walk meets A on the GPU first, at
 # 11 ms, then B on it at the same cost, under A's CPU variant, which comes
