@@ -17,14 +17,17 @@ nodes visited, the solve time, the kernel time and the nodes per second
 of the kernel time.  Per-stage timings of the pipeline around the
 search come from `perfbench/run.py --trace 1`.
 
-Every time in the record is the median over ROUNDS child processes of
-the median within each.  With `--before DIR` the source tree of another
-checkout DIR (its `src/mvalloc`) is timed as well: each round runs one
-child per tree, and the tree that goes first alternates from round to
-round.  Each row then holds both sides and whether the two schemes are
-equal apart from `visited`.  Both trees run the models of this
-checkout's perfbench/gen.py, and each draws the bench models with its
-own `generate_system`.
+The run and every child process it starts are pinned to one CPU, the
+fastest of the CPUs it may use by the short calibration loop of
+perfbench/run.py `pick_cpu`.  Every time in the record is the median
+over ROUNDS child processes of the median within each.  With
+`--before DIR` the source tree of another checkout DIR (its
+`src/mvalloc`) is timed as well: each round runs one child per tree,
+and the tree that goes first alternates from round to round.  Each row
+then holds both sides and whether the two schemes are equal apart from
+`visited`.  Both trees run the models of this checkout's
+perfbench/gen.py, and each draws the bench models with its own
+`generate_system`.
 
     PYTHONPATH=src python3 scripts/bench_record.py -o BENCH_record.json --before ../parent
 """
@@ -182,6 +185,17 @@ def _search_rows(runs: dict[str, list[dict]]) -> tuple[list[dict], dict[str, flo
     return rows, totals
 
 
+def _pin() -> int:
+    """Pin this process, and the processes it starts from now on, to
+    the fastest CPU it may use, as perfbench/run.py does; return it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import pick_cpu  # perfbench/run.py
+
+    pick_cpu(sorted(os.sched_getaffinity(0)))
+    (cpu,) = os.sched_getaffinity(0)
+    return cpu
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output")
@@ -193,6 +207,7 @@ def main() -> int:
     if not args.output:
         parser.error("the following arguments are required: -o/--output")
 
+    cpu = _pin()
     trees = [("after", ROOT / "src")]
     if args.before:
         trees.insert(0, ("before", Path(args.before).resolve() / "src"))
@@ -206,7 +221,8 @@ def main() -> int:
     payload = {
         "what": f"medians over {ROUNDS} child processes per tree of the median within"
         " each; with --before each round runs one child per tree and the tree that"
-        " goes first alternates from round to round. search: solver.solve per"
+        " goes first alternates from round to round; the run and its children are"
+        " pinned to the fastest CPU by a short calibration. search: solver.solve per"
         f" instance and backend, collector paused, up to {REPS} solves of at most"
         f" {BUDGET_S} s each (fewer past {BUDGET_S} s per instance and child), with"
         " the status, the time of the kernel call alone and the visited nodes per"
@@ -217,6 +233,7 @@ def main() -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
+            "pinned_cpu": cpu,
             "search_backends": sorted({row["backend"] for row in search}),
         },
         "search": {"totals": totals, "rows": search},

@@ -20,7 +20,12 @@
  * unit: some variant ahead of it in `by_cost` costs less and needs no
  * more mem, cpu or GPU threads.  The Python kernel tests a variant on
  * first need; this one flags every dominated variant before the walk,
- * which visits the same nodes.  Choices are declared variant indices.
+ * which visits the same nodes.  The Python kernel builds its scan
+ * records on the first scan; this one scans the columns through
+ * `by_cost`.  Both read the clock at every node whose count `visited` is
+ * a multiple of CHECK_INTERVAL, a power of two, first at node 8192, and
+ * stop there once the deadline has passed.  Choices are declared variant
+ * indices.
  * Values must fit in int64, which the caller has checked, so no cost plus
  * `rest` reaches the INT64_MAX limit that the walk starts with.  A
  * `by_cost` entry outside its unit's slice is refused before the walk
@@ -45,7 +50,7 @@
 #include <time.h>
 
 enum { INVALID = -1, OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
-enum { CHECK_INTERVAL = 8192 };
+enum { CHECK_INTERVAL = 8192 }; /* a power of two: see solve_dfs */
 enum { KERNEL_VERSION = 3 };
 
 typedef struct {
@@ -57,7 +62,7 @@ typedef struct {
     int64_t *dominated; /* per variant: 1 when the walk skips it */
     int64_t *choice, *best;
     int64_t limit;     /* the incumbent's cost, INT64_MAX before the first leaf */
-    int64_t deadline_ns, check_left, visited;
+    int64_t deadline_ns, visited;
     int64_t leaves; /* leaves reached, each one a new incumbent */
     int timed_out;
 } State;
@@ -90,12 +95,9 @@ static int before_best(const State *s, int64_t u)
 static void solve_dfs(State *s, int64_t u, int64_t cur)
 {
     s->visited++;
-    if (--s->check_left <= 0) {
-        s->check_left = CHECK_INTERVAL;
-        if (monotonic_ns() >= s->deadline_ns) {
-            s->timed_out = 1;
-            return;
-        }
+    if ((s->visited & (CHECK_INTERVAL - 1)) == 0 && monotonic_ns() >= s->deadline_ns) {
+        s->timed_out = 1;
+        return;
     }
     if (u == s->n) { /* every leaf reached is cheaper, or as cheap and before */
         s->limit = cur;
@@ -173,7 +175,7 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns,
                .rem_gpu = cap_gpu, .suffix_min = suffix_min, .need_mem = need_mem,
                .need_cpu = need_cpu, .need_gpu = need_gpu, .by_cost = by_cost,
                .dominated = dominated, .choice = choice, .best = best, .limit = INT64_MAX,
-               .deadline_ns = deadline_ns, .check_left = CHECK_INTERVAL};
+               .deadline_ns = deadline_ns};
     for (int64_t u = 0; u < n; u++) {
         int64_t a = off[u], end = off[u] + nv[u];
         for (int64_t j = a; j < end; j++) {

@@ -17,7 +17,9 @@ variant in `by_cost` order that still fits some node's remaining
 capacity, and returns at once if one of them fits nowhere.  When one
 node can hold the largest demand of every remaining unit's cheapest
 variant (`need_*`), `rest` is simply `suffix_min` and the scan is
-skipped.
+skipped.  The scan reads each unit's variants as (cost, mem, cpu, gpu)
+records in `by_cost` order.  The first scan builds them, so a walk that
+never scans builds none; the variant loop reads the columns.
 
 The walk minimizes one lexicographic objective: the cost, then the
 path's (declared variant, node) pairs in unit order.  A child whose cost
@@ -55,6 +57,10 @@ at any number of units; every unit has at least one variant, which
 it has no compiled twin, and `solver.brute_force` runs it whichever
 backend `solve` used.
 
+`solve_search` reads the clock at every node whose count `visited` is a
+multiple of _CHECK_INTERVAL, a power of two, first at node 8192, and
+stops there once the deadline has passed, as the compiled kernel does.
+
 Status codes: 0 optimal, 1 infeasible, 2 deadline hit.
 """
 
@@ -67,6 +73,7 @@ OPTIMAL = 0
 INFEASIBLE = 1
 TIMED_OUT = 2
 
+# a power of two: the clock is read when `visited` is a multiple of it
 _CHECK_INTERVAL = 8192
 
 
@@ -103,11 +110,12 @@ def solve_search(
     limit = sum(vcost) + 1
     timed_out = False
     visited = 0
-    check_left = _CHECK_INTERVAL
     monotonic_ns = time.monotonic_ns
-    # each unit's slice of by_cost, for the forward scan, where the first
-    # variant that fits a node gives the unit's bound; built by the first
-    # scan, as the shortcut often makes none
+    nodes = range(k)
+    # per unit, its variants' (cost, mem, cpu, gpu) records in by_cost
+    # order, for the forward scan, where the first that fits a node gives
+    # the unit's bound; built by the first scan, as the shortcut often
+    # makes none
     ranked = []
     # flags[i] is 0 until variant i is first tested, then 1 if it is kept
     # and 2 if it is strictly dominated and skipped (a bytearray, which the
@@ -115,15 +123,12 @@ def solve_search(
     flags = bytearray(len(vcost))
 
     def dfs(u: int, cur: int) -> None:
-        nonlocal best_choice, limit, timed_out, visited, check_left
+        nonlocal best_choice, limit, timed_out, visited
         visited += 1
-        if deadline_ns is not None:
-            check_left -= 1
-            if check_left <= 0:
-                check_left = _CHECK_INTERVAL
-                if monotonic_ns() >= deadline_ns:
-                    timed_out = True
-                    raise _Stop
+        if not visited & (_CHECK_INTERVAL - 1) and deadline_ns is not None:
+            if monotonic_ns() >= deadline_ns:
+                timed_out = True
+                raise _Stop
         if u == n:
             # every leaf reached is cheaper, or as cheap and before
             limit = cur
@@ -133,24 +138,24 @@ def solve_search(
         m = need_mem[u + 1]
         p = need_cpu[u + 1]
         g = need_gpu[u + 1]
-        for h in range(k):
+        for h in nodes:
             if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
                 break
         else:
             if not ranked:
-                ranked.extend(by_cost[a : a + count] for a, count in zip(off, nv))
+                ranked.extend(
+                    [(vcost[i], vmem[i], vcpu[i], vgpu[i]) for i in by_cost[a : a + count]]
+                    for a, count in zip(off, nv)
+                )
             rest = 0
             for w in range(u + 1, n):
-                for i in ranked[w]:
-                    m = vmem[i]
-                    p = vcpu[i]
-                    g = vgpu[i]
-                    for h in range(k):
+                for cost, m, p, g in ranked[w]:
+                    for h in nodes:
                         if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
                             break
                     else:
                         continue
-                    rest += vcost[i]
+                    rest += cost
                     break
                 else:
                     return
@@ -183,7 +188,7 @@ def solve_search(
                     flags[i] = skip
                 if skip == 2:
                     continue
-            for h in range(k):
+            for h in nodes:
                 if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
                     rem_mem[h] -= m
                     rem_cpu[h] -= p

@@ -147,6 +147,14 @@ def tie_heavy_model(seed: int, **kwargs) -> tuple[HighLayerModel, Platform]:
     )
 
 
+def reversed_variants(model: HighLayerModel) -> HighLayerModel:
+    """The model with every unit's variants listed backwards."""
+    return HighLayerModel(
+        units=[MultiVariantUnit(u.id, u.variants[::-1]) for u in model.units],
+        connections=model.connections,
+    )
+
+
 def random_detailed(
     seed: int,
     *,

@@ -8,6 +8,8 @@ suite.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,3 +73,18 @@ def test_search_set_is_the_four_families_as_generated(monkeypatch):
     for name, case in generated.items():
         repo, plat, arch = formats.parse_model(case.text())
         assert built[name] == (build_high_layer(arch, repo), plat)
+
+
+def test_the_run_pins_itself_to_one_cpu_it_may_use():
+    # in a process of its own, as the pin holds for the rest of the process
+    code = (
+        "import os, runpy, sys; script = runpy.run_path(sys.argv[1]);"
+        " print(script['_pin'](), *sorted(os.sched_getaffinity(0)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SCRIPT)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    cpu, *pinned = map(int, proc.stdout.split())
+    assert pinned == [cpu]
+    assert cpu in os.sched_getaffinity(0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from random_models import random_high_model, tie_heavy_model
+from random_models import random_high_model, reversed_variants, tie_heavy_model
 
 from mvalloc import engine
 from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant
@@ -491,14 +491,6 @@ def test_backends_agree_exactly():
                 assert outcome(a) == outcome(b), f"seed {seed}"
 
 
-def _reversed(model):
-    """The model with every unit's variants listed backwards."""
-    return HighLayerModel(
-        units=[MultiVariantUnit(u.id, u.variants[::-1]) for u in model.units],
-        connections=model.connections,
-    )
-
-
 def _spy(monkeypatch, on_call=None):
     """Route `solve`'s kernel calls through a wrapper and return the list
     of results it records, one per call.  `on_call(kernel, *args,
@@ -531,7 +523,7 @@ def test_reversed_variants_return_brute_force_placements(monkeypatch):
     searched = 0
     for seed in range(300):
         model, platform = random_high_model(seed, product_cap=30_000)
-        model = _reversed(model)
+        model = reversed_variants(model)
         weight = {model.all_units()[0].id: Fraction(7, 2)}
         presorted = _presorted(model, platform)
         for weights in ({}, weight):
@@ -584,7 +576,7 @@ def test_dominated_copies_change_no_walk_and_no_scheme(name):
         for m in (model, padded):
             walks.append(kernel(*_search(_scale(m, platform, SolverConfig())).args))
         assert walks[0] == walks[1], f"seed {seed}"
-        for m in (padded, _reversed(padded)):
+        for m in (padded, reversed_variants(padded)):
             slow = brute_force(_presorted(m, platform), platform)
             fast = solve(m, platform, backend=name)
             assert (fast.status, fast.placements) == (slow.status, slow.placements), (
@@ -614,7 +606,7 @@ def test_timeout_reports_the_walks_incumbent(monkeypatch, name):
     # the walk meets a passed deadline at its first clock check, and its
     # incumbent comes back in declared variant indices
     model, platform = _hard_packing()
-    model = _reversed(model)
+    model = reversed_variants(model)
     calls = _spy(monkeypatch, lambda kernel, *args, **kw: kernel(*args, **{**kw, "deadline_ns": 0}))
     scheme = solve(model, platform, backend=name)
     assert len(calls) == 1
@@ -682,7 +674,7 @@ def test_tie_heavy_models_return_brute_force_schemes():
     optimal = 0
     for seed in range(200):
         model, platform = tie_heavy_model(seed, max_units=6, max_nodes=3, product_cap=500)
-        for m in (model, _reversed(model)):
+        for m in (model, reversed_variants(model)):
             slow = brute_force(_presorted(m, platform), platform)
             for name in available_backends():
                 fast = solve(m, platform, backend=name)
