@@ -18,8 +18,10 @@ capacity, and returns at once if one of them fits nowhere.  When one
 node can hold the largest demand of every remaining unit's cheapest
 variant (`need_*`), `rest` is simply `suffix_min` and the scan is
 skipped.  The scan reads each unit's variants as (cost, mem, cpu, gpu)
-records in `by_cost` order.  The first scan builds them, so a walk that
-never scans builds none; the variant loop reads the columns.
+records in `by_cost` order.  A scan builds those of the units after
+its own that no earlier scan has built, so a walk that never scans
+builds none and one that scans only deep in the tree builds only the
+deep units' records; the variant loop reads the columns.
 
 The walk minimizes one lexicographic objective: the cost, then the
 path's (declared variant, node) pairs in unit order.  A child whose cost
@@ -114,16 +116,18 @@ def solve_search(
     nodes = range(k)
     # per unit, its variants' (cost, mem, cpu, gpu) records in by_cost
     # order, for the forward scan, where the first that fits a node gives
-    # the unit's bound; built by the first scan, as the shortcut often
-    # makes none
-    ranked = []
+    # the unit's bound; ranked[w] is built for w >= built only, each by the
+    # first scan that reads it, so a walk whose shortcut skips every scan
+    # builds none
+    ranked = [None] * n
+    built = n
     # flags[i] is 0 until variant i is first tested, then 1 if it is kept
     # and 2 if it is strictly dominated and skipped (a bytearray, which the
     # collector ignores)
     flags = bytearray(len(vcost))
 
     def dfs(u: int, cur: int) -> None:
-        nonlocal best_choice, limit, timed_out, visited
+        nonlocal best_choice, limit, timed_out, visited, built
         visited += 1
         if not visited & (_CHECK_INTERVAL - 1) and deadline_ns is not None:
             if monotonic_ns() >= deadline_ns:
@@ -142,11 +146,13 @@ def solve_search(
             if m <= rem_mem[h] and p <= rem_cpu[h] and g <= rem_gpu[h]:
                 break
         else:
-            if not ranked:
-                ranked.extend(
-                    [(vcost[i], vmem[i], vcpu[i], vgpu[i]) for i in by_cost[a : a + count]]
-                    for a, count in zip(off, nv)
-                )
+            if u + 1 < built:
+                for w in range(u + 1, built):
+                    a = off[w]
+                    ranked[w] = [
+                        (vcost[i], vmem[i], vcpu[i], vgpu[i]) for i in by_cost[a : a + nv[w]]
+                    ]
+                built = u + 1
             rest = 0
             for w in range(u + 1, n):
                 for cost, m, p, g in ranked[w]:

@@ -4,9 +4,17 @@ Four formats: model (repository + platform + optional architecture),
 compacted model, allocation scheme, and component assignment.  Parsing is
 strict: unknown fields are rejected, numbers must be integers or strings
 (see mvalloc.rationals), and every error carries the path to the
-offending field.  Serialization is canonical: exactly `json.dumps(data,
-indent=2, sort_keys=True, separators=(",", ": "))` and a newline, so the
-same data always gives the same bytes.
+offending field.  A reader raises a fault without its path, and each
+reader the fault passes on its way out adds its own step, so a path is
+built only for a document that has a fault.  Number strings are parsed
+once per document: a memo that lives for one `parse_*` call maps each
+distinct string to its Fraction.
+
+Serialization is canonical: exactly `json.dumps(data, indent=2,
+sort_keys=True, separators=(",", ": "))` and a newline, so the same data
+always gives the same bytes.  The compacted model, the largest file the
+pipeline writes, is rendered directly from its records, at fixed depths
+with keys in sorted order, to those same bytes.
 
 The scheme's records and status names come from `compaction`, so
 reading and writing files never loads the solver.
@@ -22,6 +30,7 @@ import json
 import os
 from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -64,102 +73,168 @@ class ParseError(ValueError):
     """Structurally invalid input; the message names the bad field."""
 
 
-def _loads(text: str) -> object:
+class _Fault(Exception):
+    """A fault in a document.  `where` gathers the steps of its path,
+    innermost first, as the readers it passes through add theirs."""
+
+    def __init__(self, message: str, *where: str):
+        super().__init__(message)
+        self.where = list(where)
+
+
+def _parse(text: str, read):
+    """`read(root, numbers)` on the document's JSON root, where `numbers`
+    is the document's memo of number strings; a fault becomes a
+    ParseError that names its path from the root, `$`.
+
+    Every reader takes the raw JSON value and that memo."""
     try:
-        return json.loads(text)
+        root = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-
-
-def _arr(value: object, path: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{path}: expected an array")
-    return value
-
-
-def _str(value: object, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{path}: expected a string")
-    return value
-
-
-def _number(value: object, path: str) -> Fraction:
     try:
-        return parse_number(value)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        return read(root, {})
+    except _Fault as fault:
+        raise ParseError(f"${''.join(reversed(fault.where))}: {fault}") from fault.__cause__
 
 
-def _count(value: object, path: str) -> int:
+def _arr(raw: object, numbers: dict) -> list:
+    if not isinstance(raw, list):
+        raise _Fault("expected an array")
+    return raw
+
+
+def _str(raw: object, numbers: dict) -> str:
+    if not isinstance(raw, str):
+        raise _Fault("expected a string")
+    return raw
+
+
+def _value(parse, raw: object):
     try:
-        return parse_count(value)
+        return parse(raw)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise _Fault(str(exc)) from exc
+
+
+def _number(raw: object, numbers: dict) -> Fraction:
+    """`parse_number(raw)`; a string's Fraction is kept in `numbers`, so
+    each distinct string is parsed once per document."""
+    if isinstance(raw, str):
+        value = numbers.get(raw)
+        if value is None:
+            value = numbers[raw] = _value(parse_number, raw)
+        return value
+    return _value(parse_number, raw)
+
+
+def _count(raw: object, numbers: dict) -> int:
+    return raw if type(raw) is int else _value(parse_count, raw)
 
 
 _REQUIRED = object()
 # a component's or compacted variant's demand fields: ResourceDemand's attributes
 _DEMAND = tuple(f.name for f in fields(ResourceDemand))
-_COMPONENT = ("id", "kind", "function", *_DEMAND)
-_VARIANT = ("members", *_DEMAND)
+_COMPONENT = frozenset(("id", "kind", "function", *_DEMAND))
+_VARIANT = frozenset(("members", *_DEMAND))
+_REPOSITORY = frozenset(("components", "version_groups"))
+_NODE = frozenset(("id", "use_mem", "use_cpu", "use_gpu"))
+_PLATFORM = frozenset(("nodes",))
+_ASSEMBLY = frozenset(("components", "connections"))
+_UNIT_SPEC = frozenset(("id", "policy", "topology", "alternatives"))
+_ARCHITECTURE = frozenset(("units", "singletons", "connections"))
+_MODEL = frozenset(("repository", "platform", "architecture"))
+_UNIT = frozenset(("id", "variants"))
+_COMPACTED = frozenset(("units", "connections"))
+_PLACEMENT = frozenset(("variant", "node"))
+_SCHEME = frozenset(("status", "objective_ms", "placements"))
+_ASSIGNMENT = frozenset(("assignments",))
 
 
-def _record(raw: object, path: str, known: tuple[str, ...] | None = None) -> dict:
+def _record(raw: object, numbers: dict, known: frozenset[str] | None = None) -> dict:
     """`raw` as an object; with `known`, one whose keys all are in it (the
     first unknown key in sorted order is reported)."""
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: expected an object")
-    unknown = known and raw.keys() - known
-    if unknown:
-        raise ParseError(f"{path}: unknown field {min(unknown)!r}")
+        raise _Fault("expected an object")
+    if known is not None and not raw.keys() <= known:
+        raise _Fault(f"unknown field {min(raw.keys() - known)!r}")
     return raw
 
 
-def _field(obj: dict, key: str, path: str, read, default: object = _REQUIRED):
-    """`read(obj[key], "path.key")`, or `default` when `key` is absent;
-    without a default an absent key is an error.  Each reader reads its
-    fields in a fixed order, so a document always reports the same fault."""
+def _field(obj: dict, key: str, read, numbers: dict, default: object = _REQUIRED):
+    """`read(obj[key], numbers)` at path .key, or `default` when `key` is
+    absent; without a default an absent key is an error.  Each reader
+    reads its fields in a fixed order, so a document always reports the
+    same fault."""
     if key in obj:
-        return read(obj[key], f"{path}.{key}")
+        try:
+            return read(obj[key], numbers)
+        except _Fault as fault:
+            fault.where.append(f".{key}")
+            raise
     if default is _REQUIRED:
-        raise ParseError(f"{path}: missing field {key!r}")
+        raise _Fault(f"missing field {key!r}")
     return default
 
 
-def _items(obj: dict, key: str, path: str, read, default: object = _REQUIRED):
-    """`_field` for an array: `read` applied to each element at path.key[i]."""
+def _items(obj: dict, key: str, read, numbers: dict, default: object = _REQUIRED):
+    """`_field` for an array: `read` applied to each element at path .key[i]."""
     if key not in obj:
-        return _field(obj, key, path, read, default)
-    return _array(obj[key], f"{path}.{key}", read)
+        return _field(obj, key, read, numbers, default)
+    try:
+        return _array(obj[key], numbers, read)
+    except _Fault as fault:
+        fault.where.append(f".{key}")
+        raise
 
 
-def _array(raw: object, path: str, read) -> list:
-    return [read(value, f"{path}[{i}]") for i, value in enumerate(_arr(raw, path))]
+def _array(raw: object, numbers: dict, read) -> list:
+    values = _arr(raw, numbers)
+    out: list = []
+    try:
+        for value in values:
+            out.append(read(value, numbers))
+    except _Fault as fault:
+        fault.where.append(f"[{len(out)}]")  # the elements before it were read
+        raise
+    return out
 
 
-def _map(raw: object, path: str, read) -> dict:
+def _map(raw: object, numbers: dict, read) -> dict:
     """An object of any keys, each value read by `read` at path['key']."""
-    return {key: read(value, f"{path}[{key!r}]") for key, value in _record(raw, path).items()}
+    out = {}
+    for key, value in _record(raw, numbers).items():
+        try:
+            out[key] = read(value, numbers)
+        except _Fault as fault:
+            fault.where.append(f"[{key!r}]")
+            raise
+    return out
 
 
-def _strings(raw: object, path: str) -> list[str]:
-    return _array(raw, path, _str)
+def _strings(raw: object, numbers: dict) -> list[str]:
+    """An array of strings, checked in one pass; the document's own list."""
+    values = _arr(raw, numbers)
+    if not all(map(str.__instancecheck__, values)):
+        bad = next(i for i, value in enumerate(values) if not isinstance(value, str))
+        raise _Fault("expected a string", f"[{bad}]")
+    return values
 
 
-def _pair(raw: object, path: str) -> tuple[str, str]:
-    pair = _arr(raw, path)
-    if len(pair) != 2:
-        raise ParseError(f"{path}: expected a [from, to] pair")
-    return _str(pair[0], f"{path}[0]"), _str(pair[1], f"{path}[1]")
+def _pair(raw: object, numbers: dict) -> tuple[str, str]:
+    if len(_arr(raw, numbers)) != 2:
+        raise _Fault("expected a [from, to] pair")
+    a, b = _strings(raw, numbers)
+    return a, b
 
 
-def _demand(obj: dict, path: str) -> ResourceDemand:
+def _demand(obj: dict, numbers: dict) -> ResourceDemand:
     """The demand fields of a component or of a compacted variant."""
     return ResourceDemand(
-        mem=_field(obj, "mem", path, _number),
-        cpu=_field(obj, "cpu", path, _number),
-        gpu_threads=_field(obj, "gpu_threads", path, _count, 0),
-        exec_ms=_field(obj, "exec_ms", path, _number),
+        mem=_field(obj, "mem", _number, numbers),
+        cpu=_field(obj, "cpu", _number, numbers),
+        gpu_threads=_field(obj, "gpu_threads", _count, numbers, 0),
+        exec_ms=_field(obj, "exec_ms", _number, numbers),
     )
 
 
@@ -175,80 +250,85 @@ def _put_demand(demand: ResourceDemand, out: dict) -> dict:
 # --- model ---------------------------------------------------------------
 
 
-def _kind(raw: object, path: str) -> Kind:
-    kind = _str(raw, path)
+def _kind(raw: object, numbers: dict) -> Kind:
+    kind = _str(raw, numbers)
     try:
         return Kind(kind)
     except ValueError:
-        raise ParseError(f"{path}: expected CPU or GPU, got {kind!r}") from None
+        raise _Fault(f"expected CPU or GPU, got {kind!r}") from None
 
 
-def _component(raw: object, path: str) -> Component:
-    obj = _record(raw, path, _COMPONENT)
+def _component(raw: object, numbers: dict) -> Component:
+    obj = _record(raw, numbers, _COMPONENT)
     return Component(
-        kind=_field(obj, "kind", path, _kind),
-        id=_field(obj, "id", path, _str),
-        function=_field(obj, "function", path, _str),
-        demand=_demand(obj, path),
+        kind=_field(obj, "kind", _kind, numbers),
+        id=_field(obj, "id", _str, numbers),
+        function=_field(obj, "function", _str, numbers),
+        demand=_demand(obj, numbers),
     )
 
 
-def _repository(raw: object, path: str) -> Repository:
-    obj = _record(raw, path, ("components", "version_groups"))
+def _repository(raw: object, numbers: dict) -> Repository:
+    obj = _record(raw, numbers, _REPOSITORY)
     return Repository(
-        components=_items(obj, "components", path, _component),
-        version_groups=_map(obj.get("version_groups", {}), f"{path}.version_groups", _strings),
+        components=_items(obj, "components", _component, numbers),
+        version_groups=_field(obj, "version_groups", partial(_map, read=_strings), numbers, {}),
     )
 
 
-def _node(raw: object, path: str) -> HardwareNode:
-    obj = _record(raw, path, ("id", "use_mem", "use_cpu", "use_gpu"))
+def _node(raw: object, numbers: dict) -> HardwareNode:
+    obj = _record(raw, numbers, _NODE)
     return HardwareNode(
-        id=_field(obj, "id", path, _str),
-        use_mem=_field(obj, "use_mem", path, _number),
-        use_cpu=_field(obj, "use_cpu", path, _number),
-        use_gpu=_field(obj, "use_gpu", path, _count, 0),
+        id=_field(obj, "id", _str, numbers),
+        use_mem=_field(obj, "use_mem", _number, numbers),
+        use_cpu=_field(obj, "use_cpu", _number, numbers),
+        use_gpu=_field(obj, "use_gpu", _count, numbers, 0),
     )
 
 
-def _platform(raw: object, path: str) -> Platform:
-    return Platform(nodes=_items(_record(raw, path, ("nodes",)), "nodes", path, _node))
+def _platform(raw: object, numbers: dict) -> Platform:
+    obj = _record(raw, numbers, _PLATFORM)
+    return Platform(nodes=_items(obj, "nodes", _node, numbers))
 
 
-def _assembly(raw: object, path: str) -> Assembly:
-    obj = _record(raw, path, ("components", "connections"))
+def _assembly(raw: object, numbers: dict) -> Assembly:
+    obj = _record(raw, numbers, _ASSEMBLY)
     return Assembly(
-        components=_field(obj, "components", path, _strings),
-        connections=_items(obj, "connections", path, _pair, []),
+        components=_field(obj, "components", _strings, numbers),
+        connections=_items(obj, "connections", _pair, numbers, []),
     )
 
 
-def _unit_spec(raw: object, path: str) -> UnitSpec:
-    obj = _record(raw, path, ("id", "policy", "topology", "alternatives"))
+def _unit_spec(raw: object, numbers: dict) -> UnitSpec:
+    obj = _record(raw, numbers, _UNIT_SPEC)
     return UnitSpec(
-        topology=_field(obj, "topology", path, _strings, None),
-        alternatives=_items(obj, "alternatives", path, _assembly, None),
-        id=_field(obj, "id", path, _str),
-        policy=_field(obj, "policy", path, _str),
+        topology=_field(obj, "topology", _strings, numbers, None),
+        alternatives=_items(obj, "alternatives", _assembly, numbers, None),
+        id=_field(obj, "id", _str, numbers),
+        policy=_field(obj, "policy", _str, numbers),
     )
 
 
-def _architecture(raw: object, path: str) -> SystemArchitecture:
-    obj = _record(raw, path, ("units", "singletons", "connections"))
+def _architecture(raw: object, numbers: dict) -> SystemArchitecture:
+    obj = _record(raw, numbers, _ARCHITECTURE)
     return SystemArchitecture(
-        units=_items(obj, "units", path, _unit_spec, []),
-        singletons=_field(obj, "singletons", path, _strings, []),
-        connections=_items(obj, "connections", path, _pair, []),
+        units=_items(obj, "units", _unit_spec, numbers, []),
+        singletons=_field(obj, "singletons", _strings, numbers, []),
+        connections=_items(obj, "connections", _pair, numbers, []),
+    )
+
+
+def _model(raw: object, numbers: dict) -> tuple[Repository, Platform, SystemArchitecture | None]:
+    root = _record(raw, numbers, _MODEL)
+    return (
+        _field(root, "repository", _repository, numbers),
+        _field(root, "platform", _platform, numbers),
+        _field(root, "architecture", _architecture, numbers, None),
     )
 
 
 def parse_model(text: str) -> tuple[Repository, Platform, SystemArchitecture | None]:
-    root = _record(_loads(text), "$", ("repository", "platform", "architecture"))
-    return (
-        _field(root, "repository", "$", _repository),
-        _field(root, "platform", "$", _platform),
-        _field(root, "architecture", "$", _architecture, None),
-    )
+    return _parse(text, _model)
 
 
 def _dump_assembly(assembly: Assembly) -> dict:
@@ -308,65 +388,98 @@ def dump_model(
 # --- compacted model -----------------------------------------------------
 
 
-def _variant(raw: object, path: str) -> Variant:
-    obj = _record(raw, path, _VARIANT)
-    return Variant(members=_field(obj, "members", path, _strings), props=_demand(obj, path))
+def _variant(raw: object, numbers: dict) -> Variant:
+    obj = _record(raw, numbers, _VARIANT)
+    return Variant(members=_field(obj, "members", _strings, numbers), props=_demand(obj, numbers))
 
 
-def _unit(raw: object, path: str) -> MultiVariantUnit:
-    obj = _record(raw, path, ("id", "variants"))
-    unit_id = _field(obj, "id", path, _str)
-    variants = _items(obj, "variants", path, _variant)
+def _unit(raw: object, numbers: dict) -> MultiVariantUnit:
+    obj = _record(raw, numbers, _UNIT)
+    unit_id = _field(obj, "id", _str, numbers)
+    variants = _items(obj, "variants", _variant, numbers)
     if not variants:
-        raise ParseError(f"{path}.variants: a unit needs at least one variant")
+        raise _Fault("a unit needs at least one variant", ".variants")
     return MultiVariantUnit(id=unit_id, variants=variants)
 
 
-def parse_compacted(text: str) -> HighLayerModel:
-    root = _record(_loads(text), "$", ("units", "connections"))
+def _compacted(raw: object, numbers: dict) -> HighLayerModel:
+    root = _record(raw, numbers, _COMPACTED)
     return HighLayerModel(
-        units=_items(root, "units", "$", _unit),
-        connections=_items(root, "connections", "$", _pair, []),
+        units=_items(root, "units", _unit, numbers),
+        connections=_items(root, "connections", _pair, numbers, []),
     )
 
 
+def parse_compacted(text: str) -> HighLayerModel:
+    return _parse(text, _compacted)
+
+
+def _array_text(items: list[str], depth: int) -> str:
+    """The canonical text of an array whose elements, already rendered,
+    sit `depth` columns in."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * depth
+    return f"[{inner}{(',' + inner).join(items)}{inner[:-2]}]"
+
+
 def dump_compacted(model: HighLayerModel) -> str:
-    root: dict = {
-        "units": [
-            {
-                "id": unit.id,
-                "variants": [
-                    _put_demand(v.props, {"members": list(v.members)}) for v in unit.variants
-                ],
-            }
-            for unit in model.units
-        ],
-    }
+    """What `_canonical` gives for the tree {"units": [{"id", "variants":
+    [{"members", and the fields `_demand` reads}]}], "connections": [[a,
+    b]] when there are any}, rendered directly: each record's keys in
+    sorted order at its fixed depth.  A number is a string of digits,
+    '-', '.' and '/', which JSON quotes as it is."""
+    number = format_number
+    units = []
+    for unit in model.units:
+        variants = []
+        for v in unit.variants:
+            d = v.props
+            variants.append(
+                f'{{\n          "cpu": "{number(d.cpu)}",'
+                f'\n          "exec_ms": "{number(d.exec_ms)}",'
+                f'\n          "gpu_threads": {d.gpu_threads:d},'
+                f'\n          "mem": "{number(d.mem)}",'
+                f'\n          "members": {_array_text(list(map(_quote, v.members)), 12)}'
+                "\n        }"
+            )
+        units.append(
+            f'{{\n      "id": {_quote(unit.id)},'
+            f'\n      "variants": {_array_text(variants, 8)}'
+            "\n    }"
+        )
+    connections = ""
     if model.connections:
-        root["connections"] = [[a, b] for a, b in model.connections]
-    return _canonical(root)
+        pairs = [f"[\n      {_quote(a)},\n      {_quote(b)}\n    ]" for a, b in model.connections]
+        connections = f'\n  "connections": {_array_text(pairs, 4)},'
+    return f'{{{connections}\n  "units": {_array_text(units, 4)}\n}}\n'
 
 
 # --- allocation scheme ---------------------------------------------------
 
 
-def _placement(raw: object, path: str) -> Placement:
-    obj = _record(raw, path, ("variant", "node"))
+def _placement(raw: object, numbers: dict) -> Placement:
+    obj = _record(raw, numbers, _PLACEMENT)
     return Placement(
-        variant=_field(obj, "variant", path, _count), node=_field(obj, "node", path, _str)
+        variant=_field(obj, "variant", _count, numbers),
+        node=_field(obj, "node", _str, numbers),
     )
 
 
-def parse_scheme(text: str) -> AllocationScheme:
-    root = _record(_loads(text), "$", ("status", "objective_ms", "placements"))
-    status = _field(root, "status", "$", _str)
+def _scheme(raw: object, numbers: dict) -> AllocationScheme:
+    root = _record(raw, numbers, _SCHEME)
+    status = _field(root, "status", _str, numbers)
     if status not in STATUSES:
-        raise ParseError(f"$.status: expected one of {', '.join(STATUSES)}")
+        raise _Fault(f"expected one of {', '.join(STATUSES)}", ".status")
     objective = None
     if root.get("objective_ms") is not None:
-        objective = _number(root["objective_ms"], "$.objective_ms")
-    placements = _map(root.get("placements", {}), "$.placements", _placement)
+        objective = _field(root, "objective_ms", _number, numbers)
+    placements = _field(root, "placements", partial(_map, read=_placement), numbers, {})
     return AllocationScheme(status=status, objective_ms=objective, placements=placements)
+
+
+def parse_scheme(text: str) -> AllocationScheme:
+    return _parse(text, _scheme)
 
 
 def dump_scheme(scheme: AllocationScheme) -> str:
@@ -386,9 +499,13 @@ def dump_scheme(scheme: AllocationScheme) -> str:
 # --- component assignment ------------------------------------------------
 
 
+def _assignment(raw: object, numbers: dict) -> dict[str, str]:
+    root = _record(raw, numbers, _ASSIGNMENT)
+    return _field(root, "assignments", partial(_map, read=_str), numbers)
+
+
 def parse_assignment(text: str) -> dict[str, str]:
-    root = _record(_loads(text), "$", ("assignments",))
-    return _map(_field(root, "assignments", "$", _record), "$.assignments", _str)
+    return _parse(text, _assignment)
 
 
 def dump_assignment(assignment: dict[str, str]) -> str:
@@ -396,7 +513,7 @@ def dump_assignment(assignment: dict[str, str]) -> str:
 
 
 def parse_weights(text: str) -> dict[str, Fraction]:
-    return _map(_loads(text), "$", _number)
+    return _parse(text, partial(_map, read=_number))
 
 
 # --- output --------------------------------------------------------------

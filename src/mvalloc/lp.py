@@ -30,6 +30,9 @@ from .solver import SolverConfig, SolverError, _scale
 
 __all__ = ["export_lp"]
 
+# where a row template has the node index: no variable name or number has it
+_HOST = "@"
+
 
 def _terms(coefs: list[int], columns: list[str]) -> list[str]:
     """`<coef> x_u<i>_v<j>_h` for each non-zero coefficient; the node
@@ -68,15 +71,16 @@ def export_lp(
     for u, (n, start) in enumerate(zip(nv, off)):
         out.append(f" assign_u{u}:")
         out.append(_row(_terms([1] * n, columns[start : start + n]), hosts) + " = 1")
+    # each capacity row is laid out once, with _HOST for the node index
     rows = (
-        ("mem", _terms(vmem, columns), cap_mem),
-        ("cpu", _terms(vcpu, columns), cap_cpu),
-        ("gpu", _terms(vgpu, columns), cap_gpu),
+        ("mem", _row(_terms(vmem, columns), [_HOST]), cap_mem),
+        ("cpu", _row(_terms(vcpu, columns), [_HOST]), cap_cpu),
+        ("gpu", _row(_terms(vgpu, columns), [_HOST]), cap_gpu),
     )
     for h, host in enumerate(hosts):
-        for label, terms, cap in rows:
+        for label, row, cap in rows:
             out.append(f" {label}_h{h}:")
-            out.append(_row(terms, [host]) + f" <= {cap[h]}")
+            out.append(row.replace(_HOST, host) + f" <= {cap[h]}")
 
     out.append("Binary")
     out += [f" {column}{h}" for column in columns for h in hosts]

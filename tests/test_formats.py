@@ -8,7 +8,7 @@ import pytest
 
 from random_models import random_detailed, random_high_model, random_scheme, self_named_unit_model
 
-from mvalloc.compaction import build_high_layer
+from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant, build_high_layer
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import (
     ParseError,
@@ -24,6 +24,7 @@ from mvalloc.formats import (
     parse_weights,
     write_atomic,
 )
+from mvalloc.model import ResourceDemand
 from mvalloc.solver import solve
 
 
@@ -313,6 +314,87 @@ def test_compacted_round_trip_keeps_unit_order():
     assert dump_scheme(scheme) == dump_scheme(solve(high, platform))
 
 
+def _json_text(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
+
+
+def test_dump_compacted_is_the_canonical_json_text_random():
+    for seed in range(300):
+        model, _ = random_high_model(seed)
+        text = dump_compacted(model)
+        assert _json_text(json.loads(text)) == text, f"seed {seed}"
+
+
+def _demand(mem, cpu, gpu_threads, exec_ms) -> ResourceDemand:
+    return ResourceDemand(
+        mem=Fraction(mem), cpu=Fraction(cpu), gpu_threads=gpu_threads, exec_ms=Fraction(exec_ms)
+    )
+
+
+_UNITS = [
+    MultiVariantUnit(
+        id="cam",
+        variants=[
+            Variant(members=["cam", "edge"], props=_demand(12, "0.25", 0, 3)),
+            Variant(members=["camGPU"], props=_demand("1/3", "5/7", 1536, "22/7")),
+        ],
+    ),
+    MultiVariantUnit(id="solo", variants=[Variant(members=["solo"], props=_demand(1, 1, 0, 2))]),
+]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        HighLayerModel(units=_UNITS, connections=[("cam", "solo"), ("solo", "cam")]),
+        HighLayerModel(units=_UNITS),
+        HighLayerModel(units=[]),
+        HighLayerModel(units=[], connections=[("a", "b")]),
+        HighLayerModel(units=[MultiVariantUnit(id="none", variants=[])]),
+        HighLayerModel(
+            units=[
+                MultiVariantUnit(
+                    id="empty", variants=[Variant(members=[], props=_demand(0, 0, 0, 0))]
+                )
+            ]
+        ),
+        HighLayerModel(
+            units=[
+                MultiVariantUnit(
+                    id="Kamera-\u00e9\u65e5\U0001f600",
+                    variants=[
+                        Variant(
+                            members=['qu"ote', "back\\slash", "line\u2028sep", "tab\t", "\u00fc"],
+                            props=_demand(1, 1, 0, 1),
+                        )
+                    ],
+                )
+            ],
+            connections=[("Kamera-\u00e9\u65e5\U0001f600", "\x00")],
+        ),
+        HighLayerModel(
+            units=[
+                MultiVariantUnit(
+                    id="negative",
+                    variants=[
+                        Variant(members=["n"], props=_demand("-1.5", "-2/3", -4, "-0.001")),
+                        Variant(members=["m"], props=_demand(-7, "-10/3", 0, "1e3")),
+                    ],
+                )
+            ]
+        ),
+    ],
+    ids=["connections", "no-connections", "no-units", "connections-no-units", "no-variants",
+         "empty-members", "non-ascii", "negative"],
+)
+def test_dump_compacted_is_the_canonical_json_text(model):
+    text = dump_compacted(model)
+    assert _json_text(json.loads(text)) == text
+    if all(unit.variants for unit in model.units):
+        back = parse_compacted(text)
+        assert (back.units, back.connections) == (model.units, model.connections)
+
+
 def _robot_documents():
     """The robot's compacted model and its optimal scheme, as JSON data."""
     repo, platform, architecture = parse_model(robot_model_text())
@@ -380,6 +462,41 @@ def _variants(d):
     ],
 )
 def test_parse_compacted_rejects_bad_documents(mutate, message):
+    doc = _robot_documents()[0]
+    mutate(doc)
+    _reject(parse_compacted, doc, message)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda d: _variants(d)[1]["members"].insert(2, 7),
+            "$.units[0].variants[1].members[2]: expected a string",
+        ),
+        # only the first bad element is reported
+        (
+            lambda d: _variants(d)[1]["members"].__setitem__(slice(1, 5, 3), [None, 3]),
+            "$.units[0].variants[1].members[1]: expected a string",
+        ),
+        # fields that read well in earlier units, then a bad value of each
+        (
+            lambda d: d["units"][6]["variants"][0].update(mem=1.5),
+            "$.units[6].variants[0].mem: floats are not accepted (got 1.5);"
+            " write the value as a string",
+        ),
+        (
+            lambda d: [d["units"][k]["variants"][0].update(cpu="1/0") for k in (2, 5)],
+            "$.units[2].variants[0].cpu: not a valid number string: '1/0'",
+        ),
+        # "0.6" reads well as the first unit's cpu, not as a count
+        (
+            lambda d: d["units"][1]["variants"][0].update(gpu_threads="0.6"),
+            "$.units[1].variants[0].gpu_threads: expected an integer, got '0.6'",
+        ),
+    ],
+)
+def test_parse_compacted_reports_the_path_of_the_fault_it_meets_first(mutate, message):
     doc = _robot_documents()[0]
     mutate(doc)
     _reject(parse_compacted, doc, message)
