@@ -1,36 +1,28 @@
 /* Compiled search kernel: the branch and bound of mvalloc/_kernels_py.py
  * in C99.
  *
- * Same tree walk, same ordering, same cuts: the forward check with its
- * still-fitting cost bound `rest`, read in `by_cost` order and skipped
- * when one node covers the `need_*` suffix maxima, and the lexicographic
- * tie rule before each variant and after each child.  A child is cut when
- * its cost so far plus `rest` exceeds the incumbent's cost, or ties it
- * while the path's (declared variant, node) pairs through the child do
- * not come before the incumbent's.  Before a variant, the pairs are
- * compared only on a tie, with the variant's node taken as -1.  After a
- * child even a tie needs no comparison: the path still comes before the
- * incumbent unless the child replaced it, which the count of leaves
- * shows.  A leaf that is reached always replaces the incumbent, so the
- * walk returns the lexicographically first optimum.  Fed the same scaled integers, both
- * kernels return identical results, visited counts included.  The walk
- * tries each unit's variants in `by_cost` order, cheapest first, ending
- * a unit's loop at the first variant whose sum exceeds the incumbent's
- * cost, and skips every variant that is strictly dominated within its
- * unit: some variant ahead of it in `by_cost` costs less and needs no
- * more mem, cpu or GPU threads.  The Python kernel tests a variant on
- * first need; this one flags every dominated variant before the walk,
- * which visits the same nodes.  The Python kernel builds its scan
- * records on the first scan; this one scans the columns through
- * `by_cost`.  Both read the clock at every node whose count `visited` is
- * a multiple of CHECK_INTERVAL, a power of two, first at node 8192, and
- * stop there once the deadline has passed.  Choices are declared variant
- * indices.
+ * Same tree walk, same ordering, same cuts: each unit's slice of the
+ * columns in walk order, cheapest first, ties in declared order, with
+ * `decl` giving each variant's declared index; the forward check with its
+ * still-fitting cost bound `rest`, skipped when one node covers the
+ * `need_*` suffix maxima; the lexicographic tie rule before each variant
+ * and after each child; the skip of every variant that is strictly
+ * dominated within its unit; and the clock read at every node whose count
+ * `visited` is a multiple of CHECK_INTERVAL, a power of two.  Fed the
+ * same scaled integers, both kernels return identical results, visited
+ * counts included.  Two things differ from the Python kernel, neither in
+ * what the walk visits.  This one flags every dominated variant before
+ * the walk, where the Python kernel tests a variant on first need.  And
+ * after a child it learns whether the child replaced the incumbent from
+ * the count of leaves reached, where the Python kernel compares the
+ * incumbent's pair for the unit with the path's.
  * Values must fit in int64, which the caller has checked, so no cost plus
- * `rest` reaches the INT64_MAX limit that the walk starts with.  A
- * `by_cost` entry outside its unit's slice is refused before the walk
- * with status INVALID.  The brute-force oracle has no compiled twin; it
- * lives in _kernels_py.py only.
+ * `rest` reaches the INT64_MAX limit that the walk starts with.  `decl`
+ * is only stored and compared, never used as an index, and every loop
+ * over a unit stays within its slice, so an order that is not the walk
+ * order changes the answer but reads nothing out of bounds.  The
+ * brute-force oracle has no compiled twin; it lives in _kernels_py.py
+ * only.
  *
  * mvalloc.engine loads this file's shared library through ctypes and
  * owns every buffer: the capacity arrays, which the walk uses as the
@@ -49,16 +41,16 @@
 #include <stdint.h>
 #include <time.h>
 
-enum { INVALID = -1, OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
+enum { OPTIMAL = 0, INFEASIBLE = 1, TIMED_OUT = 2 };
 enum { CHECK_INTERVAL = 8192 }; /* a power of two: see solve_dfs */
-enum { KERNEL_VERSION = 3 };
+enum { KERNEL_VERSION = 4 };
 
 typedef struct {
     int64_t n, k;
     const int64_t *nv, *off, *vmem, *vcpu, *vgpu, *vcost;
     int64_t *rem_mem, *rem_cpu, *rem_gpu;
     const int64_t *suffix_min, *need_mem, *need_cpu, *need_gpu;
-    const int64_t *by_cost;
+    const int64_t *decl; /* per variant: its declared index within its unit */
     int64_t *dominated; /* per variant: 1 when the walk skips it */
     int64_t *choice, *best;
     int64_t limit;     /* the incumbent's cost, INT64_MAX before the first leaf */
@@ -110,25 +102,21 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
     if (first_fit(s, 0, s->need_mem[u + 1], s->need_cpu[u + 1], s->need_gpu[u + 1]) == s->k) {
         rest = 0;
         for (int64_t w = u + 1; w < s->n; w++) {
-            int64_t j = s->off[w], end = s->off[w] + s->nv[w], i = 0;
-            for (; j < end; j++) {
-                i = s->by_cost[j];
-                if (first_fit(s, 0, s->vmem[i], s->vcpu[i], s->vgpu[i]) < s->k)
-                    break;
-            }
-            if (j == end)
+            int64_t i = s->off[w], end = s->off[w] + s->nv[w];
+            while (i < end && first_fit(s, 0, s->vmem[i], s->vcpu[i], s->vgpu[i]) == s->k)
+                i++;
+            if (i == end)
                 return;
             rest += s->vcost[i];
         }
     }
-    for (int64_t j = s->off[u]; j < s->off[u] + s->nv[u]; j++) {
-        int64_t i = s->by_cost[j];
+    for (int64_t i = s->off[u]; i < s->off[u] + s->nv[u]; i++) {
         int64_t c = cur + s->vcost[i], m = s->vmem[i], p = s->vcpu[i], g = s->vgpu[i];
         if (c + rest >= s->limit) {
             if (c + rest > s->limit) /* cheapest first: every later one fails too */
                 break;
             /* a tie: enter only if some node puts the path before the incumbent */
-            s->choice[2 * u] = i - s->off[u];
+            s->choice[2 * u] = s->decl[i];
             s->choice[2 * u + 1] = -1;
             if (!before_best(s, u))
                 continue;
@@ -139,7 +127,7 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
             s->rem_mem[h] -= m;
             s->rem_cpu[h] -= p;
             s->rem_gpu[h] -= g;
-            s->choice[2 * u] = i - s->off[u];
+            s->choice[2 * u] = s->decl[i];
             s->choice[2 * u + 1] = h;
             int64_t leaves = s->leaves;
             solve_dfs(s, u + 1, c);
@@ -165,7 +153,7 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns,
                   const int64_t *nv, const int64_t *off, const int64_t *vmem,
                   const int64_t *vcpu, const int64_t *vgpu, const int64_t *vcost,
                   int64_t *cap_mem, int64_t *cap_cpu, int64_t *cap_gpu,
-                  const int64_t *by_cost, const int64_t *suffix_min,
+                  const int64_t *decl, const int64_t *suffix_min,
                   const int64_t *need_mem, const int64_t *need_cpu,
                   const int64_t *need_gpu, int64_t *dominated, int64_t *choice,
                   int64_t *best, int64_t *out)
@@ -173,23 +161,15 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns,
     State s = {.n = n, .k = k, .nv = nv, .off = off, .vmem = vmem, .vcpu = vcpu,
                .vgpu = vgpu, .vcost = vcost, .rem_mem = cap_mem, .rem_cpu = cap_cpu,
                .rem_gpu = cap_gpu, .suffix_min = suffix_min, .need_mem = need_mem,
-               .need_cpu = need_cpu, .need_gpu = need_gpu, .by_cost = by_cost,
+               .need_cpu = need_cpu, .need_gpu = need_gpu, .decl = decl,
                .dominated = dominated, .choice = choice, .best = best, .limit = INT64_MAX,
                .deadline_ns = deadline_ns};
     for (int64_t u = 0; u < n; u++) {
-        int64_t a = off[u], end = off[u] + nv[u];
-        for (int64_t j = a; j < end; j++) {
-            if (by_cost[j] < a || by_cost[j] >= end) {
-                out[0] = INVALID;
-                return;
-            }
-        }
         /* the walk skips a variant when a variant of the unit ahead of it
-         * in by_cost costs less and needs no more of any resource */
-        for (int64_t j = a; j < end; j++) {
-            int64_t i = by_cost[j];
-            for (int64_t q = a; q < end && vcost[by_cost[q]] < vcost[i]; q++) {
-                int64_t b = by_cost[q];
+         * costs less and needs no more of any resource; b stops at i at
+         * the latest */
+        for (int64_t i = off[u]; i < off[u] + nv[u]; i++) {
+            for (int64_t b = off[u]; vcost[b] < vcost[i]; b++) {
                 if (vmem[b] <= vmem[i] && vcpu[b] <= vcpu[i] && vgpu[b] <= vgpu[i]) {
                     dominated[i] = 1;
                     break;

@@ -8,17 +8,18 @@ node) pairs in unit order, so results are reproducible, and
 `solve_search` must match the compiled kernel of _kernels.c bit for
 bit, `visited` included.
 
-`solve_search` is branch and bound with forward checking.  `by_cost`
-lists, in each unit's slice off[u]:off[u] + nv[u], that unit's flat
-variant indices cheapest first, ties in declared order, and the walk
-tries each unit's variants in that order.  On entering a node the search
+`solve_search` is branch and bound with forward checking.  Each unit's
+slice off[u]:off[u] + nv[u] of the columns lists its variants in walk
+order, cheapest first, ties in declared order, and `decl[i]` is variant
+i's declared index within its unit; the walk tries the slice in order
+and only stores and compares `decl`.  On entering a node the search
 takes `rest`, the sum over the units after the current one of the first
-variant in `by_cost` order that still fits some node's remaining
-capacity, and returns at once if one of them fits nowhere.  When one
-node can hold the largest demand of every remaining unit's cheapest
-variant (`need_*`), `rest` is simply `suffix_min` and the scan is
-skipped.  The scan reads each unit's variants as (cost, mem, cpu, gpu)
-records in `by_cost` order.  A scan builds those of the units after
+variant in its slice that still fits some node's remaining capacity,
+and returns at once if one of them fits nowhere.  When one node can
+hold the largest demand of every remaining unit's cheapest variant
+(`need_*`), `rest` is simply `suffix_min` and the scan is skipped.  The
+scan reads each unit's variants as (cost, mem, cpu, gpu) records, zipped
+from the column slices.  A scan builds those of the units after
 its own that no earlier scan has built, so a walk that never scans
 builds none and one that scans only deep in the tree builds only the
 deep units' records; the variant loop reads the columns.
@@ -41,7 +42,7 @@ incumbent or come after it at its cost, so the walk returns the
 lexicographically first optimum, whatever order it meets the optima in.
 
 The walk skips a variant that is strictly dominated within its unit:
-some variant ahead of it in `by_cost` costs less and needs no more mem,
+some variant ahead of it in its slice costs less and needs no more mem,
 cpu or GPU threads.  Swapping it for the one that dominates it on the
 same node stays feasible and is strictly cheaper, so no optimum takes
 it, and the skip changes only `visited`.  A variant is tested on first
@@ -93,7 +94,7 @@ def solve_search(
     cap_mem,
     cap_cpu,
     cap_gpu,
-    by_cost,
+    decl,
     suffix_min,
     need_mem,
     need_cpu,
@@ -114,7 +115,7 @@ def solve_search(
     visited = 0
     monotonic_ns = time.monotonic_ns
     nodes = range(k)
-    # per unit, its variants' (cost, mem, cpu, gpu) records in by_cost
+    # per unit, its variants' (cost, mem, cpu, gpu) records in walk
     # order, for the forward scan, where the first that fits a node gives
     # the unit's bound; ranked[w] is built for w >= built only, each by the
     # first scan that reads it, so a walk whose shortcut skips every scan
@@ -149,9 +150,8 @@ def solve_search(
             if u + 1 < built:
                 for w in range(u + 1, built):
                     a = off[w]
-                    ranked[w] = [
-                        (vcost[i], vmem[i], vcpu[i], vgpu[i]) for i in by_cost[a : a + nv[w]]
-                    ]
+                    e = a + nv[w]
+                    ranked[w] = list(zip(vcost[a:e], vmem[a:e], vcpu[a:e], vgpu[a:e]))
                 built = u + 1
             rest = 0
             for w in range(u + 1, n):
@@ -166,26 +166,24 @@ def solve_search(
                 else:
                     return
         base = off[u]
-        variants = by_cost[base : base + nv[u]]
-        first = variants[0]  # the unit's cheapest, never dominated
-        for i in variants:
+        for i in range(base, base + nv[u]):
             c = cur + vcost[i]
             bound = c + rest
             if bound >= limit:
                 if bound > limit:  # cheapest first: every later one fails too
                     break
                 # a tie: enter only if some node puts the path before the incumbent
-                choice[u] = (i - base, -1)
+                choice[u] = (decl[i], -1)
                 if choice[: u + 1] >= best_choice[: u + 1]:
                     continue
             m = vmem[i]
             p = vcpu[i]
             g = vgpu[i]
-            if i != first:
+            if i != base:  # the unit's cheapest is never dominated
                 skip = flags[i]
                 if not skip:  # first need: is it strictly dominated?
                     skip = 1
-                    for a in variants:
+                    for a in range(base, i):
                         if vcost[a] >= c - cur:
                             break
                         if vmem[a] <= m and vcpu[a] <= p and vgpu[a] <= g:
@@ -199,7 +197,7 @@ def solve_search(
                     rem_mem[h] -= m
                     rem_cpu[h] -= p
                     rem_gpu[h] -= g
-                    choice[u] = (i - base, h)
+                    choice[u] = (decl[i], h)
                     dfs(u + 1, c)
                     rem_mem[h] += m
                     rem_cpu[h] += p

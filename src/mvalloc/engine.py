@@ -37,7 +37,7 @@ _NO_DEADLINE = 2**63 - 1
 
 # what _kernels.c's kernel_version() returns; bump both whenever the
 # kernel's arguments or results change
-_KERNEL_VERSION = 3
+_KERNEL_VERSION = 4
 
 log = logging.getLogger(__name__)
 
@@ -83,14 +83,14 @@ def _load(path: str) -> None:
     lib.solve_search.restype = None
 
     def solve_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
-                     by_cost, suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None):
+                     decl, suffix_min, need_mem, need_cpu, need_gpu, deadline_ns=None):
         columns = (nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
-                   by_cost, suffix_min, need_mem, need_cpu, need_gpu)
+                   decl, suffix_min, need_mem, need_cpu, need_gpu)
         # the kernel indexes by these lengths and offsets unchecked
         n, total, k = len(nv), len(vmem), len(cap_mem)
         if (
             len(off) != n
-            or any(len(col) != total for col in (vmem, vcpu, vgpu, vcost, by_cost))
+            or any(len(col) != total for col in (vmem, vcpu, vgpu, vcost, decl))
             or any(len(cap) != k for cap in columns[6:9])
             or any(len(bound) != n + 1 for bound in columns[10:])
             or any(a < 0 or count < 0 or a + count > total for a, count in zip(off, nv))
@@ -109,8 +109,6 @@ def _load(path: str) -> None:
         addresses = (base + 8 * at for at in accumulate(sizes, initial=0))
         lib.solve_search(n, k, deadline, *addresses)
         status, cost, visited = data[-3:]
-        if status < 0:  # the kernel checks by_cost itself, before the walk
-            raise ValueError("by_cost lists a variant outside its unit")
         if cost < 0:  # no incumbent
             return status, None, [], visited
         best = data[-3 - 2 * n : -3]

@@ -35,9 +35,10 @@ The contract's answer is the lexicographically first optimum: least
 cost, then, over the units in search order, the least declared variant
 index and then the least node index.  So solve is deterministic.  A walk
 in declared order reaches good incumbents late when a unit lists a slow
-variant first, so `_search` also lists each unit's variants cheapest
-first, ties in declared order, as `by_cost`, and `solve` makes one walk
-in that order with the whole order as its objective: a branch is cut
+variant first, so `_search` also lays each unit's variants out cheapest
+first, ties in declared order, with each one's declared index beside it
+as `decl`, and `solve` makes one walk in that order with the whole order
+as its objective: a branch is cut
 when its cost plus the bound exceeds the incumbent's, or ties it and the
 branch's (declared variant, node) pairs do not come before the
 incumbent's, tested before each variant and again after each child
@@ -157,10 +158,10 @@ class _Search:
     """A scaled model in search order, with the tables `solve`'s walk reads.
 
     `args` are the 14 arrays `solve_search` takes: `_Scaled.kernel_args`
-    with the units permuted, `by_cost`, `suffix_min` and the three
-    `suffix_need` columns.  `unit_ids[i]` is the unit searched i-th.
-    `by_cost` holds flat variant indices, each unit's slice listing its own
-    variants cheapest first, ties in declared order.  `suffix_min[i]` sums
+    with the units in search order and each unit's slice in walk order,
+    cheapest first, ties in declared order; `decl`, each variant's declared
+    index within its unit; `suffix_min` and the three `suffix_need`
+    columns.  `unit_ids[i]` is the unit searched i-th.  `suffix_min[i]` sums
     the cheapest cost of units i..; the `suffix_need` column of resource r
     holds at i the largest resource-r demand among those units' cheapest
     variants (the first one on a cost tie).  `infeasible` says why the
@@ -245,8 +246,9 @@ def _search(scaled: _Scaled) -> _Search:
     """Order a scaled model for `solve` and build what its walk reads.
 
     Each unit's minima per resource give the pre-search verdict and the
-    demand order (`_demand_order`), its maxima the int64 check.  Once the
-    units are in search order, a stable sort per unit gives `by_cost`.
+    demand order (`_demand_order`), its maxima the int64 check.  One
+    gather pass then puts the units in that order and each unit's
+    variants in walk order, by a stable sort on cost.
     """
     nv, off, *cols, cap_mem, cap_cpu, cap_gpu = scaled.kernel_args
     caps = (cap_mem, cap_cpu, cap_gpu)
@@ -266,21 +268,19 @@ def _search(scaled: _Scaled) -> _Search:
         # every variant needs at least the unit's minima, so none fits a node alone
         infeasible = f"no node holds unit {scaled.unit_ids[homeless]!r} alone"
 
+    # each unit's flat declared indices in walk order, by a stable sort on cost
+    walk = [sorted(range(*spans[u]), key=cols[3].__getitem__) for u in order]
+    columns = [[col[i] for w in walk for i in w] for col in cols]  # mem, cpu, gpu, cost
+    decl = [i - spans[u][0] for u, w in zip(order, walk) for i in w]
     nv = [nv[u] for u in order]
     off = list(itertools.accumulate(nv, initial=0))[:-1]
-    flat = [i for u in order for i in range(*spans[u])]
-    columns = [[col[i] for i in flat] for col in cols]  # mem, cpu, gpu, cost
-    vcost = columns[3]
-    by_cost = [
-        i for a, count in zip(off, nv) for i in sorted(range(a, a + count), key=vcost.__getitem__)
-    ]
-    cheapest = [by_cost[a] for a in reversed(off)]  # back to front
-    suffix_min = list(itertools.accumulate((vcost[i] for i in cheapest), initial=0))[::-1]
+    first = off[::-1]  # each unit's cheapest variant, back to front
+    suffix_min = list(itertools.accumulate((columns[3][a] for a in first), initial=0))[::-1]
     suffix_need = (
-        list(itertools.accumulate((col[i] for i in cheapest), max, initial=0))[::-1]
+        list(itertools.accumulate((col[a] for a in first), max, initial=0))[::-1]
         for col in columns[:3]
     )
-    args = (nv, off, *columns, *caps, by_cost, suffix_min, *suffix_need)
+    args = (nv, off, *columns, *caps, decl, suffix_min, *suffix_need)
     unit_ids = [scaled.unit_ids[u] for u in order]
     return _Search(unit_ids, args, infeasible, int64_safe)
 

@@ -2,6 +2,7 @@ import importlib.util
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,10 @@ import pytest
 from random_models import random_high_model, reversed_variants, tie_heavy_model
 
 from mvalloc import engine
-from mvalloc._kernels_py import brute_search
-from mvalloc.compaction import build_high_layer
+from mvalloc.compaction import STATUSES, HighLayerModel, build_high_layer
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import parse_model
-from mvalloc.solver import SolverConfig, _scale, _search
+from mvalloc.solver import Placement, SolverConfig, _scale, _search, brute_force
 
 
 def test_python_backend_is_always_available():
@@ -38,8 +38,10 @@ def test_unknown_backend_name():
 # version 1 is the kernel that walks strictly dominated variants without a
 # target, and version 2 the one whose solve walked a second time, in
 # declared order down to a target cost: the visited counts of both differ
-# from this source's, and version 2 takes one argument more
-@pytest.mark.parametrize("version", [None, 1, 2, engine._KERNEL_VERSION + 1])
+# from this source's, and version 2 takes one argument more.  Version 3
+# takes `by_cost`, flat indices into declared-order columns, in the slot
+# where version 4 takes `decl`, and would read `decl` as indices
+@pytest.mark.parametrize("version", [None, 1, 2, 3, engine._KERNEL_VERSION + 1])
 def test_a_library_built_from_another_kernel_source_is_refused(
     version, tmp_path, monkeypatch, caplog
 ):
@@ -105,13 +107,13 @@ def test_kernels_return_identical_tuples():
         [9, 9],  # cap_cpu
         [0, 0],  # cap_gpu
     )
-    by_cost = [0, 1, 2]  # each unit's variants already cheapest first
+    decl = [0, 1, 0]  # each unit's variants already cheapest first
     # suffix_min, then need_mem, need_cpu, need_gpu of the cheapest variants
     bounds = ([9, 4, 0], [3, 2, 0], [1, 1, 0], [0, 0, 0])
     c = engine.get_backend("c")
     py = engine.get_backend("python")
-    assert c.solve_search(*args, by_cost, *bounds, None) == py.solve_search(
-        *args, by_cost, *bounds, None
+    assert c.solve_search(*args, decl, *bounds, None) == py.solve_search(
+        *args, decl, *bounds, None
     )
 
 
@@ -165,10 +167,10 @@ def test_a_passed_deadline_stops_both_backends_at_the_same_node():
         [100] * 3,  # cap_cpu
         [0] * 3,  # cap_gpu
     )
-    by_cost = list(range(2 * n))
+    decl = [0, 1] * n
     bounds = (list(range(n, -1, -1)), [3] * n + [0], [1] * n + [0], [0] * (n + 1))
-    c = engine.get_backend("c").solve_search(*args, by_cost, *bounds, 0)
-    py = engine.get_backend("python").solve_search(*args, by_cost, *bounds, 0)
+    c = engine.get_backend("c").solve_search(*args, decl, *bounds, 0)
+    py = engine.get_backend("python").solve_search(*args, decl, *bounds, 0)
     assert c == py
     status, cost, choices, visited = c
     assert (status, visited) == (2, 8192)
@@ -179,22 +181,19 @@ def test_a_passed_deadline_stops_both_backends_at_the_same_node():
 def test_compiled_kernels_refuse_inconsistent_arrays():
     kernel = engine.get_backend("c").solve_search
     args = ([2, 1], [0, 2], [3, 1, 2], [1, 1, 1], [0, 0, 0], [5, 9, 4], [4, 2], [9, 9], [0, 0])
-    by_cost = [0, 1, 2]
+    decl = [0, 1, 0]
     bounds = ([9, 4, 0], [3, 2, 0], [1, 1, 0], [0, 0, 0])
-    assert kernel(*args, by_cost, *bounds, None)[0] == 0  # the consistent arrays run
+    assert kernel(*args, decl, *bounds, None)[0] == 0  # the consistent arrays run
     for bad in (
-        ([2, 2], *args[1:], by_cost, *bounds),  # unit 1 runs past the variant columns
-        (*args[:3], [1, 1], *args[4:], by_cost, *bounds),  # a short demand column
-        (*args[:7], [9], args[8], by_cost, *bounds),  # a short capacity column
-        (*args, [0, 1], *bounds),  # a short by_cost
-        (*args, by_cost, [9, 4], *bounds[1:]),  # a short suffix_min
-        (*args, by_cost, *bounds[:2], [1, 1], bounds[3]),  # a short need column
+        ([2, 2], *args[1:], decl, *bounds),  # unit 1 runs past the variant columns
+        (*args[:3], [1, 1], *args[4:], decl, *bounds),  # a short demand column
+        (*args[:7], [9], args[8], decl, *bounds),  # a short capacity column
+        (*args, [0, 1], *bounds),  # a short decl
+        (*args, decl, [9, 4], *bounds[1:]),  # a short suffix_min
+        (*args, decl, *bounds[:2], [1, 1], bounds[3]),  # a short need column
     ):
         with pytest.raises(ValueError, match="inconsistent lengths"):
             kernel(*bad, None)
-    # unit 0's slice points at unit 1's variant: refused before the walk
-    with pytest.raises(ValueError, match="outside its unit"):
-        kernel(*args, [0, 2, 2], *bounds, None)
 
 
 @pytest.mark.parametrize("name", engine.available_backends())
@@ -212,9 +211,9 @@ def test_forward_check_stops_where_a_later_unit_fits_nowhere(name):
         [10, 10],  # cap_cpu
         [0, 0],  # cap_gpu
     )
-    by_cost = [0, 1, 2, 3]
+    decl = [0, 1, 0, 0]
     bounds = ([3, 2, 1, 0], [6, 6, 6, 0], [1, 1, 1, 0], [0, 0, 0, 0])
-    result = engine.get_backend(name).solve_search(*args, by_cost, *bounds, None)
+    result = engine.get_backend(name).solve_search(*args, decl, *bounds, None)
     # visited: the root; unit 0's first variant on node 0, where the
     # forward check returns; its second variant on node 0, units 1 and 2
     # on node 0 and the leaf.  Every later branch fails the cost cut.
@@ -227,7 +226,7 @@ def test_cost_cut_after_a_child_skips_an_identical_node(name):
     # descent is optimal, so node 1 is never entered at any depth
     args = ([1, 1], [0, 1], [2, 2], [1, 1], [0, 0], [4, 5], [9, 9], [9, 9], [0, 0])
     bounds = ([9, 5, 0], [2, 2, 0], [1, 1, 0], [0, 0, 0])
-    result = engine.get_backend(name).solve_search(*args, [0, 1], *bounds, None)
+    result = engine.get_backend(name).solve_search(*args, [0, 0], *bounds, None)
     assert result == (0, 9, [(0, 0), (0, 0)], 3)
 
 
@@ -248,8 +247,9 @@ def test_skipping_the_forward_scan_changes_nothing(name):
 @pytest.mark.parametrize("name", engine.available_backends())
 def test_the_walk_returns_the_first_of_the_cheapest_leaves(name):
     # the tie rule: of the optima, the one whose choices come first, which
-    # the declared-order enumeration keeps; on random models and on
-    # tie-heavy ones, whose optima tie by the dozen
+    # the declared-order enumeration keeps when it takes the units in
+    # search order; on random models and on tie-heavy ones, whose optima
+    # tie by the dozen
     kernel = engine.get_backend(name).solve_search
     optimal = 0
     for seed in range(100):
@@ -257,9 +257,20 @@ def test_the_walk_returns_the_first_of_the_cheapest_leaves(name):
             random_high_model(seed, max_units=5, product_cap=2_000),
             tie_heavy_model(seed, max_units=5, product_cap=300),
         ):
-            args = _search(_scale(model, platform, SolverConfig())).args
-            status, cost, choices, _ = kernel(*args, None)
-            assert (status, cost, choices) == brute_search(*args[:9])[:3], f"seed {seed}"
+            scaled = _scale(model, platform, SolverConfig())
+            search = _search(scaled)
+            status, cost, choices, _ = kernel(*search.args, None)
+            units = {u.id: u for u in model.units}
+            in_search_order = HighLayerModel([units[uid] for uid in search.unit_ids])
+            oracle = brute_force(in_search_order, platform)
+            objective = None if cost is None else Fraction(cost, scaled.cost_den)
+            placements = {
+                uid: Placement(v, platform.nodes[h].id)
+                for uid, (v, h) in zip(search.unit_ids, choices)
+            }
+            assert (STATUSES[status], objective, placements) == (
+                oracle.status, oracle.objective_ms, oracle.placements
+            ), f"seed {seed}"
             optimal += status == 0
     assert optimal > 150
 
@@ -273,7 +284,7 @@ def test_an_equal_cost_leaf_after_the_incumbent_never_replaces_it(name):
     args = ([2, 1], [0, 2], [1, 1, 1], [1, 1, 1], [0, 0, 0], [2, 2, 1], [9, 9], [9, 9], [0, 0])
     bounds = ([3, 1, 0], [1, 1, 0], [1, 1, 0], [0, 0, 0])
     kernel = engine.get_backend(name).solve_search
-    assert kernel(*args, [0, 1, 2], *bounds, None) == (0, 3, [(0, 0), (0, 0)], 3)
+    assert kernel(*args, [0, 1, 0], *bounds, None) == (0, 3, [(0, 0), (0, 0)], 3)
 
 
 @pytest.mark.parametrize("name", engine.available_backends())
@@ -282,14 +293,14 @@ def test_an_equal_cost_leaf_before_the_incumbent_replaces_it(name):
     # (mem 9, cost 1) and D (mem 1, cost 2), on one node of mem 10.  The
     # walk tries B first and finds (B, D) at 4; A then ties it and comes
     # before it, so the walk enters A and finds (A, C), also at 4, which
-    # replaces it; D under A costs 5.
-    args = ([2, 2], [0, 2], [1, 9, 9, 1], [1, 1, 1, 1], [0, 0, 0, 0], [3, 2, 1, 2],
+    # replaces it; D under A costs 5.  The columns list B before A.
+    args = ([2, 2], [0, 2], [9, 1, 9, 1], [1, 1, 1, 1], [0, 0, 0, 0], [2, 3, 1, 2],
             [10], [10], [0])
-    by_cost = [1, 0, 2, 3]
+    decl = [1, 0, 0, 1]
     bounds = ([3, 1, 0], [9, 9, 0], [1, 1, 0], [0, 0, 0])
     kernel = engine.get_backend(name).solve_search
     # the root, B, (B, D), A and (A, C)
-    assert kernel(*args, by_cost, *bounds, None) == (0, 4, [(0, 0), (0, 0)], 5)
+    assert kernel(*args, decl, *bounds, None) == (0, 4, [(0, 0), (0, 0)], 5)
 
 
 @pytest.mark.parametrize("name", engine.available_backends())
@@ -300,14 +311,14 @@ def test_the_walk_skips_a_strictly_dominated_variant(name):
     # needs no more of anything: B is strictly dominated.
     args = ([3, 1], [0, 3], [2, 3, 1, 9], [2, 2, 1, 1], [0, 0, 0, 0], [1, 2, 3, 1],
             [10], [10], [0])
-    by_cost = [0, 1, 2, 3]
+    decl = [0, 1, 2, 0]
     bounds = ([2, 1, 0], [9, 9, 0], [2, 1, 0], [0, 0, 0])
     kernel = engine.get_backend(name).solve_search
     # the root, A (a dead end), C and the leaf; B is skipped
-    assert kernel(*args, by_cost, *bounds, None) == (0, 4, [(2, 0), (0, 0)], 4)
+    assert kernel(*args, decl, *bounds, None) == (0, 4, [(2, 0), (0, 0)], 4)
     # a variant that only ties its dominator's cost is not skipped
     tied = (*args[:5], [1, 1, 3, 1], *args[6:])
-    assert kernel(*tied, by_cost, *bounds, None) == (0, 4, [(2, 0), (0, 0)], 5)
+    assert kernel(*tied, decl, *bounds, None) == (0, 4, [(2, 0), (0, 0)], 5)
 
 
 @pytest.mark.parametrize("name", engine.available_backends())
@@ -325,7 +336,7 @@ def test_a_walk_that_reaches_no_leaf_reports_no_cost(name):
     args = ([1, 1], [0, 1], [6, 6], [1, 1], [0, 0], [1, 1], [10], [9], [0])
     bounds = ([2, 1, 0], [6, 6, 0], [1, 1, 0], [0, 0, 0])
     kernel = engine.get_backend(name).solve_search
-    assert kernel(*args, [0, 1], *bounds, None) == (1, None, [], 2)
+    assert kernel(*args, [0, 0], *bounds, None) == (1, None, [], 2)
 
 
 def _no_compiler_run(*args, **kwargs):

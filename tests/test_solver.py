@@ -254,6 +254,38 @@ def test_demand_order_is_the_documented_rule():
     assert [(u, p.node) for u, p in scheme.placements.items()] == [("x", "g"), ("y", "p0")]
 
 
+def test_search_lays_each_unit_out_in_walk_order():
+    # the kernels trust this layout unchecked: each unit's slice lists its
+    # variants cheapest first, ties in declared order, and decl names the
+    # declared index of the variant whose scaled values each position holds
+    checked = 0
+    for seed in range(300):
+        for model, platform in (
+            random_high_model(seed, product_cap=30_000),
+            tie_heavy_model(seed, max_units=5, product_cap=300),
+        ):
+            for m in (model, reversed_variants(model)):
+                scaled = _scale(m, platform, SolverConfig())
+                search = _search(scaled)
+                nv, off, *columns = search.args[:6]  # then mem, cpu, gpu, cost
+                decl = search.args[9]
+                declared_nv, declared_off, *declared = scaled.kernel_args[:6]
+                at = {uid: u for u, uid in enumerate(scaled.unit_ids)}
+                for uid, count, a in zip(search.unit_ids, nv, off, strict=True):
+                    u = at[uid]
+                    assert count == declared_nv[u]
+                    labels = decl[a : a + count]
+                    assert sorted(labels) == list(range(count))
+                    # with decl distinct, costs rise and decl rises across ties
+                    keys = [(columns[3][a + j], v) for j, v in enumerate(labels)]
+                    assert keys == sorted(keys)
+                    for j, v in enumerate(labels):
+                        here = [col[a + j] for col in columns]
+                        assert here == [col[declared_off[u] + v] for col in declared]
+                    checked += 1
+    assert checked > 1200
+
+
 def test_solve_agrees_with_brute_force():
     for seed in range(60):
         model, platform = random_high_model(seed, product_cap=30_000)
