@@ -11,11 +11,11 @@ GPU-only model of the first draw of bench seed 1 at n = HARD_N, which
 `large_cases(1)` models of 300, 550 and 800 units, all as generated: up
 to REPS solves per instance, each with a time limit of BUDGET_S seconds,
 fewer once the instance has taken BUDGET_S seconds.  The kernel call is
-timed alone, through the Backend record that `engine.get_backend`
-returns, as perfbench/spans.py does.  A row gives the status, the search
-nodes visited, the solve time, the kernel time and the nodes per second
-of the kernel time.  Per-stage timings of the pipeline around the
-search come from `perfbench/run.py --trace 1`.
+timed alone by perfbench/spans.py's Tracer, installed around the solves:
+the total of its `engine.solve_search` spans.  A row gives the status,
+the search nodes visited, the solve time, the kernel time and the nodes
+per second of the kernel time.  Per-stage timings of the pipeline around
+the search come from `perfbench/run.py --trace 1`.
 
 The run and every child process it starts are pinned to one CPU, the
 fastest of the CPUs it may use by the short calibration loop of
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
+import importlib
 import json
 import os
 import platform
@@ -52,53 +53,43 @@ ROUNDS = 6
 REPS = 5
 BUDGET_S = 2.0
 HARD_N = 100
+PERFBENCH = str(ROOT / "perfbench")
+# the modules whose public calls perfbench/spans.py's Tracer wraps
+TRACED = ("formats", "model", "compaction", "solver", "lp", "engine")
+
+
+def _perfbench(name: str):
+    """perfbench/<name>.py, imported by its bare name as perfbench/run.py imports spans."""
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
+    return importlib.import_module(name)
 
 
 def _solve(model, plat, backend: str) -> dict:
     """Up to REPS solves on `backend`, each within BUDGET_S seconds, fewer
     past BUDGET_S seconds in all: the status, the scheme without
     `visited`, `visited`, and each solve's ms and its kernel call's ms."""
-    from mvalloc import engine, formats, solver
+    from mvalloc import formats, solver
 
-    kernel_ns = 0
-
-    def timed(search):
-        def solve_search(*args, **kwargs):
-            nonlocal kernel_ns
-            start = time.perf_counter_ns()
-            result = search(*args, **kwargs)
-            kernel_ns += time.perf_counter_ns() - start
-            return result
-
-        return solve_search
-
-    # solve reaches the kernel through the record get_backend returns
-    get_backend = engine.get_backend
-    wrapped = {}
-
-    def timed_backend(name: str = "auto"):
-        real = get_backend(name)
-        if real.name not in wrapped:
-            wrapped[real.name] = dataclasses.replace(real, solve_search=timed(real.solve_search))
-        return wrapped[real.name]
-
+    tracer = _perfbench("spans").Tracer()
     budget = solver.SolverConfig(time_limit_ms=int(BUDGET_S * 1e3))
     times: list[float] = []
     kernel_times: list[float] = []
-    engine.get_backend = timed_backend
+    tracer.install({name: importlib.import_module(f"mvalloc.{name}") for name in TRACED})
     try:
         while len(times) < REPS and sum(times) < BUDGET_S * 1e3:
-            kernel_ns = 0
             gc.collect()
             gc.disable()
+            mark = tracer.mark()
             start = time.perf_counter_ns()
             scheme = solver.solve(model, plat, budget, backend=backend)
             elapsed = time.perf_counter_ns() - start
             gc.enable()
             times.append(elapsed / 1e6)
-            kernel_times.append(kernel_ns / 1e6)
+            _, total_ms, _ = tracer.since(mark)
+            kernel_times.append(total_ms.get("engine.solve_search", 0.0))
     finally:
-        engine.get_backend = get_backend
+        tracer.uninstall()
     return {
         "status": scheme.status,
         "scheme": formats.dump_scheme(dataclasses.replace(scheme, visited=0)),
@@ -141,9 +132,7 @@ def child(src: str) -> int:
 
     if Path(mvalloc.__file__).resolve().parent != (Path(src) / "mvalloc").resolve():
         raise SystemExit(f"imported mvalloc from {mvalloc.__file__}, not from {src}")
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import gen  # perfbench/gen.py
-
+    gen = _perfbench("gen")
     if "c" not in engine.available_backends():  # a tree may come with its library built
         engine._build()
     search = {backend: {} for backend in engine.available_backends()}
@@ -188,10 +177,7 @@ def _search_rows(runs: dict[str, list[dict]]) -> tuple[list[dict], dict[str, flo
 def _pin() -> int:
     """Pin this process, and the processes it starts from now on, to
     the fastest CPU it may use, as perfbench/run.py does; return it."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import pick_cpu  # perfbench/run.py
-
-    pick_cpu(sorted(os.sched_getaffinity(0)))
+    _perfbench("run").pick_cpu(sorted(os.sched_getaffinity(0)))
     (cpu,) = os.sched_getaffinity(0)
     return cpu
 

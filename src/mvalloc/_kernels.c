@@ -10,19 +10,18 @@
  * dominated within its unit; and the clock read at every node whose count
  * `visited` is a multiple of CHECK_INTERVAL, a power of two.  Fed the
  * same scaled integers, both kernels return identical results, visited
- * counts included.  Two things differ from the Python kernel, neither in
- * what the walk visits.  This one flags every dominated variant before
- * the walk, where the Python kernel tests a variant on first need.  And
- * after a child it learns whether the child replaced the incumbent from
- * the count of leaves reached, where the Python kernel compares the
- * incumbent's pair for the unit with the path's.
- * Values must fit in int64, which the caller has checked, so no cost plus
- * `rest` reaches the INT64_MAX limit that the walk starts with.  `decl`
- * is only stored and compared, never used as an index, and every loop
- * over a unit stays within its slice, so an order that is not the walk
- * order changes the answer but reads nothing out of bounds.  The
- * brute-force oracle has no compiled twin; it lives in _kernels_py.py
- * only.
+ * counts included.  One thing differs from the Python kernel, not in
+ * what the walk visits: after a child this one learns whether the child
+ * replaced the incumbent from the count of leaves reached, where the
+ * Python kernel compares the incumbent's pair for the unit with the
+ * path's.
+ * Every value fits in int64 and the costs sum below INT64_MAX, which
+ * mvalloc.engine checks, so no cost plus `rest` reaches the INT64_MAX
+ * limit that the walk starts with.  `decl` is only stored and compared,
+ * never used as an index, and every loop over a unit stays within its
+ * slice, so an order that is not the walk order changes the answer but
+ * reads nothing out of bounds.  The brute-force oracle has no compiled
+ * twin; it lives in _kernels_py.py only.
  *
  * mvalloc.engine loads this file's shared library through ctypes and
  * owns every buffer: the capacity arrays, which the walk uses as the
@@ -51,7 +50,7 @@ typedef struct {
     int64_t *rem_mem, *rem_cpu, *rem_gpu;
     const int64_t *suffix_min, *need_mem, *need_cpu, *need_gpu;
     const int64_t *decl; /* per variant: its declared index within its unit */
-    int64_t *dominated; /* per variant: 1 when the walk skips it */
+    int64_t *dominated; /* per variant: 0 untested, 1 kept, 2 skipped */
     int64_t *choice, *best;
     int64_t limit;     /* the incumbent's cost, INT64_MAX before the first leaf */
     int64_t deadline_ns, visited;
@@ -121,7 +120,17 @@ static void solve_dfs(State *s, int64_t u, int64_t cur)
             if (!before_best(s, u))
                 continue;
         }
-        if (s->dominated[i])
+        if (i != s->off[u] && s->dominated[i] == 0) {
+            /* tested on first need, as in the Python kernel; b stops at i */
+            s->dominated[i] = 1;
+            for (int64_t b = s->off[u]; s->vcost[b] < s->vcost[i]; b++) {
+                if (s->vmem[b] <= m && s->vcpu[b] <= p && s->vgpu[b] <= g) {
+                    s->dominated[i] = 2;
+                    break;
+                }
+            }
+        }
+        if (s->dominated[i] == 2)
             continue;
         for (int64_t h = first_fit(s, 0, m, p, g); h < s->k; h = first_fit(s, h + 1, m, p, g)) {
             s->rem_mem[h] -= m;
@@ -164,19 +173,6 @@ void solve_search(int64_t n, int64_t k, int64_t deadline_ns,
                .need_cpu = need_cpu, .need_gpu = need_gpu, .decl = decl,
                .dominated = dominated, .choice = choice, .best = best, .limit = INT64_MAX,
                .deadline_ns = deadline_ns};
-    for (int64_t u = 0; u < n; u++) {
-        /* the walk skips a variant when a variant of the unit ahead of it
-         * costs less and needs no more of any resource; b stops at i at
-         * the latest */
-        for (int64_t i = off[u]; i < off[u] + nv[u]; i++) {
-            for (int64_t b = off[u]; vcost[b] < vcost[i]; b++) {
-                if (vmem[b] <= vmem[i] && vcpu[b] <= vcpu[i] && vgpu[b] <= vgpu[i]) {
-                    dominated[i] = 1;
-                    break;
-                }
-            }
-        }
-    }
     solve_dfs(&s, 0, 0);
     /* no leaf reached leaves the limit at INT64_MAX */
     int found = s.limit != INT64_MAX;

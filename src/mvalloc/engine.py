@@ -6,11 +6,13 @@ by "auto" when the library is there.  A library that was built from
 another `_kernels.c` (its `kernel_version()` is missing or differs from
 `_KERNEL_VERSION`) is not loaded, with a warning, so a stale build never
 answers for the current source; nor is a file that ctypes cannot load.
-Neither case raises at import.  The Python kernel takes over when no
-library is loaded, when the instance's scaled integers would not fit in
-int64, or when the caller asks for backend "python".  Both expose the same
-`solve_search` and return identical results.  The brute-force oracle is
-not a backend: `solver.brute_force` always runs `_kernels_py.brute_search`.
+Neither case raises at import.  The Python kernel runs when no library
+is loaded or the caller asks for backend "python".  The compiled kernel
+takes an instance only if every value fits int64 and the costs sum below
+INT64_MAX; its wrapper checks both and raises OverflowError otherwise.
+Both expose the same `solve_search` and return identical results.  The
+brute-force oracle is not a backend: `solver.brute_force` always runs
+`_kernels_py.brute_search`.
 `_build` compiles `_kernels.c` into a temporary directory and loads it,
 for the test suite and the benchmark record, which run from a source tree.
 """
@@ -25,15 +27,10 @@ from typing import Callable
 
 from . import _kernels_py
 
-__all__ = ["Backend", "available_backends", "get_backend", "INT64_SAFE_BOUND"]
+__all__ = ["Backend", "available_backends", "get_backend"]
 
-# Scaled demands, capacities and partial cost sums must stay below this
-# for the compiled kernel; headroom below 2**63 keeps every addition in
-# the search safely inside int64.
-INT64_SAFE_BOUND = 2**62
-
-# the deadline handed to the compiled kernel when there is none
-_NO_DEADLINE = 2**63 - 1
+# the compiled kernel's starting limit, and its deadline when there is none
+_INT64_MAX = 2**63 - 1
 
 # what _kernels.c's kernel_version() returns; bump both whenever the
 # kernel's arguments or results change
@@ -96,11 +93,15 @@ def _load(path: str) -> None:
             or any(a < 0 or count < 0 or a + count > total for a, count in zip(off, nv))
         ):
             raise ValueError("kernel arrays have inconsistent lengths")
-        deadline = _NO_DEADLINE if deadline_ns is None else min(deadline_ns, _NO_DEADLINE)
+        # the sum bounds every cost so far plus `rest` the walk forms;
+        # array() refuses any value outside int64
+        if sum(vcost) >= _INT64_MAX:
+            raise OverflowError("the costs sum past the compiled kernel's int64 limit")
+        deadline = _INT64_MAX if deadline_ns is None else min(deadline_ns, _INT64_MAX)
         # one int64 buffer holds the columns and then zeroed scratch: a
-        # flag per variant that the walk skips, the current path, the
-        # incumbent's (variant, node) pairs and out = {status, cost or -1,
-        # visited}; the kernel gets an address into it for each
+        # dominance flag per variant, the current path, the incumbent's
+        # (variant, node) pairs and out = {status, cost or -1, visited};
+        # the kernel gets an address into it for each
         scratch = [total, 2 * n, 2 * n, 3]
         data = array("q", chain.from_iterable(columns))
         data.frombytes(bytes(8 * sum(scratch)))

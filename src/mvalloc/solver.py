@@ -167,14 +167,13 @@ class _Search:
     variants (the first one on a cost tie).  `infeasible` says why the
     units' minima alone prove the model infeasible, or is None: the first
     resource whose cheapest total demand exceeds total capacity, else the
-    first unit, in declared order, that no single node can hold.
-    `int64_safe` says whether the values fit the compiled kernel.
+    first unit, in declared order, that no single node can hold.  `engine`
+    checks that the values fit int64 and the costs sum below INT64_MAX.
     """
 
     unit_ids: list[str]
     args: tuple[list[int], ...]
     infeasible: str | None
-    int64_safe: bool
 
 
 def _check_config(cfg: SolverConfig) -> None:
@@ -246,7 +245,7 @@ def _search(scaled: _Scaled) -> _Search:
     """Order a scaled model for `solve` and build what its walk reads.
 
     Each unit's minima per resource give the pre-search verdict and the
-    demand order (`_demand_order`), its maxima the int64 check.  One
+    demand order (`_demand_order`); `engine` checks the int64 limit.  One
     gather pass then puts the units in that order and each unit's
     variants in walk order, by a stable sort on cost.
     """
@@ -255,14 +254,11 @@ def _search(scaled: _Scaled) -> _Search:
     spans = [(a, a + count) for a, count in zip(off, nv)]
     # per resource, per unit
     minima = [[min(col[s:e]) for s, e in spans] for col in cols[:3]]
-    maxima = [sum(max(col[s:e]) for s, e in spans) for col in cols]
     infeasible = None
     for label, need, cap in zip(("mem", "cpu", "gpu_threads"), minima, caps):
         if sum(need) > sum(cap):
             infeasible = f"total {label} demand exceeds capacity"
             break
-    bound = engine.INT64_SAFE_BOUND
-    int64_safe = max(maxima) < bound and all(c < bound for cap in caps for c in cap)
     order, homeless = _demand_order(minima, caps)
     if infeasible is None and homeless is not None:
         # every variant needs at least the unit's minima, so none fits a node alone
@@ -282,7 +278,7 @@ def _search(scaled: _Scaled) -> _Search:
     )
     args = (nv, off, *columns, *caps, decl, suffix_min, *suffix_need)
     unit_ids = [scaled.unit_ids[u] for u in order]
-    return _Search(unit_ids, args, infeasible, int64_safe)
+    return _Search(unit_ids, args, infeasible)
 
 
 def _demand_order(
@@ -328,10 +324,18 @@ def _demand_order(
     return sorted(range(len(score)), key=score.__getitem__, reverse=True), homeless
 
 
-def _placements(
-    unit_ids: list[str], node_ids: list[str], choices: list[tuple[int, int]]
-) -> dict[str, Placement]:
-    return {unit_id: Placement(v, node_ids[h]) for unit_id, (v, h) in zip(unit_ids, choices)}
+def _scheme(result: tuple, unit_ids: list[str], scaled: _Scaled, backend: str) -> AllocationScheme:
+    """The scheme of a kernel's (status code, cost, choices, visited), whose
+    choices place `unit_ids` in turn; a cost comes with every incumbent."""
+    code, cost, choices, visited = result
+    placements: dict[str, Placement] = {}
+    objective = None
+    if cost is not None:
+        node_ids = scaled.node_ids
+        placements = {u: Placement(v, node_ids[h]) for u, (v, h) in zip(unit_ids, choices)}
+        objective = Fraction(cost, scaled.cost_den)
+    status = STATUSES[code]
+    return AllocationScheme(status, objective, placements, visited=visited, backend=backend)
 
 
 def solve(
@@ -355,28 +359,24 @@ def solve(
     scaled = _scale(model, platform, cfg)
     search = _search(scaled)
     be = engine.get_backend(backend)
-    if be.name == "c" and not search.int64_safe:
-        if backend == "c":
-            raise SolverError(
-                "scaled values do not fit the compiled kernel; use backend=python"
-            )
-        log.debug("values exceed int64 range, using python kernels")
-        be = engine.get_backend("python")
     if search.infeasible is not None:
         log.info("infeasible before search: %s", search.infeasible)
         return AllocationScheme(INFEASIBLE, None, {}, visited=0, backend=be.name)
     if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
         return AllocationScheme(TIMED_OUT, None, {}, visited=0, backend=be.name)
-    code, cost, choices, visited = be.solve_search(*search.args, deadline_ns=deadline_ns)
-    status = STATUSES[code]
-    log.debug("status %s after %d search nodes on backend %s", status, visited, be.name)
-
-    placements: dict[str, Placement] = {}
-    objective = None
-    if cost is not None:  # optimal, or a timeout with an incumbent
-        placements = _placements(search.unit_ids, scaled.node_ids, choices)
-        objective = Fraction(cost, scaled.cost_den)
-    return AllocationScheme(status, objective, placements, visited=visited, backend=be.name)
+    try:
+        result = be.solve_search(*search.args, deadline_ns=deadline_ns)
+    except OverflowError:  # raised by the compiled kernel before it runs
+        if backend == "c":
+            raise SolverError(
+                "scaled values do not fit the compiled kernel; use backend=python"
+            ) from None
+        log.debug("values exceed the compiled kernel's int64 range, using the python kernel")
+        be = engine.get_backend("python")
+        result = be.solve_search(*search.args, deadline_ns=deadline_ns)
+    scheme = _scheme(result, search.unit_ids, scaled, be.name)
+    log.debug("%s after %d search nodes on backend %s", scheme.status, scheme.visited, be.name)
+    return scheme
 
 
 def brute_force(
@@ -400,14 +400,8 @@ def brute_force(
             raise EnumerationGuardError(
                 f"instance has more than {BRUTE_FORCE_GUARD} raw assignments"
             )
-    code, cost, choices, visited = _kernels_py.brute_search(*scaled.kernel_args)
-    status = STATUSES[code]
-    placements = {}
-    objective = None
-    if status == OPTIMAL:
-        placements = _placements(scaled.unit_ids, scaled.node_ids, choices)
-        objective = Fraction(cost, scaled.cost_den)
-    return AllocationScheme(status, objective, placements, visited=visited, backend="python")
+    result = _kernels_py.brute_search(*scaled.kernel_args)
+    return _scheme(result, scaled.unit_ids, scaled, "python")
 
 
 def check_scheme(

@@ -196,6 +196,26 @@ def test_compiled_kernels_refuse_inconsistent_arrays():
             kernel(*bad, None)
 
 
+@pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
+def test_compiled_kernels_refuse_values_past_int64():
+    kernel = engine.get_backend("c").solve_search
+    big = 2**62
+    costs = [big - 6, big, 4]
+    args = ([2, 1], [0, 2], [3, 1, 2], [1, 1, 1], [0, 0, 0], costs, [4, 2], [9, 9], [0, 0])
+    decl = [0, 1, 0]
+    bounds = ([big - 2, 4, 0], [3, 2, 0], [1, 1, 0], [0, 0, 0])
+    # the costs sum to INT64_MAX - 1: the kernel runs, as the Python one does
+    result = kernel(*args, decl, *bounds, None)
+    assert result == engine.get_backend("python").solve_search(*args, decl, *bounds, None)
+    assert result[:2] == (0, big - 2)
+    for bad in (
+        (*args[:2], [2**63, 1, 2], *args[3:], decl, *bounds),  # a demand past int64
+        (*args[:5], [big - 5, big, 4], *args[6:], decl, *bounds),  # costs sum to INT64_MAX
+    ):
+        with pytest.raises(OverflowError):
+            kernel(*bad, None)
+
+
 @pytest.mark.parametrize("name", engine.available_backends())
 def test_forward_check_stops_where_a_later_unit_fits_nowhere(name):
     # node 0 is the only one big enough for unit 0's first variant and for

@@ -485,19 +485,62 @@ def test_check_scheme_rejects_unknown_ids():
         check_scheme(bad_node, model, platform)
 
 
+def _outcome(scheme):
+    return scheme.status, scheme.objective_ms, scheme.placements, scheme.visited, scheme.backend
+
+
 def test_oversized_integers_fall_back_to_python_kernels():
-    huge = 2**61
+    huge = 2**63
     model = HighLayerModel(
         units=[unit("a", (huge, 1, 0, 1)), unit("b", (huge, 1, 0, 2))]
     )
     platform = Platform(nodes=[node("h", 2 * huge, 10)])
     scheme = solve(model, platform)
-    assert scheme.backend == "python"
+    assert _outcome(scheme) == _outcome(solve(model, platform, backend="python"))
     assert scheme.status == "optimal"
     assert scheme.objective_ms == Fraction(3)
     if "c" in available_backends():
         with pytest.raises(SolverError, match="do not fit"):
             solve(model, platform, backend="c")
+
+
+def test_costs_summing_past_int64_fall_back_to_python_kernels():
+    # each cost fits int64, but together they reach INT64_MAX, the
+    # compiled kernel's starting limit
+    big = 2**62
+    model = HighLayerModel(
+        units=[unit("a", (1, 1, 0, big), (1, 1, 0, big - 1)), unit("b", (1, 1, 0, 1))]
+    )
+    platform = Platform(nodes=[node("h", 2, 10)])
+    scheme = solve(model, platform)
+    assert _outcome(scheme) == _outcome(solve(model, platform, backend="python"))
+    assert scheme.objective_ms == Fraction(big)
+    if "c" in available_backends():
+        with pytest.raises(SolverError, match="do not fit"):
+            solve(model, platform, backend="c")
+
+
+@pytest.mark.skipif("c" not in available_backends(), reason="extension not built")
+def test_values_past_2_62_that_fit_int64_run_on_the_compiled_kernel():
+    # demands in [2**62, 2**63) and a capacity of INT64_MAX, with costs
+    # summing below it: the compiled kernel takes them.  Only node h holds
+    # the cheap variants of a and b, so the walk backtracks.
+    big = 2**62
+    model = HighLayerModel(
+        units=[
+            unit("a", (big + 5, 1, 0, 3), (big, 1, 0, 4)),
+            unit("b", (big + 5, 1, 0, 2), (big, 2, 0, 4)),
+            unit("c", (big, 1, 0, big)),
+        ]
+    )
+    platform = Platform(
+        nodes=[node("h", 2**63 - 1, 10), node("g", big + 1, 10), node("f", big, 10)]
+    )
+    scheme = solve(model, platform)
+    assert scheme.backend == "c"
+    assert scheme.objective_ms == Fraction(big + 6)
+    python = solve(model, platform, backend="python")
+    assert _outcome(scheme)[:4] == _outcome(python)[:4]
 
 
 def test_backend_is_reported():
