@@ -12,9 +12,10 @@ distinct string to its Fraction.
 
 Serialization is canonical: exactly `json.dumps(data, indent=2,
 sort_keys=True, separators=(",", ": "))` and a newline, so the same data
-always gives the same bytes.  The compacted model, the largest file the
-pipeline writes, is rendered directly from its records, at fixed depths
-with keys in sorted order, to those same bytes.
+always gives the same bytes.  `dump_model` calls `json.dumps`.  The three
+files the pipeline writes, the compacted model, the scheme and the
+assignment, are rendered directly from their records to those same bytes:
+one f-string per record at its fixed depth, with keys in sorted order.
 
 The scheme's records and status names come from `compaction`, so
 reading and writing files never loads the solver.
@@ -27,6 +28,7 @@ gets the mode `open` would give it: 0o666 less the umask.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import fields
 from fractions import Fraction
@@ -177,17 +179,6 @@ def _field(obj: dict, key: str, read, numbers: dict, default: object = _REQUIRED
     return default
 
 
-def _items(obj: dict, key: str, read, numbers: dict, default: object = _REQUIRED):
-    """`_field` for an array: `read` applied to each element at path .key[i]."""
-    if key not in obj:
-        return _field(obj, key, read, numbers, default)
-    try:
-        return _array(obj[key], numbers, read)
-    except _Fault as fault:
-        fault.where.append(f".{key}")
-        raise
-
-
 def _array(raw: object, numbers: dict, read) -> list:
     values = _arr(raw, numbers)
     out: list = []
@@ -242,7 +233,7 @@ def _put_demand(demand: ResourceDemand, out: dict) -> dict:
     """`out` with the fields `_demand` reads added."""
     out["mem"] = format_number(demand.mem)
     out["cpu"] = format_number(demand.cpu)
-    out["gpu_threads"] = demand.gpu_threads
+    out["gpu_threads"] = operator.index(demand.gpu_threads)
     out["exec_ms"] = format_number(demand.exec_ms)
     return out
 
@@ -271,7 +262,7 @@ def _component(raw: object, numbers: dict) -> Component:
 def _repository(raw: object, numbers: dict) -> Repository:
     obj = _record(raw, numbers, _REPOSITORY)
     return Repository(
-        components=_items(obj, "components", _component, numbers),
+        components=_field(obj, "components", partial(_array, read=_component), numbers),
         version_groups=_field(obj, "version_groups", partial(_map, read=_strings), numbers, {}),
     )
 
@@ -288,14 +279,14 @@ def _node(raw: object, numbers: dict) -> HardwareNode:
 
 def _platform(raw: object, numbers: dict) -> Platform:
     obj = _record(raw, numbers, _PLATFORM)
-    return Platform(nodes=_items(obj, "nodes", _node, numbers))
+    return Platform(nodes=_field(obj, "nodes", partial(_array, read=_node), numbers))
 
 
 def _assembly(raw: object, numbers: dict) -> Assembly:
     obj = _record(raw, numbers, _ASSEMBLY)
     return Assembly(
         components=_field(obj, "components", _strings, numbers),
-        connections=_items(obj, "connections", _pair, numbers, []),
+        connections=_field(obj, "connections", partial(_array, read=_pair), numbers, []),
     )
 
 
@@ -303,7 +294,7 @@ def _unit_spec(raw: object, numbers: dict) -> UnitSpec:
     obj = _record(raw, numbers, _UNIT_SPEC)
     return UnitSpec(
         topology=_field(obj, "topology", _strings, numbers, None),
-        alternatives=_items(obj, "alternatives", _assembly, numbers, None),
+        alternatives=_field(obj, "alternatives", partial(_array, read=_assembly), numbers, None),
         id=_field(obj, "id", _str, numbers),
         policy=_field(obj, "policy", _str, numbers),
     )
@@ -312,9 +303,9 @@ def _unit_spec(raw: object, numbers: dict) -> UnitSpec:
 def _architecture(raw: object, numbers: dict) -> SystemArchitecture:
     obj = _record(raw, numbers, _ARCHITECTURE)
     return SystemArchitecture(
-        units=_items(obj, "units", _unit_spec, numbers, []),
+        units=_field(obj, "units", partial(_array, read=_unit_spec), numbers, []),
         singletons=_field(obj, "singletons", _strings, numbers, []),
-        connections=_items(obj, "connections", _pair, numbers, []),
+        connections=_field(obj, "connections", partial(_array, read=_pair), numbers, []),
     )
 
 
@@ -356,7 +347,7 @@ def dump_model(
                     "id": n.id,
                     "use_mem": format_number(n.use_mem),
                     "use_cpu": format_number(n.use_cpu),
-                    "use_gpu": n.use_gpu,
+                    "use_gpu": operator.index(n.use_gpu),
                 }
                 for n in platform.nodes
             ],
@@ -382,7 +373,9 @@ def dump_model(
         if architecture.connections:
             arch["connections"] = [[a, b] for a, b in architecture.connections]
         root["architecture"] = arch
-    return _canonical(root)
+    # the integer fields go through operator.index, so a float raises
+    # TypeError here instead of reaching a file the reader rejects
+    return json.dumps(root, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
 
 
 # --- compacted model -----------------------------------------------------
@@ -396,7 +389,7 @@ def _variant(raw: object, numbers: dict) -> Variant:
 def _unit(raw: object, numbers: dict) -> MultiVariantUnit:
     obj = _record(raw, numbers, _UNIT)
     unit_id = _field(obj, "id", _str, numbers)
-    variants = _items(obj, "variants", _variant, numbers)
+    variants = _field(obj, "variants", partial(_array, read=_variant), numbers)
     if not variants:
         raise _Fault("a unit needs at least one variant", ".variants")
     return MultiVariantUnit(id=unit_id, variants=variants)
@@ -405,8 +398,8 @@ def _unit(raw: object, numbers: dict) -> MultiVariantUnit:
 def _compacted(raw: object, numbers: dict) -> HighLayerModel:
     root = _record(raw, numbers, _COMPACTED)
     return HighLayerModel(
-        units=_items(root, "units", _unit, numbers),
-        connections=_items(root, "connections", _pair, numbers, []),
+        units=_field(root, "units", partial(_array, read=_unit), numbers),
+        connections=_field(root, "connections", partial(_array, read=_pair), numbers, []),
     )
 
 
@@ -414,17 +407,18 @@ def parse_compacted(text: str) -> HighLayerModel:
     return _parse(text, _compacted)
 
 
-def _array_text(items: list[str], depth: int) -> str:
-    """The canonical text of an array whose elements, already rendered,
+def _array_text(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """The canonical text of an array, or with `brackets` "{}" of an
+    object, whose elements or `"key": value` members, already rendered,
     sit `depth` columns in."""
     if not items:
-        return "[]"
+        return brackets
     inner = "\n" + " " * depth
-    return f"[{inner}{(',' + inner).join(items)}{inner[:-2]}]"
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{inner[:-2]}{brackets[1]}"
 
 
 def dump_compacted(model: HighLayerModel) -> str:
-    """What `_canonical` gives for the tree {"units": [{"id", "variants":
+    """The canonical JSON text of the tree {"units": [{"id", "variants":
     [{"members", and the fields `_demand` reads}]}], "connections": [[a,
     b]] when there are any}, rendered directly: each record's keys in
     sorted order at its fixed depth.  A number is a string of digits,
@@ -483,17 +477,22 @@ def parse_scheme(text: str) -> AllocationScheme:
 
 
 def dump_scheme(scheme: AllocationScheme) -> str:
-    root = {
-        "status": scheme.status,
-        "objective_ms": None
-        if scheme.objective_ms is None
-        else format_number(scheme.objective_ms),
-        "placements": {
-            unit_id: {"variant": p.variant, "node": p.node}
-            for unit_id, p in scheme.placements.items()
-        },
-    }
-    return _canonical(root)
+    """The canonical JSON text of {"status", "objective_ms": a number or
+    null, "placements": {unit id: {"variant", "node"}}}, rendered like
+    `dump_compacted`."""
+    objective = "null"
+    if scheme.objective_ms is not None:
+        objective = f'"{format_number(scheme.objective_ms)}"'
+    placements = [
+        f'{_quote(unit_id)}: {{\n      "node": {_quote(p.node)},'
+        f'\n      "variant": {p.variant:d}\n    }}'
+        for unit_id, p in sorted(scheme.placements.items())
+    ]
+    return (
+        f'{{\n  "objective_ms": {objective},'
+        f'\n  "placements": {_array_text(placements, 4, "{}")},'
+        f'\n  "status": {_quote(scheme.status)}\n}}\n'
+    )
 
 
 # --- component assignment ------------------------------------------------
@@ -509,7 +508,10 @@ def parse_assignment(text: str) -> dict[str, str]:
 
 
 def dump_assignment(assignment: dict[str, str]) -> str:
-    return _canonical({"assignments": dict(assignment)})
+    """The canonical JSON text of {"assignments": {component id: node id}},
+    rendered like `dump_compacted`."""
+    pairs = [f"{_quote(c)}: {_quote(node)}" for c, node in sorted(assignment.items())]
+    return f'{{\n  "assignments": {_array_text(pairs, 4, "{}")}\n}}\n'
 
 
 def parse_weights(text: str) -> dict[str, Fraction]:
@@ -517,38 +519,6 @@ def parse_weights(text: str) -> dict[str, Fraction]:
 
 
 # --- output --------------------------------------------------------------
-
-
-def _canonical(root: object) -> str:
-    """`json.dumps(root, indent=2, sort_keys=True, separators=(",", ": "))`
-    and a newline, written directly: with an indent, json runs its slow
-    pure-Python encoder.  Takes dicts with str keys, lists, str, int,
-    bool and None; anything else raises TypeError."""
-    out: list[str] = []
-    _write(root, "\n", out.append)
-    return "".join(out) + "\n"
-
-
-def _write(value: object, newline: str, emit) -> None:
-    if isinstance(value, str):
-        emit(_quote(value))
-    elif value is None or isinstance(value, bool):
-        emit("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        emit(int.__repr__(value))
-    elif not isinstance(value, (dict, list)):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    elif not value:
-        emit("{}" if isinstance(value, dict) else "[]")
-    else:
-        is_dict = isinstance(value, dict)
-        inner = newline + "  "
-        sep = ("{" if is_dict else "[") + inner
-        for key in sorted(value) if is_dict else range(len(value)):
-            emit(sep + _quote(key) + ": " if is_dict else sep)
-            _write(value[key], inner, emit)
-            sep = "," + inner
-        emit(newline + ("}" if is_dict else "]"))
 
 
 def write_atomic(path: str | os.PathLike, text: str) -> None:

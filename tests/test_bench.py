@@ -113,6 +113,12 @@ def test_trial_solves_over_the_budget_are_counted_apart(monkeypatch):
     )
 
 
+def test_rejected_draws_are_counted():
+    # a seed found by search: its first two draws have no feasible two-variant model
+    system = generate_system(BenchSpec(n=70, seed=16))
+    assert (system.rejected, system.timed_out) == (2, 0)
+
+
 def test_accepted_instance_has_consistent_objectives():
     system = generate_system(BenchSpec(n=4, seed=1))
     objectives = {

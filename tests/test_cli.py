@@ -1,8 +1,10 @@
+import importlib
 import json
 import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from mvalloc.formats import (
     dump_scheme,
     parse_assignment,
     parse_compacted,
+    parse_model,
     parse_scheme,
 )
 from mvalloc.model import (
@@ -159,6 +162,24 @@ def test_solve_compacted_writes_the_same_scheme(tmp_path, capsys):
     assert code == 0
     assert reread.read_bytes() == direct.read_bytes()
     assert parse_scheme(direct.read_text()).placements["Cam"].node == "h0"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("solve", "the model has no architecture section; pass --compacted instead"),
+        ("compact", "the model has no architecture section to compact"),
+    ],
+)
+def test_a_model_without_architecture_needs_a_compacted_file(command, message, tmp_path, capsys):
+    repo, platform, _ = parse_model(robot_model_text())
+    model = tmp_path / "bare.json"
+    model.write_text(dump_model(repo, platform))
+    out = tmp_path / "out.json"
+    code, _, stderr = run(capsys, command, str(model), "-o", str(out))
+    assert code == 1
+    assert stderr == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_solve_oracle_agrees(robot_file, tmp_path, capsys):
@@ -384,6 +405,20 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "validate" in proc.stdout
+
+
+def test_console_script_names_the_cli_main(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"mvalloc": "mvalloc.cli:main"}
+    module, _, name = scripts["mvalloc"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    with pytest.raises(SystemExit) as exit_info:
+        entry(["--help"])
+    assert exit_info.value.code == 0
+    assert "validate" in capsys.readouterr().out
 
 
 def test_module_main_guard(robot_file, tmp_path):

@@ -2,17 +2,24 @@ import json
 import os
 import random
 import stat
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from random_models import random_detailed, random_high_model, random_scheme, self_named_unit_model
 
-from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant, build_high_layer
+from mvalloc.compaction import (
+    AllocationScheme,
+    HighLayerModel,
+    MultiVariantUnit,
+    Placement,
+    Variant,
+    build_high_layer,
+)
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import (
     ParseError,
-    _canonical,
     dump_assignment,
     dump_compacted,
     dump_model,
@@ -25,6 +32,7 @@ from mvalloc.formats import (
     write_atomic,
 )
 from mvalloc.model import ResourceDemand
+from mvalloc.rationals import format_number
 from mvalloc.solver import solve
 
 
@@ -58,6 +66,20 @@ def test_model_round_trip_random():
         back = parse_model(text)
         assert back == (repo, platform, architecture), f"seed {seed + 100}"
         assert dump_model(*back) == text, f"seed {seed + 100}"
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), 0.0])
+@pytest.mark.parametrize("field", ["gpu_threads", "use_gpu"])
+def test_model_dump_rejects_a_float_count(field, value):
+    """A float would be written as JSON that `parse_model` rejects."""
+    repo, platform, architecture = parse_model(robot_model_text())
+    if field == "gpu_threads":
+        component = repo.components[0]
+        component.demand = replace(component.demand, gpu_threads=value)
+    else:
+        platform.nodes[0].use_gpu = value
+    with pytest.raises(TypeError):
+        dump_model(repo, platform, architecture)
 
 
 def test_model_without_architecture():
@@ -645,30 +667,44 @@ def _random_text(rng: random.Random) -> str:
     return "".join(rng.choice(TEXT_CHARS) for _ in range(rng.randint(0, 6)))
 
 
-def _random_document(rng: random.Random, depth: int = 0) -> object:
-    kind = rng.randrange(6 if depth < 4 else 4)
-    if kind == 0:
-        return _random_text(rng)
-    if kind == 1:
-        return rng.choice([0, -1, 7, -(10**20), 10**25, rng.randint(-9999, 9999)])
-    if kind == 2:
-        return rng.choice([None, True, False])
-    if kind in (3, 4):
-        return {_random_text(rng): _random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))}
-    return [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+def _scheme_tree(scheme: AllocationScheme) -> dict:
+    objective = None if scheme.objective_ms is None else format_number(scheme.objective_ms)
+    placements = {u: {"variant": p.variant, "node": p.node} for u, p in scheme.placements.items()}
+    return {"status": scheme.status, "objective_ms": objective, "placements": placements}
 
 
-def test_canonical_is_the_indented_sorted_json_text():
-    rng = random.Random(3)
-    for _ in range(1000):
-        doc = _random_document(rng)
-        expected = json.dumps(doc, indent=2, sort_keys=True, separators=(",", ": ")) + "\n"
-        assert _canonical(doc) == expected, doc
+ODD_IDS = ["Kamera-\u00e9\u65e5\U0001f600", "line\u2028sep", "lone\ud800", 'qu"ote', "\\\t\x00", ""]
 
 
 @pytest.mark.parametrize(
-    "doc", [1.5, float("nan"), {"a": [0.0]}, ["x", (1, 2)], {1: "a"}, Fraction(1, 2), b"x"]
+    "scheme",
+    [
+        AllocationScheme(status="infeasible", objective_ms=None, placements={}),
+        AllocationScheme(status="timeout", objective_ms=None, placements={"u": Placement(0, "h")}),
+        AllocationScheme(
+            status="optimal",
+            objective_ms=Fraction(-22, 7),
+            placements={uid: Placement(k, uid[::-1]) for k, uid in enumerate(ODD_IDS)},
+        ),
+    ],
+    ids=["empty", "null-objective", "odd-ids"],
 )
-def test_canonical_rejects_what_it_does_not_write(doc):
-    with pytest.raises(TypeError):
-        _canonical(doc)
+def test_dump_scheme_is_the_canonical_json_text(scheme):
+    assert dump_scheme(scheme) == _json_text(_scheme_tree(scheme))
+    assignment = {p.node: uid for uid, p in scheme.placements.items()}
+    assert dump_assignment(assignment) == _json_text({"assignments": assignment})
+
+
+def test_dump_scheme_and_assignment_are_the_canonical_json_text_random():
+    rng = random.Random(5)
+    for seed in range(400):
+        scheme = random_scheme(seed)
+        if seed % 2:
+            scheme.placements = {
+                _random_text(rng): Placement(p.variant, _random_text(rng))
+                for p in scheme.placements.values()
+            }
+        assert dump_scheme(scheme) == _json_text(_scheme_tree(scheme)), f"seed {seed}"
+        assignment = {_random_text(rng): _random_text(rng) for _ in range(rng.randint(0, 5))}
+        expected = _json_text({"assignments": assignment})
+        assert dump_assignment(assignment) == expected, f"seed {seed}"

@@ -65,10 +65,10 @@ def test_duplicate_ids_resolve_to_the_first_declared():
 
 def test_negative_demands_each_get_a_diagnostic():
     repo = Repository(
-        components=[comp("a", mem=-1, cpu=-2, exec_ms=-3)],
+        components=[comp("a", mem=-1, cpu=-2, gpu=-4, exec_ms=-3)],
     )
     found = rules(validate_repository(repo))
-    assert found == ["cpu-negative", "exec-negative", "mem-negative"]
+    assert found == ["cpu-negative", "exec-negative", "gpu-threads-negative", "mem-negative"]
 
 
 def test_gpu_component_without_threads():
@@ -116,7 +116,8 @@ def test_versions_of_falls_back_to_declaration_order():
 
 
 def test_validate_platform():
-    assert rules(validate_platform(Platform(nodes=[]))) == ["platform-empty"]
+    (empty,) = validate_platform(Platform(nodes=[]))
+    assert str(empty) == "platform-empty: no hardware nodes"
     platform = Platform(
         nodes=[
             HardwareNode("n", Fraction(-1), Fraction(1)),
@@ -171,11 +172,13 @@ def test_validate_architecture():
             UnitSpec(id="w", policy="all_combinations"),
             UnitSpec(id="v", policy="all_combinations", topology=["f", "nosuch"]),
         ],
-        singletons=["ghost"],
+        singletons=["ghost", "w", "ghost"],
         connections=[("u", "nobody")],
     )
-    found = rules(validate_architecture(arch, repo))
-    assert "duplicate-unit-id" in found
+    diags = validate_architecture(arch, repo)
+    found = rules(diags)
+    # a repeated unit, a singleton repeating a unit and a repeated singleton
+    assert [d.subject for d in diags if d.rule == "duplicate-unit-id"] == ["u", "w", "ghost"]
     assert "unknown-policy" in found
     assert "missing-alternatives" in found
     assert "missing-topology" in found

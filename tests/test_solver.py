@@ -453,20 +453,18 @@ def test_brute_force_ignores_the_time_limit():
 
 
 def test_check_scheme_flags_overruns_per_resource():
-    units = [unit("a", (6, 1, 600, 1)), unit("b", (6, 1, 600, 1))]
+    units = [unit("a", (6, 1, 600, 1)), unit("b", (6, 1, 600, 1)), unit("c", (1, 6, 0, 1))]
     model = HighLayerModel(units=units)
-    platform = Platform(nodes=[node("g", 10, 10, gpu=1000)])
+    platform = Platform(nodes=[node("g", 10, 10, gpu=1000), node("h", 10, 5)])
     from mvalloc.solver import AllocationScheme, Placement
 
     crammed = AllocationScheme(
         status="optimal",
-        objective_ms=Fraction(2),
-        placements={"a": Placement(0, "g"), "b": Placement(0, "g")},
+        objective_ms=Fraction(3),
+        placements={"a": Placement(0, "g"), "b": Placement(0, "g"), "c": Placement(0, "h")},
     )
     violations = check_scheme(crammed, model, platform)
-    assert ("g", "mem") in violations
-    assert ("g", "gpu_threads") in violations
-    assert ("g", "cpu") not in violations
+    assert violations == [("g", "mem"), ("g", "gpu_threads"), ("h", "cpu")]
 
 
 def test_check_scheme_rejects_unknown_ids():
