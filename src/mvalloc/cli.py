@@ -223,8 +223,8 @@ def cmd_bench(args) -> int:
     finally:  # a later n that fails keeps the rows already finished
         if reports:
             print(format_table(reports))
-    if args.json:
-        write_atomic(args.json, reports_to_json(reports))
+            if args.json:
+                write_atomic(args.json, reports_to_json(reports))
     return EXIT_OK
 
 

@@ -163,7 +163,6 @@ def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
     """
     if spec.policy not in POLICIES:
         raise CompactionError(f"unknown enumeration policy {spec.policy!r}")
-    topology = spec.topology or []
     if spec.policy == "declared":
         if not spec.alternatives:
             raise CompactionError("declared policy with no alternatives")
@@ -178,8 +177,10 @@ def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
             )
         return [list(alt.components) for alt in spec.alternatives]
 
+    if not spec.topology:
+        raise CompactionError(f"unit {spec.id!r}: {spec.policy} policy with no topology")
     version_lists: list[list[str]] = []
-    for function in topology:
+    for function in spec.topology:
         versions = repo.versions_of(function)
         if not versions:
             raise CompactionError(f"no component realizes function {function!r}")

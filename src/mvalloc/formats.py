@@ -3,7 +3,8 @@
 Four formats: model (repository + platform + optional architecture),
 compacted model, allocation scheme, and component assignment.  Parsing is
 strict: unknown fields are rejected, numbers must be integers or strings
-(see mvalloc.rationals), and every error carries the path to the
+of the grammar in mvalloc.rationals, counts (`gpu_threads`, `use_gpu`,
+`variant`) must be JSON integers, and every error carries the path to the
 offending field.  A reader raises a fault without its path, and each
 reader the fault passes on its way out adds its own step, so a path is
 built only for a document that has a fault.  Number strings are parsed
@@ -55,7 +56,7 @@ from .model import (
     SystemArchitecture,
     UnitSpec,
 )
-from .rationals import format_number, parse_count, parse_number
+from .rationals import format_number, parse_number
 
 __all__ = [
     "ParseError",
@@ -112,26 +113,26 @@ def _str(raw: object, numbers: dict) -> str:
     return raw
 
 
-def _value(parse, raw: object):
+def _number(raw: object, numbers: dict) -> Fraction:
+    """`parse_number(raw)`; a string's Fraction is kept in `numbers`, so
+    each distinct string is parsed once per document."""
     try:
-        return parse(raw)
+        if isinstance(raw, str):
+            value = numbers.get(raw)
+            if value is None:
+                value = numbers[raw] = parse_number(raw)
+            return value
+        return parse_number(raw)
     except ValueError as exc:
         raise _Fault(str(exc)) from exc
 
 
-def _number(raw: object, numbers: dict) -> Fraction:
-    """`parse_number(raw)`; a string's Fraction is kept in `numbers`, so
-    each distinct string is parsed once per document."""
-    if isinstance(raw, str):
-        value = numbers.get(raw)
-        if value is None:
-            value = numbers[raw] = _value(parse_number, raw)
-        return value
-    return _value(parse_number, raw)
-
-
 def _count(raw: object, numbers: dict) -> int:
-    return raw if type(raw) is int else _value(parse_count, raw)
+    """A JSON integer, as it is: the model validators report a negative
+    count, and the solver's scaling refuses it."""
+    if type(raw) is not int:
+        raise _Fault(f"expected an integer, got {raw!r}")
+    return raw
 
 
 _REQUIRED = object()

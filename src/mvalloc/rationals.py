@@ -7,12 +7,13 @@ or, when the value has no terminating decimal form, "p/q".  JSON floats
 are rejected because they are already approximations by the time the
 parser sees them; JSON integers are accepted as-is.
 
-Two fast paths give the same Fractions with less work.  A string of
-ASCII digits with at most one interior dot ("d+" or "d+.d+") is the
-integer of its digits over 10 ** (digits after the dot), which is what the
-decimal means; any other string goes to `Fraction(str)`, with its forms
-and errors.  `exact_sum` adds integer numerators over the lcm of the
-denominators, which equals adding the Fractions one by one.
+One grammar, the one `format_number` writes in, defines a number string:
+an optional "-" and ASCII digits, then "." or "/" and ASCII digits, or
+nothing; a "/" takes a nonzero denominator.  Any other string, and one
+past CPython's 4 300-digit limit for integers, is refused, so no string
+costs more than its length to read.  `exact_sum` adds integer numerators
+over the lcm of the denominators, which equals adding the Fractions one
+by one.
 """
 
 from __future__ import annotations
@@ -21,23 +22,23 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["parse_number", "format_number", "parse_count", "exact_sum"]
+__all__ = ["parse_number", "format_number", "exact_sum"]
 
 
 def parse_number(raw: object) -> Fraction:
-    """Turn a JSON scalar into an exact Fraction.
-
-    Accepts int, or str in any form Fraction understands ("7", "0.25",
-    "-3/8", "2e3").  Rejects float and bool.
-    """
+    """Turn a JSON scalar into an exact Fraction: an int, or a str of the
+    module's grammar ("7", "0.25", "-3/8").  Rejects float and bool."""
     if isinstance(raw, str):
         whole, dot, frac = raw.partition(".")
         try:
-            if raw.isascii() and whole.isdigit() and (frac.isdigit() or not dot):
+            if raw.isascii() and whole.removeprefix("-").isdigit() and (frac.isdigit() or not dot):
                 return Fraction(int(whole + frac), 10 ** len(frac))
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a valid number string: {raw!r}") from exc
+            num, _, den = raw.partition("/")
+            if raw.isascii() and num.removeprefix("-").isdigit() and den.isdigit():
+                return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or past int's digit limit
+            pass
+        raise ValueError(f"not a valid number string: {raw!r}")
     if isinstance(raw, bool):
         raise ValueError("expected a number, got a boolean")
     if isinstance(raw, int):
@@ -47,18 +48,6 @@ def parse_number(raw: object) -> Fraction:
             f"floats are not accepted (got {raw!r}); write the value as a string"
         )
     raise ValueError(f"expected a number, got {type(raw).__name__}")
-
-
-def parse_count(raw: object) -> int:
-    """Parse an integer field (thread counts and the like).  The sign is
-    not checked here: a negative count is returned as it is; the model
-    validators report it and the solver's scaling refuses it."""
-    if type(raw) is int:
-        return raw
-    value = parse_number(raw)
-    if value.denominator != 1:
-        raise ValueError(f"expected an integer, got {raw!r}")
-    return value.numerator
 
 
 def format_number(value: Fraction) -> str:

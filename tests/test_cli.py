@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -182,11 +183,50 @@ def test_a_model_without_architecture_needs_a_compacted_file(command, message, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "compact", "solve", "unfold", "export-lp"])
+@pytest.mark.parametrize("mem", ["1e1000000", "1e10000000", "1e-5000"])
+def test_an_exponent_is_refused_at_once_by_every_command(command, mem, tmp_path, capsys):
+    # Fraction(str) would expand the power of ten in full: 10 s for "1e10000000"
+    doc = json.loads(robot_model_text())
+    doc["repository"]["components"][3]["mem"] = mem
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text("{}")
+    out = tmp_path / "out"
+    argv = [command, str(model), *([str(scheme)] if command == "unfold" else [])]
+    if command != "validate":
+        argv += ["-o", str(out)]
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert stderr == f"error: $.repository.components[3].mem: not a valid number string: {mem!r}\n"
+    assert not out.exists()
+
+
 def test_solve_oracle_agrees(robot_file, tmp_path, capsys):
     out = tmp_path / "scheme.json"
     code, stdout, _ = run(capsys, "solve", robot_file, "-o", str(out), "--oracle")
     assert code == 0
     assert "oracle agrees" in stdout
+
+
+def test_solve_oracle_disagrees(robot_file, tmp_path, capsys, monkeypatch):
+    from mvalloc import solver
+    from mvalloc.compaction import AllocationScheme
+
+    def wrong(model, platform, config):
+        return AllocationScheme("infeasible", None, {})
+
+    monkeypatch.setattr(solver, "brute_force", wrong)
+    out = tmp_path / "scheme.json"
+    code, _, stderr = run(capsys, "solve", robot_file, "-o", str(out), "--oracle")
+    assert code == 1
+    assert stderr == (
+        "error: oracle disagrees: solve says optimal/45, brute force says infeasible/None\n"
+    )
+    assert not out.exists()
 
 
 def test_solve_python_backend(robot_file, tmp_path, capsys):
@@ -360,6 +400,21 @@ def test_bench_prints_the_rows_it_finished_when_a_later_n_fails(capsys, monkeypa
     rows = [line.split()[0] for line in stdout.splitlines()[2:-2]]
     assert rows == ["3"]
     assert "no instance accepted at n=4" in stderr
+
+
+def test_bench_gives_up_on_a_size_without_instances_at_once(tmp_path, capsys):
+    # at n = 200 no draw is ever accepted; before generation was capped at
+    # 50 draws the command ran for about 2.5 min, now for under a second
+    json_out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code, stdout, stderr = run(
+        capsys, "bench", "--n", "100", "--n", "200", "--reps", "3", "--json", str(json_out)
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert [line.split()[0] for line in stdout.splitlines()[2:-2]] == ["100"]
+    assert "no acceptable instance within 50 attempts (n=200, seed=1): 50 rejected" in stderr
+    assert [report["n"] for report in json.loads(json_out.read_text())["reports"]] == [100]
 
 
 @pytest.mark.parametrize(

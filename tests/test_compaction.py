@@ -21,6 +21,7 @@ from mvalloc.model import (
     Kind,
     Repository,
     ResourceDemand,
+    SystemArchitecture,
     UnitSpec,
     UnknownIdError,
 )
@@ -149,6 +150,22 @@ def test_enumerate_unknown_function():
 def test_enumerate_unknown_policy():
     with pytest.raises(CompactionError, match="unknown enumeration policy 'greedy'"):
         enumerate_alternatives(UnitSpec("U", "greedy", ["f0"]), dual_repo())
+
+
+@pytest.mark.parametrize("topology", [None, []])
+@pytest.mark.parametrize("policy", ["all_combinations", "contiguous_gpu_segment"])
+def test_generated_policy_without_a_topology_is_refused(policy, topology):
+    # not one empty, zero-demand variant
+    spec = UnitSpec("X", policy, topology)
+    with pytest.raises(CompactionError, match=f"unit 'X': {policy} policy with no topology"):
+        enumerate_alternatives(spec, dual_repo())
+    with pytest.raises(CompactionError, match="no topology"):
+        build_high_layer(SystemArchitecture(units=[spec]), dual_repo())
+
+
+def test_compact_without_alternatives_is_refused():
+    with pytest.raises(CompactionError, match="unit 'U' has no alternatives"):
+        compact("U", [], dual_repo())
 
 
 def test_compact_builds_indexed_variants():

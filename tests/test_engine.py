@@ -13,7 +13,7 @@ from mvalloc import engine
 from mvalloc.compaction import STATUSES, HighLayerModel, build_high_layer
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import parse_model
-from mvalloc.solver import Placement, SolverConfig, _scale, _search, brute_force
+from mvalloc.solver import Placement, SolverConfig, _scale, _search, brute_force, solve
 
 
 def test_python_backend_is_always_available():
@@ -117,22 +117,49 @@ def test_kernels_return_identical_tuples():
     )
 
 
-def _benchmark_models():
-    """(name, model, platform) of the benchmark's own searches: the tight
-    packings, the planted 300-800 unit models and the robot pair, as
-    compaction builds them.  The 1100-unit planted model is left out, as
-    the Python kernel recurses once per unit."""
+def _gen():
+    """perfbench/gen.py, the benchmark's model generator."""
     key = "perfbench_gen"
     if key not in sys.modules:  # registered before it runs, as its dataclasses need
         path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
         spec = importlib.util.spec_from_file_location(key, path)
         sys.modules[key] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[key])
-    gen = sys.modules[key]
+    return sys.modules[key]
+
+
+def _compacted(case):
+    repo, platform, architecture = parse_model(case.text())
+    return build_high_layer(architecture, repo), platform
+
+
+def _benchmark_models():
+    """(name, model, platform) of the benchmark's own searches: the tight
+    packings, the planted 300-800 unit models and the robot pair, as
+    compaction builds them.  The 1100-unit planted model is left out, as
+    the Python kernel recurses once per unit (see the two tests below)."""
+    gen = _gen()
     cases = gen.tight_cases(1) + gen.large_cases(1)[:3] + gen.robot_cases(robot_model_text())
     for case in cases:
-        repo, platform, architecture = parse_model(case.text())
-        yield case.name, build_high_layer(architecture, repo), platform
+        yield case.name, *_compacted(case)
+
+
+@pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")
+def test_c_kernel_solves_the_1100_unit_planted_model():
+    model, platform = _compacted(_gen().large_cases(1)[-1])
+    scheme = solve(model, platform, backend="c")
+    assert (scheme.status, scheme.visited) == ("optimal", 1101)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="the Python kernel recurses once per unit, past the default recursion limit",
+)
+def test_python_kernel_solves_the_1100_unit_planted_model():
+    model, platform = _compacted(_gen().large_cases(1)[-1])
+    scheme = solve(model, platform, backend="python")
+    assert (scheme.status, scheme.visited) == ("optimal", 1101)
 
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")

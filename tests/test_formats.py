@@ -150,7 +150,7 @@ def _reject(parse, doc, message):
         ),
         (
             lambda d: d["repository"]["components"][2].update(gpu_threads="x"),
-            "$.repository.components[2].gpu_threads: not a valid number string: 'x'",
+            "$.repository.components[2].gpu_threads: expected an integer, got 'x'",
         ),
         (
             lambda d: d["repository"]["components"][2].update(id=7, cpu=None),
@@ -292,6 +292,62 @@ def test_invalid_json_reports_the_position():
         parse_model("{nope")
 
 
+# the number grammar of README "File formats", read as a component's mem
+@pytest.mark.parametrize(
+    "raw, value",
+    [
+        ("0", 0), ("007", 7), ("12.50", Fraction(25, 2)), ("-0.5", Fraction(-1, 2)),
+        ("-10/3", Fraction(-10, 3)), ("45", 45), (45, 45), (0, 0), (-3, -3), (10**30, 10**30),
+    ],
+)
+def test_parse_model_reads_the_number_grammar(raw, value):
+    doc = json.loads(robot_model_text())
+    doc["repository"]["components"][1]["mem"] = raw
+    repo, _, _ = parse_model(json.dumps(doc))
+    assert repo.components[1].demand.mem == value
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["1e3", "+1", " 7", ".5", "5.", "1_000", "\u0661", "3/-8", "1/0", "1.5/2", "--1", ""],
+)
+def test_parse_model_refuses_strings_outside_the_number_grammar(raw):
+    doc = json.loads(robot_model_text())
+    doc["repository"]["components"][1]["mem"] = raw
+    _reject(parse_model, doc, f"$.repository.components[1].mem: not a valid number string: {raw!r}")
+
+
+@pytest.mark.parametrize("raw", ["512", "6/2", True, 1.0])
+@pytest.mark.parametrize(
+    "parse, document, record, path",
+    [
+        (
+            parse_model,
+            lambda: json.loads(robot_model_text()),
+            lambda d: d["repository"]["components"][2],
+            "$.repository.components[2].gpu_threads",
+        ),
+        (
+            parse_model,
+            lambda: json.loads(robot_model_text()),
+            lambda d: d["platform"]["nodes"][1],
+            "$.platform.nodes[1].use_gpu",
+        ),
+        (
+            parse_scheme,
+            lambda: _robot_documents()[1],
+            lambda d: d["placements"]["FrontVision"],
+            "$.placements['FrontVision'].variant",
+        ),
+    ],
+    ids=["gpu_threads", "use_gpu", "variant"],
+)
+def test_counts_are_json_integers_only(parse, document, record, path, raw):
+    doc = document()
+    record(doc)[path.rpartition(".")[2]] = raw
+    _reject(parse, doc, f"{path}: expected an integer, got {raw!r}")
+
+
 def test_compacted_round_trip_random():
     for seed in range(40):
         model, _ = random_high_model(seed + 200)
@@ -400,7 +456,7 @@ _UNITS = [
                     id="negative",
                     variants=[
                         Variant(members=["n"], props=_demand("-1.5", "-2/3", -4, "-0.001")),
-                        Variant(members=["m"], props=_demand(-7, "-10/3", 0, "1e3")),
+                        Variant(members=["m"], props=_demand(-7, "-10/3", 0, "1000")),
                     ],
                 )
             ]
@@ -461,8 +517,7 @@ def _variants(d):
         (lambda d: _variants(d)[1].pop("cpu"), "$.units[0].variants[1]: missing field 'cpu'"),
         (
             lambda d: _variants(d)[1].update(gpu_threads=1.5),
-            "$.units[0].variants[1].gpu_threads: floats are not accepted (got 1.5);"
-            " write the value as a string",
+            "$.units[0].variants[1].gpu_threads: expected an integer, got 1.5",
         ),
         (
             lambda d: _variants(d)[0].update(exec_ms="fast"),

@@ -79,8 +79,9 @@ def test_objective_is_exact():
     assert scheme.objective_ms == Fraction(1, 2)
 
 
-def test_empty_model_is_trivially_optimal():
-    scheme = solve(HighLayerModel(units=[]), Platform(nodes=[node("h", 1, 1)]))
+@pytest.mark.parametrize("run", [solve, brute_force])
+def test_empty_model_is_trivially_optimal(run):
+    scheme = run(HighLayerModel(units=[]), Platform(nodes=[node("h", 1, 1)]))
     assert scheme.status == "optimal"
     assert scheme.objective_ms == Fraction(0)
     assert scheme.placements == {}
