@@ -1,15 +1,20 @@
 """JSON file formats and atomic output.
 
 Four formats: model (repository + platform + optional architecture),
-compacted model, allocation scheme, and component assignment.  Parsing is
-strict: unknown fields are rejected, numbers must be integers or strings
-of the grammar in mvalloc.rationals, counts (`gpu_threads`, `use_gpu`,
-`variant`) must be JSON integers, and every error carries the path to the
-offending field.  A reader raises a fault without its path, and each
-reader the fault passes on its way out adds its own step, so a path is
-built only for a document that has a fault.  Number strings are parsed
-once per document: a memo that lives for one `parse_*` call maps each
-distinct string to its Fraction.
+compacted model, allocation scheme, and component assignment.  Each record
+is stated once, as a table of its keys in reading order, each with its
+reader and its default; `_fields` walks the table.  Parsing is strict: an
+unknown key is an error before any field is read, numbers must be
+integers or strings of the grammar in mvalloc.rationals, counts
+(`gpu_threads`, `use_gpu`, `variant`) must be JSON integers, and every
+error carries the path to the offending field.  Of several faults the one
+read first is reported: a component reads kind, id, function, mem, cpu,
+gpu_threads, exec_ms, a unit spec topology, alternatives, id, policy, and
+a scheme status, objective_ms, placements.  A reader raises a fault
+without its path, and each reader the fault passes on its way out adds
+its own step, so a path is built only for a document that has a fault.
+Number strings are parsed once per document, through a memo that lives
+for one `parse_*` call.
 
 Serialization is canonical: exactly `json.dumps(data, indent=2,
 sort_keys=True, separators=(",", ": "))` and a newline, so the same data
@@ -31,7 +36,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
@@ -135,49 +139,37 @@ def _count(raw: object, numbers: dict) -> int:
     return raw
 
 
-_REQUIRED = object()
-# a component's or compacted variant's demand fields: ResourceDemand's attributes
-_DEMAND = tuple(f.name for f in fields(ResourceDemand))
-_COMPONENT = frozenset(("id", "kind", "function", *_DEMAND))
-_VARIANT = frozenset(("members", *_DEMAND))
-_REPOSITORY = frozenset(("components", "version_groups"))
-_NODE = frozenset(("id", "use_mem", "use_cpu", "use_gpu"))
-_PLATFORM = frozenset(("nodes",))
-_ASSEMBLY = frozenset(("components", "connections"))
-_UNIT_SPEC = frozenset(("id", "policy", "topology", "alternatives"))
-_ARCHITECTURE = frozenset(("units", "singletons", "connections"))
-_MODEL = frozenset(("repository", "platform", "architecture"))
-_UNIT = frozenset(("id", "variants"))
-_COMPACTED = frozenset(("units", "connections"))
-_PLACEMENT = frozenset(("variant", "node"))
-_SCHEME = frozenset(("status", "objective_ms", "placements"))
-_ASSIGNMENT = frozenset(("assignments",))
-
-
-def _record(raw: object, numbers: dict, known: frozenset[str] | None = None) -> dict:
-    """`raw` as an object; with `known`, one whose keys all are in it (the
-    first unknown key in sorted order is reported)."""
+def _record(raw: object, numbers: dict) -> dict:
     if not isinstance(raw, dict):
         raise _Fault("expected an object")
-    if known is not None and not raw.keys() <= known:
-        raise _Fault(f"unknown field {min(raw.keys() - known)!r}")
     return raw
 
 
-def _field(obj: dict, key: str, read, numbers: dict, default: object = _REQUIRED):
-    """`read(obj[key], numbers)` at path .key, or `default` when `key` is
-    absent; without a default an absent key is an error.  Each reader
-    reads its fields in a fixed order, so a document always reports the
-    same fault."""
-    if key in obj:
-        try:
-            return read(obj[key], numbers)
-        except _Fault as fault:
-            fault.where.append(f".{key}")
-            raise
-    if default is _REQUIRED:
-        raise _Fault(f"missing field {key!r}")
-    return default
+_REQUIRED = object()
+
+
+def _fields(raw: object, numbers: dict, table: dict) -> list:
+    """The values of the record `raw`, one per key of `table` in its
+    order, where the table maps each key to (reader, default): the value
+    is `read(raw[key], numbers)` at path .key, or for an absent key None
+    or `default()`.  A key the table does not hold (the first in sorted
+    order) and an absent `_REQUIRED` key are errors."""
+    raw = _record(raw, numbers)
+    if not raw.keys() <= table.keys():
+        raise _Fault(f"unknown field {min(raw.keys() - table.keys())!r}")
+    values = []
+    for key, (read, default) in table.items():
+        if key in raw:
+            try:
+                values.append(read(raw[key], numbers))
+            except _Fault as fault:
+                fault.where.append(f".{key}")
+                raise
+        elif default is _REQUIRED:
+            raise _Fault(f"missing field {key!r}")
+        else:
+            values.append(None if default is None else default())
+    return values
 
 
 def _array(raw: object, numbers: dict, read) -> list:
@@ -220,18 +212,8 @@ def _pair(raw: object, numbers: dict) -> tuple[str, str]:
     return a, b
 
 
-def _demand(obj: dict, numbers: dict) -> ResourceDemand:
-    """The demand fields of a component or of a compacted variant."""
-    return ResourceDemand(
-        mem=_field(obj, "mem", _number, numbers),
-        cpu=_field(obj, "cpu", _number, numbers),
-        gpu_threads=_field(obj, "gpu_threads", _count, numbers, 0),
-        exec_ms=_field(obj, "exec_ms", _number, numbers),
-    )
-
-
 def _put_demand(demand: ResourceDemand, out: dict) -> dict:
-    """`out` with the fields `_demand` reads added."""
+    """`out` with the fields of `_DEMAND` added."""
     out["mem"] = format_number(demand.mem)
     out["cpu"] = format_number(demand.cpu)
     out["gpu_threads"] = operator.index(demand.gpu_threads)
@@ -251,76 +233,57 @@ def _kind(raw: object, numbers: dict) -> Kind:
 
 
 def _component(raw: object, numbers: dict) -> Component:
-    obj = _record(raw, numbers, _COMPONENT)
-    return Component(
-        kind=_field(obj, "kind", _kind, numbers),
-        id=_field(obj, "id", _str, numbers),
-        function=_field(obj, "function", _str, numbers),
-        demand=_demand(obj, numbers),
-    )
+    kind, component_id, function, *demand = _fields(raw, numbers, _COMPONENT)
+    return Component(component_id, kind, function, ResourceDemand(*demand))
 
 
 def _repository(raw: object, numbers: dict) -> Repository:
-    obj = _record(raw, numbers, _REPOSITORY)
-    return Repository(
-        components=_field(obj, "components", partial(_array, read=_component), numbers),
-        version_groups=_field(obj, "version_groups", partial(_map, read=_strings), numbers, {}),
-    )
+    return Repository(*_fields(raw, numbers, _REPOSITORY))
 
 
 def _node(raw: object, numbers: dict) -> HardwareNode:
-    obj = _record(raw, numbers, _NODE)
-    return HardwareNode(
-        id=_field(obj, "id", _str, numbers),
-        use_mem=_field(obj, "use_mem", _number, numbers),
-        use_cpu=_field(obj, "use_cpu", _number, numbers),
-        use_gpu=_field(obj, "use_gpu", _count, numbers, 0),
-    )
+    return HardwareNode(*_fields(raw, numbers, _NODE))
 
 
 def _platform(raw: object, numbers: dict) -> Platform:
-    obj = _record(raw, numbers, _PLATFORM)
-    return Platform(nodes=_field(obj, "nodes", partial(_array, read=_node), numbers))
+    return Platform(*_fields(raw, numbers, _PLATFORM))
 
 
 def _assembly(raw: object, numbers: dict) -> Assembly:
-    obj = _record(raw, numbers, _ASSEMBLY)
-    return Assembly(
-        components=_field(obj, "components", _strings, numbers),
-        connections=_field(obj, "connections", partial(_array, read=_pair), numbers, []),
-    )
+    return Assembly(*_fields(raw, numbers, _ASSEMBLY))
 
 
 def _unit_spec(raw: object, numbers: dict) -> UnitSpec:
-    obj = _record(raw, numbers, _UNIT_SPEC)
-    return UnitSpec(
-        topology=_field(obj, "topology", _strings, numbers, None),
-        alternatives=_field(obj, "alternatives", partial(_array, read=_assembly), numbers, None),
-        id=_field(obj, "id", _str, numbers),
-        policy=_field(obj, "policy", _str, numbers),
-    )
+    topology, alternatives, unit_id, policy = _fields(raw, numbers, _UNIT_SPEC)
+    return UnitSpec(unit_id, policy, topology, alternatives)
 
 
 def _architecture(raw: object, numbers: dict) -> SystemArchitecture:
-    obj = _record(raw, numbers, _ARCHITECTURE)
-    return SystemArchitecture(
-        units=_field(obj, "units", partial(_array, read=_unit_spec), numbers, []),
-        singletons=_field(obj, "singletons", _strings, numbers, []),
-        connections=_field(obj, "connections", partial(_array, read=_pair), numbers, []),
-    )
+    return SystemArchitecture(*_fields(raw, numbers, _ARCHITECTURE))
 
 
-def _model(raw: object, numbers: dict) -> tuple[Repository, Platform, SystemArchitecture | None]:
-    root = _record(raw, numbers, _MODEL)
-    return (
-        _field(root, "repository", _repository, numbers),
-        _field(root, "platform", _platform, numbers),
-        _field(root, "architecture", _architecture, numbers, None),
-    )
+# Each record's keys in reading order (its constructor's argument order but
+# for the component's and unit spec's); a default type makes a fresh 0, [] or {}.
+_DEMAND = {"mem": (_number, _REQUIRED), "cpu": (_number, _REQUIRED), "gpu_threads": (_count, int),
+           "exec_ms": (_number, _REQUIRED)}  # a component's or compacted variant's demand
+_COMPONENT = {"kind": (_kind, _REQUIRED), "id": (_str, _REQUIRED), "function": (_str, _REQUIRED), **_DEMAND}
+_REPOSITORY = {"components": (partial(_array, read=_component), _REQUIRED),
+               "version_groups": (partial(_map, read=_strings), dict)}
+_NODE = {"id": (_str, _REQUIRED), "use_mem": (_number, _REQUIRED), "use_cpu": (_number, _REQUIRED),
+         "use_gpu": (_count, int)}
+_PLATFORM = {"nodes": (partial(_array, read=_node), _REQUIRED)}
+_CONNECTIONS = (partial(_array, read=_pair), list)
+_ASSEMBLY = {"components": (_strings, _REQUIRED), "connections": _CONNECTIONS}
+_UNIT_SPEC = {"topology": (_strings, None), "alternatives": (partial(_array, read=_assembly), None),
+              "id": (_str, _REQUIRED), "policy": (_str, _REQUIRED)}
+_ARCHITECTURE = {"units": (partial(_array, read=_unit_spec), list), "singletons": (_strings, list),
+                 "connections": _CONNECTIONS}
+_MODEL = {"repository": (_repository, _REQUIRED), "platform": (_platform, _REQUIRED),
+          "architecture": (_architecture, None)}
 
 
 def parse_model(text: str) -> tuple[Repository, Platform, SystemArchitecture | None]:
-    return _parse(text, _model)
+    return tuple(_parse(text, partial(_fields, table=_MODEL)))
 
 
 def _dump_assembly(assembly: Assembly) -> dict:
@@ -383,29 +346,24 @@ def dump_model(
 
 
 def _variant(raw: object, numbers: dict) -> Variant:
-    obj = _record(raw, numbers, _VARIANT)
-    return Variant(members=_field(obj, "members", _strings, numbers), props=_demand(obj, numbers))
+    members, *demand = _fields(raw, numbers, _VARIANT)
+    return Variant(members, ResourceDemand(*demand))
 
 
 def _unit(raw: object, numbers: dict) -> MultiVariantUnit:
-    obj = _record(raw, numbers, _UNIT)
-    unit_id = _field(obj, "id", _str, numbers)
-    variants = _field(obj, "variants", partial(_array, read=_variant), numbers)
-    if not variants:
+    unit = MultiVariantUnit(*_fields(raw, numbers, _UNIT))
+    if not unit.variants:
         raise _Fault("a unit needs at least one variant", ".variants")
-    return MultiVariantUnit(id=unit_id, variants=variants)
+    return unit
 
 
-def _compacted(raw: object, numbers: dict) -> HighLayerModel:
-    root = _record(raw, numbers, _COMPACTED)
-    return HighLayerModel(
-        units=_field(root, "units", partial(_array, read=_unit), numbers),
-        connections=_field(root, "connections", partial(_array, read=_pair), numbers, []),
-    )
+_VARIANT = {"members": (_strings, _REQUIRED), **_DEMAND}
+_UNIT = {"id": (_str, _REQUIRED), "variants": (partial(_array, read=_variant), _REQUIRED)}
+_COMPACTED = {"units": (partial(_array, read=_unit), _REQUIRED), "connections": _CONNECTIONS}
 
 
 def parse_compacted(text: str) -> HighLayerModel:
-    return _parse(text, _compacted)
+    return HighLayerModel(*_parse(text, partial(_fields, table=_COMPACTED)))
 
 
 def _array_text(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -420,7 +378,7 @@ def _array_text(items: list[str], depth: int, brackets: str = "[]") -> str:
 
 def dump_compacted(model: HighLayerModel) -> str:
     """The canonical JSON text of the tree {"units": [{"id", "variants":
-    [{"members", and the fields `_demand` reads}]}], "connections": [[a,
+    [{"members", and the fields of `_DEMAND`}]}], "connections": [[a,
     b]] when there are any}, rendered directly: each record's keys in
     sorted order at its fixed depth.  A number is a string of digits,
     '-', '.' and '/', which JSON quotes as it is."""
@@ -454,27 +412,27 @@ def dump_compacted(model: HighLayerModel) -> str:
 
 
 def _placement(raw: object, numbers: dict) -> Placement:
-    obj = _record(raw, numbers, _PLACEMENT)
-    return Placement(
-        variant=_field(obj, "variant", _count, numbers),
-        node=_field(obj, "node", _str, numbers),
-    )
+    return Placement(*_fields(raw, numbers, _PLACEMENT))
 
 
-def _scheme(raw: object, numbers: dict) -> AllocationScheme:
-    root = _record(raw, numbers, _SCHEME)
-    status = _field(root, "status", _str, numbers)
+def _status(raw: object, numbers: dict) -> str:
+    status = _str(raw, numbers)
     if status not in STATUSES:
-        raise _Fault(f"expected one of {', '.join(STATUSES)}", ".status")
-    objective = None
-    if root.get("objective_ms") is not None:
-        objective = _field(root, "objective_ms", _number, numbers)
-    placements = _field(root, "placements", partial(_map, read=_placement), numbers, {})
-    return AllocationScheme(status=status, objective_ms=objective, placements=placements)
+        raise _Fault(f"expected one of {', '.join(STATUSES)}")
+    return status
+
+
+def _objective(raw: object, numbers: dict) -> Fraction | None:
+    return None if raw is None else _number(raw, numbers)
+
+
+_PLACEMENT = {"variant": (_count, _REQUIRED), "node": (_str, _REQUIRED)}
+_SCHEME = {"status": (_status, _REQUIRED), "objective_ms": (_objective, None),
+           "placements": (partial(_map, read=_placement), dict)}
 
 
 def parse_scheme(text: str) -> AllocationScheme:
-    return _parse(text, _scheme)
+    return AllocationScheme(*_parse(text, partial(_fields, table=_SCHEME)))
 
 
 def dump_scheme(scheme: AllocationScheme) -> str:
@@ -499,13 +457,11 @@ def dump_scheme(scheme: AllocationScheme) -> str:
 # --- component assignment ------------------------------------------------
 
 
-def _assignment(raw: object, numbers: dict) -> dict[str, str]:
-    root = _record(raw, numbers, _ASSIGNMENT)
-    return _field(root, "assignments", partial(_map, read=_str), numbers)
+_ASSIGNMENT = {"assignments": (partial(_map, read=_str), _REQUIRED)}
 
 
 def parse_assignment(text: str) -> dict[str, str]:
-    return _parse(text, _assignment)
+    return _parse(text, partial(_fields, table=_ASSIGNMENT))[0]
 
 
 def dump_assignment(assignment: dict[str, str]) -> str:

@@ -55,16 +55,17 @@ def format_number(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    # den is 2**a * 5**b with a, b < den.bit_length() exactly when it
-    # divides 10**den.bit_length(); the extra places are trailing zeros
-    shift = den.bit_length()
-    scaled, rest = divmod(num * 10**shift, den)
-    if rest:
+    # the value has a decimal form exactly when den = 2**a * 5**b, and
+    # then max(a, b) places, the last of them not 0
+    a = (den & -den).bit_length() - 1
+    b = round(math.log(den >> a, 5))
+    if den >> a != 5**b:
         return f"{num}/{den}"
+    shift = max(a, b)
+    scaled = num * (10**shift // den)
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(shift + 1, "0")
-    whole, frac = digits[:-shift], digits[-shift:]
-    return f"{sign}{whole}.{frac.rstrip('0')}"
+    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
 def exact_sum(values: Sequence[Fraction]) -> Fraction:

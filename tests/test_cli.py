@@ -12,6 +12,7 @@ import pytest
 from random_models import self_named_unit_model
 
 from mvalloc.cli import main
+from mvalloc.compaction import build_high_layer
 from mvalloc.engine import available_backends
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import (
@@ -203,6 +204,25 @@ def test_an_exponent_is_refused_at_once_by_every_command(command, mem, tmp_path,
     assert code == 2
     assert stderr == f"error: $.repository.components[3].mem: not a valid number string: {mem!r}\n"
     assert not out.exists()
+
+
+def test_a_long_accepted_decimal_is_written_by_every_command(tmp_path, capsys):
+    # 3 002 digits: readable, and written with as many, within CPython's
+    # 4 300-digit limit for integer strings
+    mem = "0." + "0" * 3000 + "1"
+    doc = json.loads(robot_model_text())
+    doc["repository"]["components"][3]["mem"] = mem
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    compacted = tmp_path / "compacted.json"
+    assert run(capsys, "validate", str(model))[0] == 0
+    assert run(capsys, "compact", str(model), "-o", str(compacted))[0] == 0
+    scheme = tmp_path / "scheme.json"
+    argv = ["solve", str(model), "--compacted", str(compacted), "-o", str(scheme)]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "export-lp", str(model), "-o", str(tmp_path / "model.lp"))[0] == 0
+    repo, _, architecture = parse_model(model.read_text())
+    assert parse_compacted(compacted.read_text()) == build_high_layer(architecture, repo)
 
 
 def test_solve_oracle_agrees(robot_file, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from random_models import random_detailed, random_high_model, random_scheme, self_named_unit_model
 
+from mvalloc import formats
 from mvalloc.compaction import (
     AllocationScheme,
     HighLayerModel,
@@ -16,6 +17,7 @@ from mvalloc.compaction import (
     Placement,
     Variant,
     build_high_layer,
+    unfold,
 )
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import (
@@ -637,6 +639,78 @@ def test_parse_scheme_rejects_bad_documents(mutate, message):
 )
 def test_parse_assignment_rejects_bad_documents(doc, message):
     _reject(parse_assignment, doc, message)
+
+
+@pytest.mark.parametrize(
+    "parse, mutate, message",
+    [
+        (
+            parse_model,
+            lambda d: d["repository"]["components"][0].update(id=1, kind="TPU"),
+            "$.repository.components[0].kind: expected CPU or GPU, got 'TPU'",
+        ),
+        (
+            parse_model,
+            lambda d: d["platform"]["nodes"][0].update(use_gpu="8", use_mem=1.5),
+            "$.platform.nodes[0].use_mem: floats are not accepted (got 1.5);"
+            " write the value as a string",
+        ),
+        (
+            parse_model,
+            lambda d: _units(d)[0].update(id=1, topology="Camera1"),
+            "$.architecture.units[0].topology: expected an array",
+        ),
+        (
+            parse_compacted,
+            lambda d: _variants(d)[0].update(mem=1.5, members="Camera1"),
+            "$.units[0].variants[0].members: expected an array",
+        ),
+        (
+            parse_scheme,
+            lambda d: d["placements"]["FrontVision"].update(node=3, variant="1/2"),
+            "$.placements['FrontVision'].variant: expected an integer, got '1/2'",
+        ),
+        (
+            parse_scheme,
+            lambda d: d.update(objective_ms=1.5, status="great"),
+            "$.status: expected one of optimal, infeasible, timeout",
+        ),
+    ],
+)
+def test_of_two_bad_fields_the_one_read_first_is_reported(parse, mutate, message):
+    model = json.loads(robot_model_text())
+    compacted, scheme = _robot_documents()
+    doc = {parse_model: model, parse_compacted: compacted, parse_scheme: scheme}[parse]
+    mutate(doc)
+    _reject(parse, doc, message)
+
+
+def test_the_writers_write_the_keys_the_readers_read():
+    repo, platform, architecture = parse_model(robot_model_text())
+    model = json.loads(dump_model(repo, platform, architecture))
+    compacted, scheme = _robot_documents()
+    high = build_high_layer(architecture, repo)
+    assignment = json.loads(dump_assignment(unfold(parse_scheme(json.dumps(scheme)), high)))
+    units = model["architecture"]["units"]
+    written = {
+        "_MODEL": [model],
+        "_REPOSITORY": [model["repository"]],
+        "_COMPONENT": model["repository"]["components"],
+        "_PLATFORM": [model["platform"]],
+        "_NODE": model["platform"]["nodes"],
+        "_ARCHITECTURE": [model["architecture"]],
+        "_UNIT_SPEC": units,
+        "_ASSEMBLY": [a for unit in units for a in unit["alternatives"]],
+        "_COMPACTED": [compacted],
+        "_UNIT": compacted["units"],
+        "_VARIANT": [v for unit in compacted["units"] for v in unit["variants"]],
+        "_SCHEME": [scheme],
+        "_PLACEMENT": list(scheme["placements"].values()),
+        "_ASSIGNMENT": [assignment],
+    }
+    for name, records in written.items():
+        table = getattr(formats, name)
+        assert records and all(record.keys() == table.keys() for record in records), name
 
 
 def test_compacted_rejects_empty_variants():
