@@ -169,57 +169,31 @@ class BenchReport:
 
 
 def _draw_instance(rng: SplitMix64, n: int) -> tuple[Repository, Platform]:
-    components: list[Component] = []
+    components = []
+
+    def component(cid: str, kind: Kind, function: str, exec_ms: int | None = None) -> int:
+        """Draw mem, cpu, a GPU version's threads, and exec unless given."""
+        mem, cpu = rng.draw(*COMPONENT_MEM), rng.draw(*COMPONENT_CPU)
+        threads = rng.draw(*COMPONENT_THREADS) if kind is Kind.GPU else 0
+        if exec_ms is None:
+            exec_ms = rng.draw(*COMPONENT_EXEC)
+        demand = ResourceDemand(Fraction(mem), Fraction(cpu), threads, Fraction(exec_ms))
+        components.append(Component(cid, kind, function, demand))
+        return exec_ms
+
     groups: dict[str, list[str]] = {}
     for i in range(n):
-        mem = rng.draw(*COMPONENT_MEM)
-        cpu = rng.draw(*COMPONENT_CPU)
-        exec_cpu = rng.draw(*COMPONENT_EXEC)
-        components.append(
-            Component(
-                id=f"c{i}_cpu",
-                kind=Kind.CPU,
-                function=f"f{i}",
-                demand=ResourceDemand(Fraction(mem), Fraction(cpu), 0, Fraction(exec_cpu)),
-            )
-        )
-        gmem = rng.draw(*COMPONENT_MEM)
-        gcpu = rng.draw(*COMPONENT_CPU)
-        threads = rng.draw(*COMPONENT_THREADS)
-        exec_gpu = (exec_cpu + 1) // 2
-        components.append(
-            Component(
-                id=f"c{i}_gpu",
-                kind=Kind.GPU,
-                function=f"f{i}",
-                demand=ResourceDemand(
-                    Fraction(gmem), Fraction(gcpu), threads, Fraction(exec_gpu)
-                ),
-            )
-        )
+        exec_cpu = component(f"c{i}_cpu", Kind.CPU, f"f{i}")
+        component(f"c{i}_gpu", Kind.GPU, f"f{i}", (exec_cpu + 1) // 2)
         groups[f"f{i}"] = [f"c{i}_cpu", f"c{i}_gpu"]
-    mem = rng.draw(*COMPONENT_MEM)
-    cpu = rng.draw(*COMPONENT_CPU)
-    exec_ms = rng.draw(*COMPONENT_EXEC)
-    components.append(
-        Component(
-            id=f"c{n}",
-            kind=Kind.CPU,
-            function=f"f{n}",
-            demand=ResourceDemand(Fraction(mem), Fraction(cpu), 0, Fraction(exec_ms)),
-        )
-    )
+    component(f"c{n}", Kind.CPU, f"f{n}")
     nodes = []
     for j in range(NODE_COUNT):
         gpu_node = j < GPU_NODE_COUNT
         nmem = rng.draw(*(NODE_MEM_GPU if gpu_node else NODE_MEM))
         ncpu = rng.draw(*NODE_CPU)
         ngpu = rng.draw(*NODE_GPU) if gpu_node else 0
-        nodes.append(
-            HardwareNode(
-                id=f"n{j}", use_mem=Fraction(nmem), use_cpu=Fraction(ncpu), use_gpu=ngpu
-            )
-        )
+        nodes.append(HardwareNode(f"n{j}", Fraction(nmem), Fraction(ncpu), ngpu))
     return Repository(components=components, version_groups=groups), Platform(nodes=nodes)
 
 
@@ -307,6 +281,8 @@ def run_bench(spec: BenchSpec) -> BenchReport:
         raise ValueError("n must be at least 1")
     if spec.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    if spec.warmup < 0:
+        raise ValueError("warmup must be non-negative")
     system = generate_system(spec)
     cfg = SolverConfig()
     models = (

@@ -291,16 +291,9 @@ def validate_assembly(
         if cid in seen:
             diags.append(Diagnostic("assembly-duplicate-component", cid, "listed twice"))
         seen.add(cid)
-    for src, dst in assembly.connections:
-        for endpoint in (src, dst):
-            if endpoint not in seen:
-                diags.append(
-                    Diagnostic(
-                        "connection-unknown-endpoint",
-                        endpoint,
-                        "connection endpoint is not an assembly member",
-                    )
-                )
+    _check_endpoints(
+        diags, assembly.connections, seen, "connection endpoint is not an assembly member"
+    )
     if _has_cycle(assembly.components, assembly.connections):
         diags.append(
             Diagnostic("assembly-cycle", label, "data-flow graph contains a cycle")
@@ -308,32 +301,33 @@ def validate_assembly(
     return diags
 
 
+def _check_endpoints(
+    diags: list[Diagnostic], connections: list[tuple[str, str]], known: set[str], message: str
+) -> None:
+    """Report each connection end not in `known`, source before destination."""
+    for src, dst in connections:
+        for endpoint in (src, dst):
+            if endpoint not in known:
+                diags.append(Diagnostic("connection-unknown-endpoint", endpoint, message))
+
+
 def _has_cycle(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> bool:
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
+    """Kahn's algorithm (1962): release a node once every edge into it
+    comes from a released node; a node never released lies on a cycle or
+    downstream of one.  Only edges between listed nodes count."""
+    successors: dict[str, list[str]] = {n: [] for n in nodes}
+    indegree = dict.fromkeys(successors, 0)
     for src, dst in edges:
-        if src in adjacency and dst in adjacency:
-            adjacency[src].append(dst)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in adjacency}
-    for start in adjacency:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GREY
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(adjacency[node]):
-                stack[-1] = (node, idx + 1)
-                nxt = adjacency[node][idx]
-                if color[nxt] == GREY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-    return False
+        if src in successors and dst in successors:
+            successors[src].append(dst)
+            indegree[dst] += 1
+    released = [n for n, count in indegree.items() if count == 0]
+    for node in released:  # grows as it is walked
+        for nxt in successors[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                released.append(nxt)
+    return len(released) < len(indegree)
 
 
 @dataclass
@@ -446,14 +440,5 @@ def validate_architecture(arch: SystemArchitecture, repo: Repository) -> list[Di
             diags.append(
                 Diagnostic("singleton-unknown-component", cid, "not in the repository")
             )
-    for src, dst in arch.connections:
-        for endpoint in (src, dst):
-            if endpoint not in seen:
-                diags.append(
-                    Diagnostic(
-                        "connection-unknown-endpoint",
-                        endpoint,
-                        "data flow references an undeclared unit",
-                    )
-                )
+    _check_endpoints(diags, arch.connections, seen, "data flow references an undeclared unit")
     return diags

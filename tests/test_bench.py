@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -62,6 +63,34 @@ def test_generate_system_is_byte_stable():
         (s.model, s.objective_ms, s.visited) for s in runs[1].stats
     ]
     assert all(s.visited > 0 for s in runs[0].stats)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_instances_match_the_pinned_stream():
+    # digests of this package's own output; a change to the draw order,
+    # the ranges or the ids fails here, whatever the machine or version
+    drawn = {
+        (1, 0): "2ac6f0fc686e2e44467155685f17fb63932fda5f3f8ccaed7b0163c0b41847af",
+        (3, 7): "acdd9f5efb1f5e1988ea8f945f42e17c455ff9c98134e424aaa3c64964f1486f",
+        (30, 1): "1d704f14bd69515f5b40c4371828efea412744d57e8a91f395e4e21f3dd91283",
+        (50, 12345): "6496d90b46381cf0a7cb259924b3341f95a5f09361142ecd5678caeba155bccf",
+    }
+    for (n, seed), digest in drawn.items():
+        repo, platform = bench._draw_instance(SplitMix64(seed), n)
+        assert _sha256(dump_model(repo, platform)) == digest, (n, seed)
+    system = generate_system(BenchSpec(n=30, seed=1))
+    assert (system.rejected, system.timed_out) == (0, 0)
+    assert {
+        attr: _sha256(dump_compacted(getattr(system, attr)))
+        for attr in ("two_variant", "naive_cpu", "naive_gpu")
+    } == {
+        "two_variant": "25cfa15bd9c5556434e1f32e36bb8debf666d2e661251cf8a125f2c593e928e8",
+        "naive_cpu": "946dff530b0f4ce74e7926f6ff3f6ab4673781224416c2aae017d542dea1a9f8",
+        "naive_gpu": "365da673f7ce4262f3e079653aee285249d1337b41c0a96b0738ae7275c06435",
+    }
 
 
 def test_generated_models_have_the_documented_shape():
@@ -178,6 +207,8 @@ def test_run_bench_validates_the_spec():
         run_bench(BenchSpec(n=0, seed=1))
     with pytest.raises(ValueError, match="repetitions"):
         run_bench(BenchSpec(n=3, seed=1, repetitions=0))
+    with pytest.raises(ValueError, match="warmup must be non-negative"):
+        run_bench(BenchSpec(n=3, seed=1, warmup=-5))
 
 
 def _fake_report(two_variant_mean):

@@ -1,4 +1,5 @@
 import importlib.util
+import resource
 import shutil
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import pytest
 from random_models import random_high_model, reversed_variants, tie_heavy_model
 
 from mvalloc import engine
-from mvalloc.compaction import STATUSES, HighLayerModel, build_high_layer
+from mvalloc.compaction import STATUSES, HighLayerModel, UnfoldError, build_high_layer, unfold
 from mvalloc.fixtures import robot_model_text
 from mvalloc.formats import parse_model
+from mvalloc.model import check_feasibility
 from mvalloc.solver import Placement, SolverConfig, _scale, _search, brute_force, solve
 
 
@@ -160,6 +162,55 @@ def test_python_kernel_solves_the_1100_unit_planted_model():
     model, platform = _compacted(_gen().large_cases(1)[-1])
     scheme = solve(model, platform, backend="python")
     assert (scheme.status, scheme.visited) == ("optimal", 1101)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=UnfoldError,
+    reason="robot_g2's optimum pulls the shared Camera1 to both H1 and G2",
+)
+def test_every_optimal_robot_scheme_unfolds_to_a_feasible_assignment():
+    for case in _gen().robot_cases(robot_model_text()):
+        repo, platform, architecture = parse_model(case.text())
+        model = build_high_layer(architecture, repo)
+        scheme = solve(model, platform)
+        assert scheme.status == "optimal", case.name
+        assert check_feasibility(unfold(scheme, model), repo, platform).feasible, case.name
+
+
+_ONE_NODE_UNITS = """
+from fractions import Fraction
+from mvalloc import engine
+from mvalloc.compaction import HighLayerModel, MultiVariantUnit, Variant
+from mvalloc.model import HardwareNode, Platform, ResourceDemand
+from mvalloc.solver import solve
+
+engine._build()
+n = 100_000
+one = ResourceDemand(Fraction(1), Fraction(1), 0, Fraction(1))
+units = [MultiVariantUnit(f"u{i}", [Variant([f"c{i}"], one)]) for i in range(n)]
+platform = Platform(nodes=[HardwareNode("h", Fraction(n), Fraction(n))])
+scheme = solve(HighLayerModel(units=units), platform, backend="c")
+print(scheme.status, scheme.visited)
+"""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.xfail(
+    strict=True,
+    reason="the C kernel recurses once per unit and overflows the stack (exit 139)",
+)
+def test_c_kernel_solves_100_000_one_variant_units():
+    # in a child, as a stack overflow kills the process; with no core file
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_NODE_UNITS],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CORE, (0, 0)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["optimal", "100001"]
 
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")

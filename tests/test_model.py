@@ -1,3 +1,5 @@
+import graphlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from mvalloc.model import (
     SystemArchitecture,
     UnitSpec,
     UnknownIdError,
+    _has_cycle,
     check_feasibility,
     validate_architecture,
     validate_assembly,
@@ -163,6 +166,34 @@ def test_validate_assembly_accepts_dag():
     assert validate_assembly(assembly, repo) == []
 
 
+def _cycle_by_graphlib(nodes, edges):
+    listed = set(nodes)
+    sorter = graphlib.TopologicalSorter({n: () for n in listed})
+    for src, dst in edges:
+        if src in listed and dst in listed:
+            sorter.add(dst, src)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
+        return True
+    return False
+
+
+def test_has_cycle_matches_a_topological_sort():
+    # edges may be self loops, repeat, or name nodes missing from the
+    # list (ignored); the list itself may repeat a node
+    rng = random.Random(30)
+    names = "abcdefg"
+    cycles = 0
+    for _ in range(20_000):
+        nodes = rng.choices(names[:5], k=rng.randint(0, 6))
+        edges = [tuple(rng.choices(names, k=2)) for _ in range(rng.randint(0, 8))]
+        expected = _cycle_by_graphlib(nodes, edges)
+        assert _has_cycle(nodes, edges) == expected, (nodes, edges)
+        cycles += expected
+    assert 2_000 < cycles < 18_000
+
+
 def test_validate_architecture():
     repo = Repository(components=[comp("a", function="f")])
     arch = SystemArchitecture(
@@ -203,6 +234,90 @@ def test_validate_architecture_checks_declared_alternatives_realize_one_function
     # an unknown first alternative leaves nothing to compare with
     assert rules(diagnose(["ghost"], ["a"], ["b"])) == ["assembly-unknown-component"]
     assert rules(diagnose(["a"], ["a2"], topology=["g"])) == ["alternative-functions-differ"] * 2
+
+
+def test_every_validator_branch_reports_in_a_fixed_order():
+    repo = Repository(
+        components=[
+            comp("a", function="f"),
+            comp("a", function="f"),
+            comp("neg", mem=-1, cpu=-2, exec_ms=-3, gpu=-4),
+            comp("g0", kind=Kind.GPU, function="f"),
+            comp("c5", gpu=5, function="g"),
+            comp("b", function="g"),
+        ],
+        version_groups={"f": ["a", "ghost", "g0"], "g": ["a", "b"]},
+    )
+    platform = Platform(
+        nodes=[
+            HardwareNode("n", Fraction(-1), Fraction(-2), use_gpu=-3),
+            HardwareNode("n", Fraction(1), Fraction(1)),
+        ]
+    )
+    connections = [("a", "y"), ("z", "b"), ("b", "a"), ("y", "z"), ("a", "b")]
+    arch = SystemArchitecture(
+        units=[
+            UnitSpec("u", "bogus"),
+            UnitSpec("u", "declared"),
+            UnitSpec(
+                "d",
+                "declared",
+                ["f", "g"],
+                [Assembly(["a", "x", "a", "b"], connections), Assembly(["b"])],
+            ),
+            UnitSpec("t", "all_combinations"),
+            UnitSpec("v", "contiguous_gpu_segment", ["f", "nosuch"]),
+        ],
+        singletons=["ghost", "t", "b"],
+        connections=[("u", "nobody"), ("missing", "b"), ("d", "v"), ("p", "q")],
+    )
+    diags = (
+        validate_repository(repo)
+        + validate_platform(platform)
+        + validate_platform(Platform(nodes=[]))
+        + validate_architecture(arch, repo)
+    )
+    member = "connection endpoint is not an assembly member"
+    undeclared = "data flow references an undeclared unit"
+    assert [str(d) for d in diags] == [
+        "duplicate-component-id [a]: declared twice",
+        "mem-negative [neg]: mem is -1",
+        "cpu-negative [neg]: cpu is -2",
+        "exec-negative [neg]: exec_ms is -3",
+        "gpu-threads-negative [neg]: gpu_threads is -4",
+        "gpu-kind-threads [g0]: GPU component demands no threads",
+        "cpu-kind-threads [c5]: CPU component demands 5 GPU threads",
+        "group-unknown-component [ghost]: group 'f' lists a component that does not exist",
+        "group-duplicate-membership [a]: already in group 'f'",
+        "group-function-mismatch [a]: declares function 'f', grouped under 'g'",
+        "node-mem-negative [n]: use_mem is -1",
+        "node-cpu-negative [n]: use_cpu is -2",
+        "node-gpu-negative [n]: use_gpu is -3",
+        "duplicate-node-id [n]: declared twice",
+        "platform-empty: no hardware nodes",
+        "unknown-policy [u]: 'bogus' is not one of declared, all_combinations,"
+        " contiguous_gpu_segment",
+        "duplicate-unit-id [u]: declared twice",
+        "missing-alternatives [u]: declared policy needs them",
+        "assembly-unknown-component [x]: not in the repository",
+        "assembly-duplicate-component [a]: listed twice",
+        f"connection-unknown-endpoint [y]: {member}",
+        f"connection-unknown-endpoint [z]: {member}",
+        f"connection-unknown-endpoint [y]: {member}",
+        f"connection-unknown-endpoint [z]: {member}",
+        "assembly-cycle [d]: data-flow graph contains a cycle",
+        "alternative-functions-differ [d]: alternative ['b'] does not realize the unit's"
+        " functions",
+        "missing-topology [t]: generated policy needs one",
+        "function-no-versions [v]: no component realizes 'nosuch'",
+        "singleton-unknown-component [ghost]: not in the repository",
+        "duplicate-unit-id [t]: declared twice",
+        "singleton-unknown-component [t]: not in the repository",
+        f"connection-unknown-endpoint [nobody]: {undeclared}",
+        f"connection-unknown-endpoint [missing]: {undeclared}",
+        f"connection-unknown-endpoint [p]: {undeclared}",
+        f"connection-unknown-endpoint [q]: {undeclared}",
+    ]
 
 
 def _two_node_platform():
