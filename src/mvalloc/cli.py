@@ -20,7 +20,15 @@ import logging
 import os
 import sys
 
-from .compaction import INFEASIBLE, OPTIMAL, TIMED_OUT, UnfoldError, build_high_layer, unfold
+from .compaction import (
+    INFEASIBLE,
+    OPTIMAL,
+    TIMED_OUT,
+    UnfoldError,
+    build_high_layer,
+    fold_difference,
+    unfold,
+)
 from .formats import (
     ParseError,
     dump_assignment,
@@ -98,8 +106,16 @@ def _validated_model(path: str) -> tuple[Repository, Platform, SystemArchitectur
 
 
 def _high_layer(args, repo, architecture):
+    """The high layer a command works on: the model's fold, or the
+    --compacted file, which must equal that fold when the model has an
+    architecture."""
     if getattr(args, "compacted", None):
-        return parse_compacted(_read(args.compacted))
+        model = parse_compacted(_read(args.compacted))
+        if architecture is not None:
+            difference = fold_difference(model, build_high_layer(architecture, repo))
+            if difference is not None:
+                raise ValueError(f"{args.compacted} is not the model's fold: {difference}")
+        return model
     if architecture is None:
         raise ValueError(
             "the model has no architecture section; pass --compacted instead"

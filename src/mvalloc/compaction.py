@@ -5,13 +5,17 @@ A unit behaves as a regular component: each of its variants carries a
 and exec_ms are the exact sums of the members', with one exception: GPU
 threads take the maximum over the members, because components inside
 one unit run as a pipeline on the same accelerator and never need their
-thread budgets at the same time.  Each sum adds integer numerators over
-the members' common denominator (`rationals.exact_sum`): exactly the
-value of adding the Fractions one by one, with one Fraction built per
-column.  A standalone component is a one-variant unit sharing the
-component's own demand.  Choosing a variant and a node for every unit is
-what the solver does, and `unfold` maps a solved scheme back onto
-individual components.
+thread budgets at the same time.  A unit is folded in integers: per
+resource one denominator, the lcm over every member its alternatives
+draw on, each member's value turned into an integer over it once, and
+each variant then a plain integer sum with one Fraction per column at
+the end.  That is exactly the value of adding the members' Fractions
+one by one, at one lcm per unit and resource where a per-variant sum
+would take one per variant.  `aggregate_variant` is the fold of a
+single alternative.  A standalone component is a one-variant unit
+sharing the component's own demand.  Choosing a variant and a node for
+every unit is what the solver does, and `unfold` maps a solved scheme
+back onto individual components.
 
 The scheme that `unfold` takes is defined here too, beside the layer it
 describes: `AllocationScheme` holds a status, the objective and one
@@ -41,19 +45,22 @@ chain realizes the topology by construction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import (
+    MAX_VARIANTS,
     POLICIES,
     Kind,
     Repository,
     ResourceDemand,
     SystemArchitecture,
     UnitSpec,
+    chain_count,
     unrealized_alternatives,
 )
-from .rationals import exact_sum
+from .rationals import format_number
 
 __all__ = [
     "OPTIMAL",
@@ -71,6 +78,7 @@ __all__ = [
     "enumerate_alternatives",
     "compact",
     "build_high_layer",
+    "fold_difference",
     "unfold",
 ]
 
@@ -138,15 +146,51 @@ class AllocationScheme:
     backend: str = field(default="", compare=False)
 
 
+def _fold(alternatives: list[list[str]], repo: Repository) -> list[ResourceDemand]:
+    """Each alternative's members' demands folded into one, as the module
+    docstring says: per resource one denominator over all the members
+    the alternatives draw on, each member's value an integer over it
+    once, and each alternative an integer sum."""
+    demands = {cid: repo.component(cid).demand for members in alternatives for cid in members}
+    mem_den = math.lcm(*{d.mem.denominator for d in demands.values()})
+    cpu_den = math.lcm(*{d.cpu.denominator for d in demands.values()})
+    exec_den = math.lcm(*{d.exec_ms.denominator for d in demands.values()})
+    scaled = {
+        cid: (
+            d.mem.numerator * (mem_den // d.mem.denominator),
+            d.cpu.numerator * (cpu_den // d.cpu.denominator),
+            d.gpu_threads,
+            d.exec_ms.numerator * (exec_den // d.exec_ms.denominator),
+        )
+        for cid, d in demands.items()
+    }
+    folded = []
+    for members in alternatives:
+        mem = cpu = gpu = exec_ms = 0
+        for m, c, g, e in map(scaled.__getitem__, members):
+            mem += m
+            cpu += c
+            exec_ms += e
+            if g > gpu:
+                gpu = g
+        folded.append(
+            ResourceDemand(
+                Fraction(mem, mem_den), Fraction(cpu, cpu_den), gpu, Fraction(exec_ms, exec_den)
+            )
+        )
+    return folded
+
+
 def aggregate_variant(members: list[str], repo: Repository) -> ResourceDemand:
     """Fold the members' demands into one, as the module docstring says."""
-    demands = [repo.component(cid).demand for cid in members]
-    return ResourceDemand(
-        mem=exact_sum([d.mem for d in demands]),
-        cpu=exact_sum([d.cpu for d in demands]),
-        gpu_threads=max([0] + [d.gpu_threads for d in demands]),
-        exec_ms=exact_sum([d.exec_ms for d in demands]),
-    )
+    return _fold([members], repo)[0]
+
+
+def _refuse_past_cap(spec: UnitSpec, count: int) -> None:
+    if count > MAX_VARIANTS:
+        raise CompactionError(
+            f"unit {spec.id!r} has {count} variants, more than the cap of {MAX_VARIANTS}"
+        )
 
 
 def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
@@ -159,13 +203,16 @@ def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
     version choices, each version list in repository order, varying the
     last function fastest.  "contiguous_gpu_segment" emits that product's
     contiguous chains in the same order, without building the chains it
-    drops.
+    drops.  A unit with more than MAX_VARIANTS alternatives, counted
+    before any chain is built (`model.chain_count`), raises
+    CompactionError.
     """
     if spec.policy not in POLICIES:
         raise CompactionError(f"unknown enumeration policy {spec.policy!r}")
     if spec.policy == "declared":
         if not spec.alternatives:
             raise CompactionError("declared policy with no alternatives")
+        _refuse_past_cap(spec, len(spec.alternatives))
         for alt in spec.alternatives:
             for cid in alt.components:
                 repo.component(cid)  # raises on unknown ids
@@ -192,6 +239,7 @@ def enumerate_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]:
                     f"realizes {realized!r}"
                 )
         version_lists.append(versions)
+    _refuse_past_cap(spec, chain_count(spec.policy, version_lists, repo))
     if spec.policy == "all_combinations":
         return [list(chain) for chain in itertools.product(*version_lists)]
     gpu = [[repo.component(cid).kind is Kind.GPU for cid in vs] for vs in version_lists]
@@ -221,7 +269,7 @@ def compact(
     index is its alternative's position in the list."""
     if not alternatives:
         raise CompactionError(f"unit {unit_id!r} has no alternatives")
-    variants = [Variant(members, aggregate_variant(members, repo)) for members in alternatives]
+    variants = list(map(Variant, alternatives, _fold(alternatives, repo)))
     return MultiVariantUnit(id=unit_id, variants=variants)
 
 
@@ -235,6 +283,36 @@ def build_high_layer(arch: SystemArchitecture, repo: Repository) -> HighLayerMod
         for cid in arch.singletons
     ]
     return HighLayerModel(units=units, connections=list(arch.connections))
+
+
+def fold_difference(model: HighLayerModel, fold: HighLayerModel) -> str | None:
+    """The first place, in unit and then variant order, where `model`
+    differs from `fold` (the architecture's own `build_high_layer`), as
+    "unit U variant V: what differs"; None when the two are equal.  A unit
+    missing, extra or out of place is reported at its variant 0."""
+    for unit, want in itertools.zip_longest(model.units, fold.units):
+        if unit is None or want is None or unit.id != want.id:
+            if want is None:
+                return f"unit {unit.id!r} variant 0: not in the fold"
+            found = "missing" if unit is None else f"found unit {unit.id!r} in its place"
+            return f"unit {want.id!r} variant 0: {found}"
+        pairs = itertools.zip_longest(unit.variants, want.variants)
+        for index, (got, expected) in enumerate(pairs):
+            where = f"unit {unit.id!r} variant {index}"
+            if got is None or expected is None:
+                return f"{where}: {'missing' if got is None else 'not in the fold'}"
+            if got.members != expected.members:
+                return f"{where}: members {got.members}, the fold's {expected.members}"
+            for name in ("mem", "cpu", "gpu_threads", "exec_ms"):
+                value, folded = getattr(got.props, name), getattr(expected.props, name)
+                if value != folded:
+                    return (
+                        f"{where}: {name} {format_number(value)}, "
+                        f"the fold's {format_number(folded)}"
+                    )
+    if model.connections != fold.connections:
+        return f"connections {model.connections}, the fold's {fold.connections}"
+    return None
 
 
 def unfold(scheme: AllocationScheme, model: HighLayerModel) -> dict[str, str]:

@@ -15,6 +15,7 @@ largest single demand among its residents, not their sum.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -40,9 +41,14 @@ __all__ = [
     "validate_architecture",
     "unrealized_alternatives",
     "check_feasibility",
+    "MAX_VARIANTS",
+    "chain_count",
 ]
 
 POLICIES = ("declared", "all_combinations", "contiguous_gpu_segment")
+# the most variants one unit may have; compaction refuses a unit past it
+# before building any (README "File formats")
+MAX_VARIANTS = 100_000
 
 
 class UnknownIdError(KeyError):
@@ -385,6 +391,23 @@ def unrealized_alternatives(spec: UnitSpec, repo: Repository) -> list[list[str]]
     ]
 
 
+def chain_count(policy: str, version_lists: list[list[str]], repo: Repository) -> int:
+    """How many chains a generated policy draws from the version lists of
+    its topology, counted without building any.  "all_combinations"
+    draws the product of the list lengths.  "contiguous_gpu_segment"
+    counts prefixes by the run states its walk keeps: no GPU version
+    yet, a GPU run open, the run closed, after which no GPU version may
+    follow.  A version the repository lacks counts as a CPU one."""
+    if policy == "all_combinations":
+        return math.prod(map(len, version_lists))
+    none, running, closed = 1, 0, 0
+    for versions in version_lists:
+        gpu = sum(repo.has(cid) and repo.component(cid).kind is Kind.GPU for cid in versions)
+        cpu = len(versions) - gpu
+        none, running, closed = none * cpu, (none + running) * gpu, (running + closed) * cpu
+    return none + running + closed
+
+
 def validate_architecture(arch: SystemArchitecture, repo: Repository) -> list[Diagnostic]:
     """Check the architecture section against the repository."""
     diags: list[Diagnostic] = []
@@ -401,7 +424,9 @@ def validate_architecture(arch: SystemArchitecture, repo: Repository) -> list[Di
                     f"{spec.policy!r} is not one of {', '.join(POLICIES)}",
                 )
             )
+        count = 0
         if spec.policy == "declared":
+            count = len(spec.alternatives or ())
             if not spec.alternatives:
                 diags.append(
                     Diagnostic("missing-alternatives", spec.id, "declared policy needs them")
@@ -423,8 +448,9 @@ def validate_architecture(arch: SystemArchitecture, repo: Repository) -> list[Di
                     Diagnostic("missing-topology", spec.id, "generated policy needs one")
                 )
             else:
-                for function in spec.topology:
-                    if not repo.versions_of(function):
+                version_lists = [repo.versions_of(function) for function in spec.topology]
+                for function, versions in zip(spec.topology, version_lists):
+                    if not versions:
                         diags.append(
                             Diagnostic(
                                 "function-no-versions",
@@ -432,6 +458,15 @@ def validate_architecture(arch: SystemArchitecture, repo: Repository) -> list[Di
                                 f"no component realizes {function!r}",
                             )
                         )
+                count = chain_count(spec.policy, version_lists, repo)
+        if count > MAX_VARIANTS:
+            diags.append(
+                Diagnostic(
+                    "too-many-variants",
+                    spec.id,
+                    f"{count} variants, more than the cap of {MAX_VARIANTS}",
+                )
+            )
     for cid in arch.singletons:
         if cid in seen:
             diags.append(Diagnostic("duplicate-unit-id", cid, "declared twice"))

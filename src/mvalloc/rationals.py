@@ -11,13 +11,18 @@ One grammar, the one `format_number` writes in, defines a number string:
 an optional "-" and ASCII digits, then "." or "/" and ASCII digits, or
 nothing; a "/" takes a nonzero denominator.  Any other string, and one
 past CPython's 4 300-digit limit for integers, is refused, so no string
-costs more than its length to read.  `exact_sum` adds integer numerators
+costs more than its length to read.  `format_number` writes a decimal
+by one integer product: each denominator's decimal form (its places and
+10**places // den, or none) is worked out once and kept in a bounded
+cache keyed by the int denominator, since a file holds many numbers
+over a handful of denominators.  `exact_sum` adds integer numerators
 over the lcm of the denominators, which equals adding the Fractions one
 by one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -50,19 +55,29 @@ def parse_number(raw: object) -> Fraction:
     raise ValueError(f"expected a number, got {type(raw).__name__}")
 
 
+@functools.lru_cache(maxsize=256)
+def _decimal_form(den: int) -> tuple[int, int] | None:
+    """(places, 10**places // den) when a value over `den` has a decimal
+    form, else None.  It has one exactly when den = 2**a * 5**b, and
+    then max(a, b) places, the last of them not 0."""
+    a = (den & -den).bit_length() - 1
+    b = round(math.log(den >> a, 5))
+    if den >> a != 5**b:
+        return None
+    shift = max(a, b)
+    return shift, 10**shift // den
+
+
 def format_number(value: Fraction) -> str:
     """Exact string form: terminating decimal when one exists, else "p/q"."""
     num, den = value.numerator, value.denominator
     if den == 1:
         return str(num)
-    # the value has a decimal form exactly when den = 2**a * 5**b, and
-    # then max(a, b) places, the last of them not 0
-    a = (den & -den).bit_length() - 1
-    b = round(math.log(den >> a, 5))
-    if den >> a != 5**b:
+    form = _decimal_form(den)
+    if form is None:
         return f"{num}/{den}"
-    shift = max(a, b)
-    scaled = num * (10**shift // den)
+    shift, factor = form
+    scaled = num * factor
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(shift + 1, "0")
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"

@@ -267,6 +267,103 @@ def test_solve_from_compacted_file(robot_file, tmp_path, capsys):
     assert parse_scheme(out.read_text()).objective_ms == Fraction(45)
 
 
+def test_an_untouched_compacted_file_gives_the_same_scheme_and_assignment(
+    robot_file, tmp_path, capsys
+):
+    compacted = tmp_path / "compacted.json"
+    assert run(capsys, "compact", robot_file, "-o", str(compacted))[0] == 0
+    outputs = {}
+    for via in ([], ["--compacted", str(compacted)]):
+        scheme, assignment = tmp_path / f"scheme{len(via)}", tmp_path / f"assignment{len(via)}"
+        assert run(capsys, "solve", robot_file, *via, "-o", str(scheme))[0] == 0
+        argv = ["unfold", robot_file, str(scheme), *via, "-o", str(assignment)]
+        assert run(capsys, *argv)[0] == 0
+        outputs[len(via)] = (scheme.read_bytes(), assignment.read_bytes())
+    assert outputs[0] == outputs[2]
+
+
+def _set_mem(doc):
+    doc["units"][0]["variants"][2]["mem"] = "0"
+
+
+def _set_members(doc):
+    doc["units"][0]["variants"][5]["members"] = ["Camera1"]
+
+
+def _drop_unit(doc):
+    del doc["units"][1]
+
+
+def _swap_units(doc):
+    doc["units"][:2] = doc["units"][1::-1]
+
+
+@pytest.mark.parametrize("command", ["solve", "unfold"])
+@pytest.mark.parametrize(
+    "tamper, difference",
+    [
+        (_set_mem, "unit 'FrontVision' variant 2: mem 0, the fold's 6.5\n"),
+        (_set_members, "unit 'FrontVision' variant 5: members ['Camera1'], the fold's ['Camera1', "),
+        (_drop_unit, "unit 'BottomVision' variant 0: found unit 'VisionManager' in its place\n"),
+        (_swap_units, "unit 'FrontVision' variant 0: found unit 'BottomVision' in its place\n"),
+    ],
+)
+def test_a_compacted_file_that_is_not_the_models_fold_is_refused(
+    command, tamper, difference, robot_file, tmp_path, capsys
+):
+    compacted, scheme = tmp_path / "compacted.json", tmp_path / "scheme.json"
+    assert run(capsys, "compact", robot_file, "-o", str(compacted))[0] == 0
+    assert run(capsys, "solve", robot_file, "-o", str(scheme))[0] == 0
+    doc = json.loads(compacted.read_text())
+    tamper(doc)
+    compacted.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = [command, robot_file, *([str(scheme)] if command == "unfold" else [])]
+    code, _, stderr = run(capsys, *argv, "--compacted", str(compacted), "-o", str(out))
+    assert code == 1
+    assert stderr.startswith(f"error: {compacted} is not the model's fold: {difference}")
+    assert not out.exists()
+
+
+def _long_chain_model(length):
+    """One all_combinations unit over `length` functions, each with a CPU
+    and a GPU version: 2**length chains."""
+    components, groups = [], {}
+    for i in range(length):
+        f = f"f{i}"
+        components += [
+            Component(f"{f}c", Kind.CPU, f, ResourceDemand(Fraction(1), Fraction(1, 10), 0, Fraction(2))),
+            Component(f"{f}g", Kind.GPU, f, ResourceDemand(Fraction(1), Fraction(1, 20), 64, Fraction(1))),
+        ]
+        groups[f] = [f"{f}c", f"{f}g"]
+    unit = UnitSpec("Long", "all_combinations", [f"f{i}" for i in range(length)])
+    return dump_model(
+        Repository(components, groups),
+        Platform([HardwareNode("h", Fraction(1000), Fraction(100), 4096)]),
+        SystemArchitecture(units=[unit]),
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "compact", "solve", "unfold", "export-lp"])
+def test_a_unit_past_the_variant_cap_is_refused_at_once_by_every_command(
+    command, tmp_path, capsys
+):
+    model = tmp_path / "model.json"
+    model.write_text(_long_chain_model(40))
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text("{}")
+    out = tmp_path / "out"
+    argv = [command, str(model), *([str(scheme)] if command == "unfold" else [])]
+    if command != "validate":
+        argv += ["-o", str(out)]
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert f"too-many-variants [Long]: {2**40} variants, more than the cap of 100000\n" in stderr
+    assert not out.exists()
+
+
 def test_solve_weights_change_the_objective(robot_file, tmp_path, capsys):
     weights = tmp_path / "weights.json"
     weights.write_text(json.dumps({"FrontVision": 2}))

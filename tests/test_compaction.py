@@ -1,7 +1,12 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
+
+from random_models import random_detailed
+
+from mvalloc import compaction, model
 
 from mvalloc.compaction import (
     CompactionError,
@@ -13,6 +18,7 @@ from mvalloc.compaction import (
     build_high_layer,
     compact,
     enumerate_alternatives,
+    fold_difference,
     unfold,
 )
 from mvalloc.model import (
@@ -24,6 +30,7 @@ from mvalloc.model import (
     SystemArchitecture,
     UnitSpec,
     UnknownIdError,
+    chain_count,
 )
 from mvalloc.solver import AllocationScheme, Placement
 
@@ -288,3 +295,144 @@ def test_unfold_shared_member_must_agree_on_the_node():
     together = {"A": Placement(0, "n1"), "B": Placement(0, "n1")}
     assignment = unfold(scheme(together), model)
     assert assignment == {"shared": "n1", "a0": "n1", "b0": "n1"}
+
+
+def _coprime_model():
+    """One unit whose members' mem, cpu and exec_ms have pairwise-coprime
+    denominators, so no two members share a common denominator."""
+    values = [
+        (Fraction(1, 3), Fraction(1, 7), Fraction(1, 4), 0),
+        (Fraction(2, 11), Fraction(3, 13), Fraction(1, 9), 64),
+        (Fraction(5, 17), Fraction(1, 19), Fraction(7, 5), 256),
+        (Fraction(-1, 23), Fraction(4, 29), Fraction(2, 31), 128),
+    ]
+    components = [
+        Component(f"m{i}", Kind.GPU if gpu else Kind.CPU, f"f{i % 2}", ResourceDemand(m, c, gpu, e))
+        for i, (m, c, e, gpu) in enumerate(values)
+    ]
+    repo = Repository(components, version_groups={"f0": ["m0", "m2"], "f1": ["m1", "m3"]})
+    declared = [Assembly(components=["m0", "m1"]), Assembly(components=["m3", "m2"])]
+    arch = SystemArchitecture(
+        units=[
+            UnitSpec("Chain", "all_combinations", ["f0", "f1"]),
+            UnitSpec("Picked", "declared", None, declared),
+        ]
+    )
+    return repo, arch
+
+
+def _fold_cases(robot):
+    yield "robot", robot[0], robot[2]
+    yield "coprime", *_coprime_model()
+    for seed in range(200):
+        repo, _, arch = random_detailed(seed)
+        yield f"seed {seed}", repo, arch
+
+
+def test_the_fold_is_the_members_demands_added_one_by_one(robot):
+    # the oracle shares no code with compaction: Fractions added in order
+    for name, repo, arch in _fold_cases(robot):
+        for unit in build_high_layer(arch, repo).units:
+            for index, variant in enumerate(unit.variants):
+                demands = [repo.component(cid).demand for cid in variant.members]
+                expected = ResourceDemand(
+                    mem=sum((d.mem for d in demands), Fraction(0)),
+                    cpu=sum((d.cpu for d in demands), Fraction(0)),
+                    gpu_threads=max((d.gpu_threads for d in demands), default=0),
+                    exec_ms=sum((d.exec_ms for d in demands), Fraction(0)),
+                )
+                where = f"{name}, unit {unit.id} variant {index}"
+                assert variant.props == expected, where
+                assert aggregate_variant(variant.members, repo) == variant.props, where
+
+
+def _long_chain_repo(length, cpu_versions=1):
+    """`length` functions, each with `cpu_versions` CPU versions and one
+    GPU version, listed CPU first."""
+    components, groups = [], {}
+    for i in range(length):
+        f = f"f{i}"
+        cpus = [comp(f"{f}c{k}", function=f) for k in range(cpu_versions)]
+        components += cpus + [comp(f"{f}g", kind=Kind.GPU, function=f, gpu=64)]
+        groups[f] = [c.id for c in cpus] + [f"{f}g"]
+    return Repository(components=components, version_groups=groups)
+
+
+@pytest.mark.parametrize("policy", ["all_combinations", "contiguous_gpu_segment"])
+def test_chain_count_is_the_number_of_chains_built(policy):
+    for length, cpu_versions in itertools.product(range(1, 6), range(0, 3)):
+        repo = _long_chain_repo(length, cpu_versions)
+        topology = [f"f{i}" for i in range(length)]
+        version_lists = [repo.versions_of(f) for f in topology]
+        chains = enumerate_alternatives(UnitSpec("U", policy, topology), repo)
+        assert chain_count(policy, version_lists, repo) == len(chains), (length, cpu_versions)
+
+
+@pytest.mark.parametrize(
+    "policy, length, cpu_versions, count",
+    [
+        ("all_combinations", 40, 1, 2**40),
+        # 3**12 chains without a GPU run, and (j + 1) * 3**j with a run of
+        # 12 - j GPU versions, 3 CPU versions at each of the j other places
+        ("contiguous_gpu_segment", 12, 3, 3**12 + sum((j + 1) * 3**j for j in range(12))),
+    ],
+)
+def test_a_unit_past_the_cap_is_refused_before_any_chain_is_built(
+    policy, length, cpu_versions, count
+):
+    repo = _long_chain_repo(length, cpu_versions)
+    spec = UnitSpec("Long", policy, [f"f{i}" for i in range(length)])
+    arch = SystemArchitecture(units=[spec])
+    start = time.perf_counter()
+    message = f"unit 'Long' has {count} variants, more than the cap of {model.MAX_VARIANTS}"
+    with pytest.raises(CompactionError, match=message):
+        enumerate_alternatives(spec, repo)
+    with pytest.raises(CompactionError, match=message):
+        build_high_layer(arch, repo)
+    assert time.perf_counter() - start < 1
+    [diag] = model.validate_architecture(arch, repo)
+    assert (diag.rule, diag.subject) == ("too-many-variants", "Long")
+    assert diag.message == f"{count} variants, more than the cap of {model.MAX_VARIANTS}"
+
+
+def test_the_cap_admits_a_unit_at_it_and_refuses_one_past_it(monkeypatch):
+    repo = dual_repo()
+    monkeypatch.setattr(model, "MAX_VARIANTS", 4)
+    monkeypatch.setattr(compaction, "MAX_VARIANTS", 4)
+    spec = UnitSpec("U", "all_combinations", ["f0", "f1"])
+    assert len(enumerate_alternatives(spec, repo)) == 4
+    assert model.validate_architecture(SystemArchitecture(units=[spec]), repo) == []
+    for spec in (
+        UnitSpec("U", "all_combinations", ["f0", "f1", "f2"]),
+        UnitSpec("U", "declared", None, [Assembly(components=["f0c"])] * 5),
+    ):
+        with pytest.raises(CompactionError, match="unit 'U' has (8|5) variants, more than the cap of 4"):
+            enumerate_alternatives(spec, repo)
+        [diag] = model.validate_architecture(SystemArchitecture(units=[spec]), repo)
+        assert diag.rule == "too-many-variants"
+
+
+def test_fold_difference_names_the_unit_variant_and_field(robot):
+    repo, _, architecture = robot
+    fold = build_high_layer(architecture, repo)
+    assert fold_difference(build_high_layer(architecture, repo), fold) is None
+
+    def changed(edit):
+        copy = build_high_layer(architecture, repo)
+        edit(copy)
+        return fold_difference(copy, fold)
+
+    def set_mem(high):
+        props = high.units[0].variants[2].props
+        high.units[0].variants[2].props = ResourceDemand(0, props.cpu, props.gpu_threads, props.exec_ms)
+
+    assert changed(set_mem) == "unit 'FrontVision' variant 2: mem 0, the fold's 6.5"
+    assert changed(lambda high: high.units[1].variants.pop()) == (
+        "unit 'BottomVision' variant 4: missing"
+    )
+    last = fold.units[-1].id
+    assert changed(lambda high: high.units.pop()) == f"unit {last!r} variant 0: missing"
+    assert changed(lambda high: high.units.append(high.units[0])) == (
+        "unit 'FrontVision' variant 0: not in the fold"
+    )
+    assert changed(lambda high: high.connections.pop()).startswith("connections ")

@@ -11,10 +11,17 @@ import pytest
 from random_models import random_high_model, reversed_variants, tie_heavy_model
 
 from mvalloc import engine
-from mvalloc.compaction import STATUSES, HighLayerModel, UnfoldError, build_high_layer, unfold
+from mvalloc.compaction import (
+    STATUSES,
+    HighLayerModel,
+    UnfoldError,
+    build_high_layer,
+    fold_difference,
+    unfold,
+)
 from mvalloc.fixtures import robot_model_text
-from mvalloc.formats import parse_model
-from mvalloc.model import check_feasibility
+from mvalloc.formats import dump_compacted, parse_compacted, parse_model
+from mvalloc.model import check_feasibility, validate_architecture
 from mvalloc.solver import Placement, SolverConfig, _scale, _search, brute_force, solve
 
 
@@ -144,6 +151,17 @@ def _benchmark_models():
     cases = gen.tight_cases(1) + gen.large_cases(1)[:3] + gen.robot_cases(robot_model_text())
     for case in cases:
         yield case.name, *_compacted(case)
+
+
+def test_no_benchmark_model_meets_the_variant_cap_or_the_fold_check():
+    # the cap and `--compacted`'s fold check refuse none of the models the
+    # benchmark takes through the command line and the pipeline
+    gen = _gen()
+    for case in gen.robot_cases(robot_model_text()) + gen.large_cases(1) + gen.tight_cases(1):
+        repo, _, architecture = parse_model(case.text())
+        assert validate_architecture(architecture, repo) == [], case.name
+        fold = build_high_layer(architecture, repo)
+        assert fold_difference(parse_compacted(dump_compacted(fold)), fold) is None, case.name
 
 
 @pytest.mark.skipif("c" not in engine.available_backends(), reason="extension not built")

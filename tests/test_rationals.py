@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mvalloc.bench import SplitMix64
-from mvalloc.rationals import exact_sum, format_number, parse_number
+from mvalloc.rationals import _decimal_form, exact_sum, format_number, parse_number
 
 
 def test_parse_number_accepts_int():
@@ -144,3 +144,23 @@ def test_format_number_agrees_with_trial_division():
         values.append(Fraction(num, den))
     for value in values:
         assert format_number(value) == _format_by_trial_division(value), value
+
+
+def test_format_number_past_the_bound_of_its_denominator_cache():
+    # more distinct denominators than the cache holds, interleaved so that
+    # every denominator is evicted and worked out again
+    bound = _decimal_form.cache_info().maxsize
+    rng = SplitMix64(31)
+    dens = [2 ** (i % 23) * 5 ** (i // 23) * (1, 1, 3, 7, 11)[i % 5] for i in range(3 * bound)]
+    values = [Fraction(rng.draw(-(10**9), 10**9), den) for den in dens * 2]
+    values += [Fraction(n) for n in (-(10**20), -1, 0, 1, 10**20)]
+    decimals = ratios = 0
+    for value in values:
+        text = format_number(value)
+        assert text == _format_by_trial_division(value), value
+        assert parse_number(text) == value, text
+        decimals += "." in text
+        ratios += "/" in text
+    assert len(set(dens)) > bound
+    assert decimals > bound and ratios > bound
+    assert _decimal_form.cache_info().currsize == bound
