@@ -27,6 +27,7 @@ from .compaction import (
     UnfoldError,
     build_high_layer,
     fold_difference,
+    repository_difference,
     unfold,
 )
 from .formats import (
@@ -108,13 +109,17 @@ def _validated_model(path: str) -> tuple[Repository, Platform, SystemArchitectur
 def _high_layer(args, repo, architecture):
     """The high layer a command works on: the model's fold, or the
     --compacted file, which must equal that fold when the model has an
-    architecture."""
+    architecture, and otherwise agree with the repository."""
     if getattr(args, "compacted", None):
         model = parse_compacted(_read(args.compacted))
         if architecture is not None:
             difference = fold_difference(model, build_high_layer(architecture, repo))
             if difference is not None:
                 raise ValueError(f"{args.compacted} is not the model's fold: {difference}")
+        else:
+            difference = repository_difference(model, repo)
+            if difference is not None:
+                raise ValueError(f"{args.compacted} disagrees with the repository: {difference}")
         return model
     if architecture is None:
         raise ValueError(

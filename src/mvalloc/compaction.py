@@ -79,6 +79,7 @@ __all__ = [
     "compact",
     "build_high_layer",
     "fold_difference",
+    "repository_difference",
     "unfold",
 ]
 
@@ -151,7 +152,10 @@ def _fold(alternatives: list[list[str]], repo: Repository) -> list[ResourceDeman
     docstring says: per resource one denominator over all the members
     the alternatives draw on, each member's value an integer over it
     once, and each alternative an integer sum."""
-    demands = {cid: repo.component(cid).demand for members in alternatives for cid in members}
+    # each distinct member once, in the order the alternatives name them,
+    # so the first unknown member is the one reported
+    distinct = dict.fromkeys(itertools.chain.from_iterable(alternatives))
+    demands = {cid: repo.component(cid).demand for cid in distinct}
     mem_den = math.lcm(*{d.mem.denominator for d in demands.values()})
     cpu_den = math.lcm(*{d.cpu.denominator for d in demands.values()})
     exec_den = math.lcm(*{d.exec_ms.denominator for d in demands.values()})
@@ -303,15 +307,44 @@ def fold_difference(model: HighLayerModel, fold: HighLayerModel) -> str | None:
                 return f"{where}: {'missing' if got is None else 'not in the fold'}"
             if got.members != expected.members:
                 return f"{where}: members {got.members}, the fold's {expected.members}"
-            for name in ("mem", "cpu", "gpu_threads", "exec_ms"):
-                value, folded = getattr(got.props, name), getattr(expected.props, name)
-                if value != folded:
-                    return (
-                        f"{where}: {name} {format_number(value)}, "
-                        f"the fold's {format_number(folded)}"
-                    )
+            difference = _props_difference(where, got.props, expected.props)
+            if difference is not None:
+                return difference
     if model.connections != fold.connections:
         return f"connections {model.connections}, the fold's {fold.connections}"
+    return None
+
+
+def _props_difference(where: str, props: ResourceDemand, folded: ResourceDemand) -> str | None:
+    for name, value, want in zip(ResourceDemand._fields, props, folded):
+        if value != want:
+            return f"{where}: {name} {format_number(value)}, the fold's {format_number(want)}"
+    return None
+
+
+def repository_difference(model: HighLayerModel, repo: Repository) -> str | None:
+    """The first variant, in unit and then variant order, that `repo`
+    disproves, in `fold_difference`'s wording; None when there is none.
+    A variant is disproved by a member the repository lacks, by an
+    aggregate other than its members' fold, or by functions, as a
+    multiset, other than those of its unit's variant 0.  This is what a
+    compacted file can be checked against when the model has no
+    architecture to fold."""
+    for unit in model.units:
+        for index, variant in enumerate(unit.variants):
+            where = f"unit {unit.id!r} variant {index}"
+            for member in variant.members:
+                if not repo.has(member):
+                    return f"{where}: member {member!r} is not in the repository"
+            folded = aggregate_variant(variant.members, repo)
+            difference = _props_difference(where, variant.props, folded)
+            if difference is not None:
+                return difference
+            functions = sorted(repo.component(cid).function for cid in variant.members)
+            if index == 0:
+                first = functions
+            elif functions != first:
+                return f"{where}: functions {functions}, variant 0's {first}"
     return None
 
 

@@ -34,7 +34,7 @@ _INT64_MAX = 2**63 - 1
 
 # what _kernels.c's kernel_version() returns; bump both whenever the
 # kernel's arguments or results change
-_KERNEL_VERSION = 4
+_KERNEL_VERSION = 5
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +76,7 @@ def _load(path: str) -> None:
         )
         return
     i64, address = ctypes.c_int64, ctypes.c_void_p
-    lib.solve_search.argtypes = [i64, i64, i64] + [address] * 18
+    lib.solve_search.argtypes = [i64, i64, i64] + [address] * 19
     lib.solve_search.restype = None
 
     def solve_search(nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu,
@@ -99,10 +99,11 @@ def _load(path: str) -> None:
             raise OverflowError("the costs sum past the compiled kernel's int64 limit")
         deadline = _INT64_MAX if deadline_ns is None else min(deadline_ns, _INT64_MAX)
         # one int64 buffer holds the columns and then zeroed scratch: a
-        # dominance flag per variant, the current path, the incumbent's
-        # (variant, node) pairs and out = {status, cost or -1, visited};
-        # the kernel gets an address into it for each
-        scratch = [total, 2 * n, 2 * n, 3]
+        # dominance flag per variant, the walk's five-field record per
+        # unit, the current path, the incumbent's (variant, node) pairs and
+        # out = {status, cost or -1, visited}; the kernel gets an address
+        # into it for each
+        scratch = [total, 5 * n, 2 * n, 2 * n, 3]
         data = array("q", chain.from_iterable(columns))
         data.frombytes(bytes(8 * sum(scratch)))
         base = data.buffer_info()[0]

@@ -14,7 +14,11 @@ a scheme status, objective_ms, placements.  A reader raises a fault
 without its path, and each reader the fault passes on its way out adds
 its own step, so a path is built only for a document that has a fault.
 Number strings are parsed once per document, through a memo that lives
-for one `parse_*` call.
+for one `parse_*` call.  The bulk records, components and compacted
+variants, are built by direct reads when they hold exactly their
+table's keys, each value of its type; any other such record, and any
+fault met on the way, goes to the walk, so the tables stay the one
+statement of each format.
 
 Serialization is canonical: exactly `json.dumps(data, indent=2,
 sort_keys=True, separators=(",", ": "))` and a newline, so the same data
@@ -224,15 +228,29 @@ def _put_demand(demand: ResourceDemand, out: dict) -> dict:
 # --- model ---------------------------------------------------------------
 
 
+_KINDS = {kind.value: kind for kind in Kind}
+
+
 def _kind(raw: object, numbers: dict) -> Kind:
-    kind = _str(raw, numbers)
-    try:
-        return Kind(kind)
-    except ValueError:
-        raise _Fault(f"expected CPU or GPU, got {kind!r}") from None
+    kind = _KINDS.get(_str(raw, numbers))
+    if kind is None:
+        raise _Fault(f"expected CPU or GPU, got {raw!r}")
+    return kind
 
 
 def _component(raw: object, numbers: dict) -> Component:
+    """Read by direct reads when `raw` has exactly the keys of
+    `_COMPONENT`, each value of its type; anything else, and any fault
+    on the way, goes to the table walk, which reports it at its path."""
+    try:
+        if type(raw) is dict and len(raw) == len(_COMPONENT):
+            component_id, function, threads = raw["id"], raw["function"], raw["gpu_threads"]
+            if type(component_id) is str and type(function) is str and type(threads) is int:
+                demand = ResourceDemand(_number(raw["mem"], numbers), _number(raw["cpu"], numbers),
+                                        threads, _number(raw["exec_ms"], numbers))
+                return Component(component_id, _kind(raw["kind"], numbers), function, demand)
+    except (KeyError, _Fault):
+        pass
     kind, component_id, function, *demand = _fields(raw, numbers, _COMPONENT)
     return Component(component_id, kind, function, ResourceDemand(*demand))
 
@@ -346,6 +364,14 @@ def dump_model(
 
 
 def _variant(raw: object, numbers: dict) -> Variant:
+    """Read by direct reads like `_component`, else by the table walk."""
+    try:
+        if type(raw) is dict and len(raw) == len(_VARIANT) and type(raw["gpu_threads"]) is int:
+            demand = ResourceDemand(_number(raw["mem"], numbers), _number(raw["cpu"], numbers),
+                                    raw["gpu_threads"], _number(raw["exec_ms"], numbers))
+            return Variant(_strings(raw["members"], numbers), demand)
+    except (KeyError, _Fault):
+        pass
     members, *demand = _fields(raw, numbers, _VARIANT)
     return Variant(members, ResourceDemand(*demand))
 

@@ -35,15 +35,19 @@ _HOST = "@"
 
 
 def _terms(coefs: list[int], columns: list[str]) -> list[str]:
-    """`<coef> x_u<i>_v<j>_h` for each non-zero coefficient; the node
-    index is appended per row."""
-    return [f"{c} {column}" for c, column in zip(coefs, columns) if c]
+    """`<coef> x_u<i>_v<j>_h@` for each non-zero coefficient, with _HOST
+    where each capacity row puts its node index."""
+    return [f"{c} {column}{_HOST}" for c, column in zip(coefs, columns) if c]
 
 
-def _row(terms: list[str], hosts: list[str]) -> str:
+def _row(parts: list[str]) -> str:
     """The row's terms, one per line; a row with no term reads `0 x_u0_v0_h0`."""
-    parts = [f"{term}{h}" for term in terms for h in hosts]
     return "  " + "\n  + ".join(parts or ["0 x_u0_v0_h0"])
+
+
+def _times(coef: int, names: list[str]) -> str:
+    """The terms `<coef> <name>` of a row, one per line, for every name."""
+    return f"{coef} " + f"\n  + {coef} ".join(names)
 
 
 def export_lp(
@@ -58,31 +62,33 @@ def export_lp(
         raise SolverError("nothing to export: the platform has no nodes")
     nv, off, vmem, vcpu, vgpu, vcost, cap_mem, cap_cpu, cap_gpu = scaled.kernel_args
     hosts = [str(h) for h in range(len(scaled.node_ids))]
+    k = len(hosts)
     columns = [f"x_u{u}_v{v}_h" for u, n in enumerate(nv) for v in range(n)]
+    # every variable's name, built once: column i on node h is names[i * k + h]
+    names = [f"{column}{h}" for column in columns for h in hosts]
 
-    out = [f"\\ allocation MILP: {len(nv)} units, {len(hosts)} nodes"]
+    out = [f"\\ allocation MILP: {len(nv)} units, {k} nodes"]
     out += [f"\\ u{u} = {unit_id}" for u, unit_id in enumerate(scaled.unit_ids)]
     out += [f"\\ h{h} = {node_id}" for h, node_id in enumerate(scaled.node_ids)]
     if scaled.cost_den != 1:
         out.append(f"\\ objective_ms = obj / {scaled.cost_den}")
-    out += ["Minimize", " obj:", _row(_terms(vcost, columns), hosts)]
+    objective = [_times(c, names[i * k : i * k + k]) for i, c in enumerate(vcost) if c]
+    out += ["Minimize", " obj:", _row(objective)]
 
     out.append("Subject To")
     for u, (n, start) in enumerate(zip(nv, off)):
         out.append(f" assign_u{u}:")
-        out.append(_row(_terms([1] * n, columns[start : start + n]), hosts) + " = 1")
+        out.append(_row([_times(1, names[start * k : (start + n) * k])]) + " = 1")
     # each capacity row is laid out once, with _HOST for the node index
     rows = (
-        ("mem", _row(_terms(vmem, columns), [_HOST]), cap_mem),
-        ("cpu", _row(_terms(vcpu, columns), [_HOST]), cap_cpu),
-        ("gpu", _row(_terms(vgpu, columns), [_HOST]), cap_gpu),
+        ("mem", _row(_terms(vmem, columns)), cap_mem),
+        ("cpu", _row(_terms(vcpu, columns)), cap_cpu),
+        ("gpu", _row(_terms(vgpu, columns)), cap_gpu),
     )
     for h, host in enumerate(hosts):
         for label, row, cap in rows:
             out.append(f" {label}_h{h}:")
             out.append(row.replace(_HOST, host) + f" <= {cap[h]}")
 
-    out.append("Binary")
-    out += [f" {column}{h}" for column in columns for h in hosts]
-    out.append("End")
+    out += ["Binary", " " + "\n ".join(names), "End"]
     return "\n".join(out) + "\n"

@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .rationals import exact_sum
 
@@ -60,13 +60,14 @@ class Kind(str, enum.Enum):
     GPU = "GPU"
 
 
-@dataclass(frozen=True)
-class ResourceDemand:
+class ResourceDemand(NamedTuple):
     """What one component consumes on the node it runs on.
 
     mem is in MB, cpu in load units relative to one reference core,
     gpu_threads a whole number of threads, exec_ms the execution time
-    contributed to the system objective.
+    contributed to the system objective.  An immutable tuple, the
+    cheapest record Python builds, so it also equals a plain tuple of
+    its four values; `_replace` gives a changed copy.
     """
 
     mem: Fraction
@@ -199,12 +200,13 @@ class Diagnostic:
 
 
 def _check_demand(diags: list[Diagnostic], comp: Component) -> None:
+    # a rational's sign is its numerator's, read without Fraction.__lt__
     d = comp.demand
-    if d.mem < 0:
+    if d.mem.numerator < 0:
         diags.append(Diagnostic("mem-negative", comp.id, f"mem is {d.mem}"))
-    if d.cpu < 0:
+    if d.cpu.numerator < 0:
         diags.append(Diagnostic("cpu-negative", comp.id, f"cpu is {d.cpu}"))
-    if d.exec_ms < 0:
+    if d.exec_ms.numerator < 0:
         diags.append(Diagnostic("exec-negative", comp.id, f"exec_ms is {d.exec_ms}"))
     if d.gpu_threads < 0:
         diags.append(
@@ -275,9 +277,9 @@ def validate_platform(platform: Platform) -> list[Diagnostic]:
         if node.id in seen:
             diags.append(Diagnostic("duplicate-node-id", node.id, "declared twice"))
         seen.add(node.id)
-        if node.use_mem < 0:
+        if node.use_mem.numerator < 0:  # the sign, as in _check_demand
             diags.append(Diagnostic("node-mem-negative", node.id, f"use_mem is {node.use_mem}"))
-        if node.use_cpu < 0:
+        if node.use_cpu.numerator < 0:
             diags.append(Diagnostic("node-cpu-negative", node.id, f"use_cpu is {node.use_cpu}"))
         if node.use_gpu < 0:
             diags.append(Diagnostic("node-gpu-negative", node.id, f"use_gpu is {node.use_gpu}"))

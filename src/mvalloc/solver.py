@@ -207,18 +207,17 @@ def _scale(model: HighLayerModel, platform: Platform, cfg: SolverConfig) -> _Sca
             raise SolverError(f"unit {unit.id!r} has no variants")
 
     props = [v.props for u in units for v in u.variants]
+    # a ResourceDemand is a tuple, whose columns read faster by position
+    # than through its field names
+    mems, cpus, gpus, _ = zip(*props) if props else ((),) * 4
     weights = cfg.unit_weights
     costs = [
         weights[u.id] * v.props.exec_ms if u.id in weights else v.props.exec_ms
         for u in units
         for v in u.variants
     ]
-    mem_den = math.lcm(
-        *{n.use_mem.denominator for n in nodes}, *{p.mem.denominator for p in props}
-    )
-    cpu_den = math.lcm(
-        *{n.use_cpu.denominator for n in nodes}, *{p.cpu.denominator for p in props}
-    )
+    mem_den = math.lcm(*{n.use_mem.denominator for n in nodes}, *{m.denominator for m in mems})
+    cpu_den = math.lcm(*{n.use_cpu.denominator for n in nodes}, *{c.denominator for c in cpus})
     cost_den = math.lcm(*{c.denominator for c in costs})
 
     caps = (
@@ -227,9 +226,9 @@ def _scale(model: HighLayerModel, platform: Platform, cfg: SolverConfig) -> _Sca
         [n.use_gpu for n in nodes],
     )
     cols = (  # scaled mem, cpu, gpu, cost per variant
-        [p.mem.numerator * (mem_den // p.mem.denominator) for p in props],
-        [p.cpu.numerator * (cpu_den // p.cpu.denominator) for p in props],
-        [p.gpu_threads for p in props],
+        [m.numerator * (mem_den // m.denominator) for m in mems],
+        [c.numerator * (cpu_den // c.denominator) for c in cpus],
+        list(gpus),
         [c.numerator * (cost_den // c.denominator) for c in costs],
     )
     if any(min(col, default=0) < 0 for col in cols):

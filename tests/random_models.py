@@ -133,7 +133,7 @@ def tie_heavy_model(seed: int, **kwargs) -> tuple[HighLayerModel, Platform]:
             variants=[
                 Variant(
                     members=v.members,
-                    props=dataclasses.replace(v.props, exec_ms=Fraction(rng.draw(1, 3))),
+                    props=v.props._replace(exec_ms=Fraction(rng.draw(1, 3))),
                 )
                 for v in u.variants
             ],

@@ -221,7 +221,7 @@ def _scaled_exec(model, factor):
             unit,
             variants=[
                 dataclasses.replace(
-                    v, props=dataclasses.replace(v.props, exec_ms=v.props.exec_ms * factor)
+                    v, props=v.props._replace(exec_ms=v.props.exec_ms * factor)
                 )
                 for v in unit.variants
             ],

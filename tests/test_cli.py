@@ -325,6 +325,69 @@ def test_a_compacted_file_that_is_not_the_models_fold_is_refused(
     assert not out.exists()
 
 
+def _bare_robot(robot_file, tmp_path, capsys):
+    """The robot's compacted file and the robot model without its
+    architecture, which leaves only the repository to check the file by."""
+    compacted, bare = tmp_path / "compacted.json", tmp_path / "bare.json"
+    assert run(capsys, "compact", robot_file, "-o", str(compacted))[0] == 0
+    repo, platform, _ = parse_model(robot_model_text())
+    bare.write_text(dump_model(repo, platform))
+    return compacted, str(bare)
+
+
+def test_an_untouched_compacted_file_without_architecture_gives_the_same_outputs(
+    robot_file, tmp_path, capsys
+):
+    compacted, bare = _bare_robot(robot_file, tmp_path, capsys)
+    outputs = []
+    for model, via in ((robot_file, []), (bare, ["--compacted", str(compacted)])):
+        scheme, assignment = tmp_path / f"scheme{len(via)}", tmp_path / f"assignment{len(via)}"
+        assert run(capsys, "solve", model, *via, "-o", str(scheme))[0] == 0
+        assert run(capsys, "unfold", model, str(scheme), *via, "-o", str(assignment))[0] == 0
+        outputs.append((scheme.read_bytes(), assignment.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _swap_in_another_function(doc):
+    # Camera2 has Camera1's demand, so only the functions differ
+    doc["units"][1]["variants"][3]["members"][0] = "Camera2"
+
+
+def _add_unknown_member(doc):
+    doc["units"][1]["variants"][2]["members"].append("Ghost")
+
+
+@pytest.mark.parametrize("command", ["solve", "unfold"])
+@pytest.mark.parametrize(
+    "tamper, difference",
+    [
+        (_set_mem, "unit 'FrontVision' variant 2: mem 0, the fold's 6.5\n"),
+        (
+            _swap_in_another_function,
+            "unit 'BottomVision' variant 3: functions ['Camera2', 'ConvertGrayscale', "
+            "'EdgeDetection', 'ObjectDetection'], variant 0's ['Camera1', 'ConvertGrayscale', "
+            "'EdgeDetection', 'ObjectDetection']\n",
+        ),
+        (_add_unknown_member, "unit 'BottomVision' variant 2: member 'Ghost' is not in the repository\n"),
+    ],
+)
+def test_a_compacted_file_the_repository_disproves_is_refused_without_architecture(
+    command, tamper, difference, robot_file, tmp_path, capsys
+):
+    compacted, bare = _bare_robot(robot_file, tmp_path, capsys)
+    scheme = tmp_path / "scheme.json"
+    assert run(capsys, "solve", robot_file, "-o", str(scheme))[0] == 0
+    doc = json.loads(compacted.read_text())
+    tamper(doc)
+    compacted.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = [command, bare, *([str(scheme)] if command == "unfold" else [])]
+    code, _, stderr = run(capsys, *argv, "--compacted", str(compacted), "-o", str(out))
+    assert code == 1
+    assert stderr == f"error: {compacted} disagrees with the repository: {difference}"
+    assert not out.exists()
+
+
 def _long_chain_model(length):
     """One all_combinations unit over `length` functions, each with a CPU
     and a GPU version: 2**length chains."""

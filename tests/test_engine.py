@@ -214,10 +214,6 @@ print(scheme.status, scheme.visited)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-@pytest.mark.xfail(
-    strict=True,
-    reason="the C kernel recurses once per unit and overflows the stack (exit 139)",
-)
 def test_c_kernel_solves_100_000_one_variant_units():
     # in a child, as a stack overflow kills the process; with no core file
     proc = subprocess.run(

@@ -2,7 +2,6 @@ import json
 import os
 import random
 import stat
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +32,7 @@ from mvalloc.formats import (
     parse_weights,
     write_atomic,
 )
-from mvalloc.model import ResourceDemand
+from mvalloc.model import Component, ResourceDemand
 from mvalloc.rationals import format_number
 from mvalloc.solver import solve
 
@@ -77,7 +76,7 @@ def test_model_dump_rejects_a_float_count(field, value):
     repo, platform, architecture = parse_model(robot_model_text())
     if field == "gpu_threads":
         component = repo.components[0]
-        component.demand = replace(component.demand, gpu_threads=value)
+        component.demand = component.demand._replace(gpu_threads=value)
     else:
         platform.nodes[0].use_gpu = value
     with pytest.raises(TypeError):
@@ -837,3 +836,68 @@ def test_dump_scheme_and_assignment_are_the_canonical_json_text_random():
         assignment = {_random_text(rng): _random_text(rng) for _ in range(rng.randint(0, 5))}
         expected = _json_text({"assignments": assignment})
         assert dump_assignment(assignment) == expected, f"seed {seed}"
+
+
+def _walk_component(raw, numbers):
+    kind, component_id, function, *demand = formats._fields(raw, numbers, formats._COMPONENT)
+    return Component(component_id, kind, function, ResourceDemand(*demand))
+
+
+def _walk_variant(raw, numbers):
+    members, *demand = formats._fields(raw, numbers, formats._VARIANT)
+    return Variant(members, ResourceDemand(*demand))
+
+
+def _outcome(read, raw):
+    """The record `read` builds from `raw`, or its fault's message and path."""
+    try:
+        return read(raw, {})
+    except formats._Fault as fault:
+        return str(fault), fault.where
+
+
+# one value of each JSON type, a bad and a negative number string, and the
+# right values of the other fields
+_SAMPLES = [None, True, 0.5, 3, -2, "1/2", "-3", "1e5", "bad", "CPU", "GPU", [], ["a"], [1], {}, {"a": "1"}]
+
+
+def _mutations(raw):
+    """`raw`, and copies of it with each key dropped, each value replaced by
+    each sample, and an unknown key added before and after the others."""
+    yield raw
+    for key in raw:
+        yield {k: v for k, v in raw.items() if k != key}
+        for sample in _SAMPLES:
+            yield {**raw, key: sample}
+    yield {**raw, "aaa": 1}
+    yield {**raw, "zzz": "1"}
+    yield []
+    yield "component"
+
+
+@pytest.mark.parametrize(
+    "read, walk, records",
+    [
+        (formats._component, _walk_component, lambda doc: doc["repository"]["components"]),
+        (
+            formats._variant,
+            _walk_variant,
+            lambda doc: [v for unit in doc["units"] for v in unit["variants"]],
+        ),
+    ],
+    ids=["component", "variant"],
+)
+def test_direct_reads_agree_with_the_table_walk(read, walk, records):
+    """A component or variant read directly gives the record the table walk
+    builds, or the same fault at the same path."""
+    model_text = robot_model_text()
+    repo, _, architecture = parse_model(model_text)
+    doc = json.loads(model_text)
+    if read is formats._variant:
+        doc = json.loads(dump_compacted(build_high_layer(architecture, repo)))
+    checked = 0
+    for raw in records(doc):
+        for mutated in _mutations(raw):
+            assert _outcome(read, mutated) == _outcome(walk, mutated), mutated
+            checked += 1
+    assert checked > 1000

@@ -370,3 +370,19 @@ def test_feasibility_unknown_ids_raise():
         check_feasibility({"nope": "n1"}, repo, _two_node_platform())
     with pytest.raises(UnknownIdError):
         check_feasibility({"a": "nowhere"}, repo, _two_node_platform())
+
+
+def test_a_resource_demand_is_an_immutable_hashable_tuple():
+    demand = ResourceDemand(Fraction(3, 2), Fraction(1, 10), 512, Fraction(2))
+    with pytest.raises(AttributeError):
+        demand.mem = Fraction(1)
+    assert demand == (Fraction(3, 2), Fraction(1, 10), 512, Fraction(2))
+    assert hash(demand) == hash(ResourceDemand(Fraction(3, 2), Fraction(1, 10), 512, Fraction(2)))
+    assert len({demand, ResourceDemand(*demand)}) == 1
+    changed = demand._replace(exec_ms=Fraction(5))
+    assert changed == ResourceDemand(Fraction(3, 2), Fraction(1, 10), 512, Fraction(5))
+    assert demand.exec_ms == Fraction(2)
+    assert repr(demand) == (
+        "ResourceDemand(mem=Fraction(3, 2), cpu=Fraction(1, 10), gpu_threads=512, "
+        "exec_ms=Fraction(2, 1))"
+    )
