@@ -35,7 +35,6 @@ perfbench/gen.py, and each draws the bench models with its own
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import importlib
 import json
@@ -92,7 +91,7 @@ def _solve(model, plat, backend: str) -> dict:
         tracer.uninstall()
     return {
         "status": scheme.status,
-        "scheme": formats.dump_scheme(dataclasses.replace(scheme, visited=0)),
+        "scheme": formats.dump_scheme(scheme),
         "visited": scheme.visited,
         "times": times,
         "kernel_times": kernel_times,

@@ -6,17 +6,17 @@ to stdout, problems to stderr.  Exit codes: 0 success, 1 domain violation
 (failed validation, bad configuration, oracle mismatch), 2 unreadable or
 unparseable input, 3 proven infeasible, 4 solver timeout.  Every layer's
 domain error subclasses ValueError, so `main` maps them all to 1 in one
-place.  A command imports only the layers it runs: the solver, and with
-it the search kernels, loads for solve and export-lp only, as bench and
-the bundled example load only for their own commands.  The ALLOC_LOG
-environment variable (error, warning, info, debug; warning by default)
-controls log verbosity.
+place.  A command imports only the layers it runs: the solver loads for
+solve, export-lp and bench only, the search kernels for solve and bench,
+and bench and the bundled example only for their own commands.  The
+ALLOC_LOG environment variable (error, warning, info, debug; warning by
+default) sets the log level of the commands that load the solver; it is
+checked for every command, and only those three import `logging`.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 
@@ -58,29 +58,32 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 EXIT_TIMEOUT = 4
 
-log = logging.getLogger("mvalloc")
+_LOG_LEVELS = ("error", "warning", "info", "debug")
 
 
-def _configure_logging() -> None:
+def _log_level() -> str:
+    """ALLOC_LOG's level; an unknown one is reported and reads as warning."""
     name = os.environ.get("ALLOC_LOG", "warning").strip().lower()
-    levels = {
-        "error": logging.ERROR,
-        "warning": logging.WARNING,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }
-    level = levels.get(name)
-    if level is None:
+    if name not in _LOG_LEVELS:
         print(f"warning: ALLOC_LOG={name!r} not recognized, using warning", file=sys.stderr)
-        level = logging.WARNING
+        return "warning"
+    return name
+
+
+def _configure_logging(level: str = "warning") -> None:
+    import logging
+
     logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
+        level=level.upper(), stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )
 
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_model(path: str) -> tuple[Repository, Platform, SystemArchitecture | None]:
@@ -337,9 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
+    level = _log_level()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func in (cmd_solve, cmd_export_lp, cmd_bench):  # the commands that load the solver
+        _configure_logging(level)
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

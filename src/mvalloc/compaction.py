@@ -46,8 +46,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     MAX_VARIANTS,
@@ -57,6 +57,7 @@ from .model import (
     ResourceDemand,
     SystemArchitecture,
     UnitSpec,
+    _Record,
     chain_count,
     unrealized_alternatives,
 )
@@ -98,8 +99,7 @@ class UnfoldError(ValueError):
     """A scheme cannot be mapped back onto the detailed architecture."""
 
 
-@dataclass
-class Variant:
+class Variant(NamedTuple):
     """One alternative of a unit: its member ids and their aggregated
     demand, which the solver reads like a single component's."""
 
@@ -107,21 +107,24 @@ class Variant:
     props: ResourceDemand
 
 
-@dataclass
-class MultiVariantUnit:
+class MultiVariantUnit(NamedTuple):
     id: str
     variants: list[Variant]
 
 
-@dataclass
-class HighLayerModel:
+class HighLayerModel(_Record):
     """The compacted layer handed to the solver: one ordered list of
     units (compacted subsystems first, then standalone components as
     one-variant units, each in declared order) and the connections
     between them."""
 
-    units: list[MultiVariantUnit]
-    connections: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = _fields = ("units", "connections")
+
+    def __init__(
+        self, units: list[MultiVariantUnit], connections: list[tuple[str, str]] | None = None
+    ) -> None:
+        self.units = units
+        self.connections = [] if connections is None else connections
 
     def all_units(self) -> list[MultiVariantUnit]:
         """The same list as `units`; kept because the benchmark tracer
@@ -129,22 +132,35 @@ class HighLayerModel:
         return self.units
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     variant: int
     node: str
 
 
-@dataclass
-class AllocationScheme:
+class AllocationScheme(_Record):
     """A solved (or parsed) allocation: a status from STATUSES, the
-    objective and the placement of every unit, keyed by unit id."""
+    objective and the placement of every unit, keyed by unit id.  Two
+    schemes are equal when these three are; `visited`, the search nodes
+    a solve took, and `backend`, the kernel it ran on, do not count."""
 
-    status: str
-    objective_ms: Fraction | None
-    placements: dict[str, Placement]
-    visited: int = field(default=0, compare=False)
-    backend: str = field(default="", compare=False)
+    __slots__ = _fields = ("status", "objective_ms", "placements", "visited", "backend")
+
+    def __init__(
+        self,
+        status: str,
+        objective_ms: Fraction | None,
+        placements: dict[str, Placement],
+        visited: int = 0,
+        backend: str = "",
+    ) -> None:
+        self.status = status
+        self.objective_ms = objective_ms
+        self.placements = placements
+        self.visited = visited
+        self.backend = backend
+
+    def _key(self) -> tuple:
+        return self.status, self.objective_ms, self.placements
 
 
 def _fold(alternatives: list[list[str]], repo: Repository) -> list[ResourceDemand]:

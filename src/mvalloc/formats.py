@@ -103,6 +103,8 @@ def _parse(text: str, read):
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested deeper than the decoder reads") from exc
     try:
         return read(root, {})
     except _Fault as fault:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -76,8 +75,7 @@ class ResourceDemand(NamedTuple):
     exec_ms: Fraction
 
 
-@dataclass
-class Component:
+class Component(NamedTuple):
     id: str
     kind: Kind
     function: str
@@ -89,8 +87,31 @@ def _index(items: list) -> dict:
     return {item.id: item for item in reversed(items)}
 
 
-@dataclass
-class Repository:
+class _Record:
+    """A record whose fields may be reassigned after construction, kept in
+    slots; a tuple where nothing is reassigned costs less.  It equals a
+    record of its own class with equal `_key()`, which is every field of
+    `_fields` unless the class says otherwise; it is unhashable, and its
+    repr names each field of `_fields` in order, as a dataclass's does."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Repository(_Record):
     """All developed components plus the version groups that tie together
     alternative realizations of the same function.
 
@@ -98,12 +119,15 @@ class Repository:
     editing `components` in place.
     """
 
-    components: list[Component]
-    version_groups: dict[str, list[str]] = field(default_factory=dict)
-    _by_id: dict[str, Component] = field(init=False, repr=False, compare=False)
+    __slots__ = ("components", "version_groups", "_by_id")
+    _fields = ("components", "version_groups")
 
-    def __post_init__(self) -> None:
-        self._by_id = _index(self.components)
+    def __init__(
+        self, components: list[Component], version_groups: dict[str, list[str]] | None = None
+    ) -> None:
+        self.components = components
+        self.version_groups = {} if version_groups is None else version_groups
+        self._by_id = _index(components)
 
     def component(self, component_id: str) -> Component:
         found = self._by_id.get(component_id)
@@ -126,31 +150,34 @@ class Repository:
         return [c.id for c in self.components if c.function == function]
 
 
-@dataclass
-class Assembly:
+class Assembly(_Record):
     """A concrete pipe-and-filter graph over repository components."""
 
-    components: list[str]
-    connections: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = _fields = ("components", "connections")
+
+    def __init__(
+        self, components: list[str], connections: list[tuple[str, str]] | None = None
+    ) -> None:
+        self.components = components
+        self.connections = [] if connections is None else connections
 
 
-@dataclass
-class HardwareNode:
+class HardwareNode(NamedTuple):
     id: str
     use_mem: Fraction
     use_cpu: Fraction
     use_gpu: int = 0
 
 
-@dataclass
-class Platform:
+class Platform(_Record):
     """Hardware nodes, indexed by id at construction like Repository."""
 
-    nodes: list[HardwareNode]
-    _by_id: dict[str, HardwareNode] = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "_by_id")
+    _fields = ("nodes",)
 
-    def __post_init__(self) -> None:
-        self._by_id = _index(self.nodes)
+    def __init__(self, nodes: list[HardwareNode]) -> None:
+        self.nodes = nodes
+        self._by_id = _index(nodes)
 
     def node(self, node_id: str) -> HardwareNode:
         found = self._by_id.get(node_id)
@@ -159,8 +186,7 @@ class Platform:
         return found
 
 
-@dataclass
-class UnitSpec:
+class UnitSpec(NamedTuple):
     """How one subsystem's variant set is obtained.
 
     policy "declared" takes `alternatives` verbatim; the generated
@@ -175,18 +201,24 @@ class UnitSpec:
     alternatives: list[Assembly] | None = None
 
 
-@dataclass
-class SystemArchitecture:
+class SystemArchitecture(_Record):
     """The detailed architecture: subsystems to compact, standalone
     components, and the data flow between them."""
 
-    units: list[UnitSpec]
-    singletons: list[str] = field(default_factory=list)
-    connections: list[tuple[str, str]] = field(default_factory=list)
+    __slots__ = _fields = ("units", "singletons", "connections")
+
+    def __init__(
+        self,
+        units: list[UnitSpec],
+        singletons: list[str] | None = None,
+        connections: list[tuple[str, str]] | None = None,
+    ) -> None:
+        self.units = units
+        self.singletons = [] if singletons is None else singletons
+        self.connections = [] if connections is None else connections
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One violated invariant.  `subject` is the offending id, when any."""
 
     rule: str
@@ -338,8 +370,7 @@ def _has_cycle(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> bool:
     return len(released) < len(indegree)
 
 
-@dataclass
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     violations: list[tuple[str, str]]
 

@@ -58,7 +58,9 @@ order with no cost bound, guarded against oversized instances.  It is the
 one independent oracle for `solve` on either backend: it always runs the
 Python enumeration on `_scale`'s declared-order record, the only code the
 two share.  `lp.export_lp` writes that same record, so `_scale` is the
-one place a rational becomes a solver number.
+one place a rational becomes a solver number.  `solve` imports `engine`
+and `brute_force` the Python enumeration when they run, so exporting the
+LP loads no search kernel.
 
 The result record `AllocationScheme`, its `Placement`s and the status
 names are defined in `compaction`, beside `unfold`, which consumes them;
@@ -74,10 +76,9 @@ import logging
 import math
 import operator
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import _kernels_py, engine
 from .compaction import (
     INFEASIBLE,
     OPTIMAL,
@@ -87,7 +88,7 @@ from .compaction import (
     HighLayerModel,
     Placement,
 )
-from .model import Platform, ResourceDemand
+from .model import Platform, ResourceDemand, _Record
 from .rationals import exact_sum
 
 __all__ = [
@@ -119,8 +120,7 @@ class EnumerationGuardError(SolverError):
     """The instance is too large for exhaustive enumeration."""
 
 
-@dataclass
-class SolverConfig:
+class SolverConfig(_Record):
     """Knobs for `solve`.
 
     unit_weights multiply each unit's exec_ms in the objective (default
@@ -132,12 +132,16 @@ class SolverConfig:
     changes which optimum is reported.
     """
 
-    unit_weights: dict[str, Fraction] = field(default_factory=dict)
-    time_limit_ms: int | None = None
+    __slots__ = _fields = ("unit_weights", "time_limit_ms")
+
+    def __init__(
+        self, unit_weights: dict[str, Fraction] | None = None, time_limit_ms: int | None = None
+    ) -> None:
+        self.unit_weights = {} if unit_weights is None else unit_weights
+        self.time_limit_ms = time_limit_ms
 
 
-@dataclass
-class _Scaled:
+class _Scaled(NamedTuple):
     """One model scaled to integers, units and variants in declared order.
 
     `kernel_args` are the arrays both kernels take (nv, off, vmem, vcpu,
@@ -153,8 +157,7 @@ class _Scaled:
     cost_den: int
 
 
-@dataclass
-class _Search:
+class _Search(NamedTuple):
     """A scaled model in search order, with the tables `solve`'s walk reads.
 
     `args` are the 14 arrays `solve_search` takes: `_Scaled.kernel_args`
@@ -355,6 +358,8 @@ def solve(
     if cfg.time_limit_ms is not None:
         deadline_ns = time.monotonic_ns() + cfg.time_limit_ms * 1_000_000
 
+    from . import engine
+
     scaled = _scale(model, platform, cfg)
     search = _search(scaled)
     be = engine.get_backend(backend)
@@ -399,6 +404,8 @@ def brute_force(
             raise EnumerationGuardError(
                 f"instance has more than {BRUTE_FORCE_GUARD} raw assignments"
             )
+    from . import _kernels_py
+
     result = _kernels_py.brute_search(*scaled.kernel_args)
     return _scheme(result, scaled.unit_ids, scaled, "python")
 

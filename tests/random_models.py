@@ -10,7 +10,6 @@ small.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from mvalloc.bench import SplitMix64
@@ -140,7 +139,7 @@ def tie_heavy_model(seed: int, **kwargs) -> tuple[HighLayerModel, Platform]:
         )
         for u in model.units
     ]
-    copies = [dataclasses.replace(n, id=f"{n.id}c") for n in platform.nodes]
+    copies = [n._replace(id=f"{n.id}c") for n in platform.nodes]
     return (
         HighLayerModel(units=units, connections=model.connections),
         Platform(nodes=platform.nodes + copies),

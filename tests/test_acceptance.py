@@ -5,7 +5,6 @@ the timing criterion, whose 20 percent naive-symmetry band is part of the
 criterion itself.
 """
 
-import dataclasses
 import time
 from fractions import Fraction
 
@@ -14,7 +13,7 @@ import pytest
 from random_models import random_detailed, random_high_model, random_scheme
 
 from mvalloc.bench import BenchSpec, run_bench
-from mvalloc.compaction import build_high_layer, unfold
+from mvalloc.compaction import HighLayerModel, build_high_layer, unfold
 from mvalloc.formats import (
     dump_compacted,
     dump_model,
@@ -217,20 +216,14 @@ def _optimal_instances(start_seed, needed, cap=1000, **kwargs):
 
 def _scaled_exec(model, factor):
     def scale_unit(unit):
-        return dataclasses.replace(
-            unit,
+        return unit._replace(
             variants=[
-                dataclasses.replace(
-                    v, props=v.props._replace(exec_ms=v.props.exec_ms * factor)
-                )
+                v._replace(props=v.props._replace(exec_ms=v.props.exec_ms * factor))
                 for v in unit.variants
             ],
         )
 
-    return dataclasses.replace(
-        model,
-        units=[scale_unit(u) for u in model.units],
-    )
+    return HighLayerModel([scale_unit(u) for u in model.units], model.connections)
 
 
 def test_criterion_5_scaling_invariance(criterion):

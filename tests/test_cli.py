@@ -1,5 +1,7 @@
 import importlib
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -103,6 +105,30 @@ def test_missing_file_is_exit_2(capsys):
     code, _, stderr = run(capsys, "validate", "/nonexistent/model.json")
     assert code == 2
     assert "error" in stderr
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf-8", "too-deep"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["solve", "{model}", "--compacted", "{bad}", "-o", "{out}"],
+        ["unfold", "{model}", "{bad}", "-o", "{out}"],
+        ["solve", "{model}", "--weights", "{bad}", "-o", "{out}"],
+    ],
+    ids=["model", "compacted", "scheme", "weights"],
+)
+def test_an_unreadable_input_file_is_exit_2(argv, content, robot_file, tmp_path, capsys):
+    # text that is not UTF-8, and JSON nested past the decoder's recursion limit
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(content)
+    code, _, stderr = run(capsys, *[a.format(bad=bad, model=robot_file, out=out) for a in argv])
+    assert code == 2
+    assert stderr.startswith("error: ")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_validate_rejects_alternatives_realizing_different_functions(tmp_path, capsys):
@@ -616,12 +642,45 @@ def test_options_that_do_not_exist_are_usage_errors(argv, robot_file, tmp_path, 
     assert not out.exists()
 
 
-def test_unrecognized_log_level_warns_but_runs(robot_file, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, printed",
+    [(["validate", "{model}"], r"ok\n"), (["solve", "{model}", "-o", "{out}"], r"optimal: .*\n")],
+    ids=["validate", "solve"],
+)
+def test_unrecognized_log_level_warns_but_runs(
+    argv, printed, robot_file, tmp_path, capsys, monkeypatch
+):
     monkeypatch.setenv("ALLOC_LOG", "chatty")
-    code, stdout, stderr = run(capsys, "validate", robot_file)
+    code, stdout, stderr = run(
+        capsys, *[a.format(model=robot_file, out=tmp_path / "scheme.json") for a in argv]
+    )
     assert code == 0
-    assert stdout.strip() == "ok"
-    assert "ALLOC_LOG" in stderr
+    assert re.fullmatch(printed, stdout)
+    assert stderr.count("ALLOC_LOG") == 1
+
+
+def test_info_logging_says_why_a_model_is_infeasible_before_the_search(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(_tiny_model(mem_demand=100, mem_cap=10))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from mvalloc.cli import main; sys.exit(main(sys.argv[1:]))",
+            "solve",
+            str(model),
+            "-o",
+            str(tmp_path / "scheme.json"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "ALLOC_LOG": "info"},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "INFO mvalloc.solver: infeasible before search: total mem demand exceeds capacity\n"
+    )
 
 
 def test_missing_output_flag_is_a_usage_error(robot_file, capsys):
@@ -690,12 +749,21 @@ def test_cli_import_leaves_bench_and_fixtures_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-_SOLVER_MODULES = ("mvalloc.solver", "mvalloc.engine", "mvalloc._kernels_py", "ctypes")
+_SEARCH_MODULES = ("mvalloc.engine", "mvalloc._kernels_py", "ctypes")
+# what a command that never loads the solver leaves unloaded
+_SOLVER_MODULES = ("mvalloc.solver", *_SEARCH_MODULES, "logging", "dataclasses", "inspect")
 
 
 @pytest.mark.parametrize(
     "command, solves",
-    [("validate", False), ("compact", False), ("unfold", False), ("example", False), ("solve", True)],
+    [
+        ("validate", False),
+        ("compact", False),
+        ("unfold", False),
+        ("example", False),
+        ("export-lp", True),
+        ("solve", True),
+    ],
 )
 def test_each_command_loads_only_what_it_runs(command, solves, robot_file, tmp_path):
     scheme = str(tmp_path / "scheme.json")
@@ -705,6 +773,7 @@ def test_each_command_loads_only_what_it_runs(command, solves, robot_file, tmp_p
         "compact": [robot_file, "-o", str(tmp_path / "compacted.json")],
         "unfold": [robot_file, scheme, "-o", str(tmp_path / "assignment.json")],
         "example": ["-o", str(tmp_path / "example.json")],
+        "export-lp": [robot_file, "-o", str(tmp_path / "model.lp")],
         "solve": [robot_file, "-o", str(tmp_path / "again.json")],
     }[command]
     proc = subprocess.run(
@@ -727,3 +796,5 @@ def test_each_command_loads_only_what_it_runs(command, solves, robot_file, tmp_p
         assert "mvalloc.solver" in loaded
     else:
         assert loaded == []
+    if command == "export-lp":  # it writes the model, and searches nothing
+        assert not ({*_SEARCH_MODULES, "dataclasses", "inspect"} & set(loaded))

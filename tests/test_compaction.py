@@ -423,8 +423,11 @@ def test_fold_difference_names_the_unit_variant_and_field(robot):
         return fold_difference(copy, fold)
 
     def set_mem(high):
-        props = high.units[0].variants[2].props
-        high.units[0].variants[2].props = ResourceDemand(0, props.cpu, props.gpu_threads, props.exec_ms)
+        variant = high.units[0].variants[2]
+        props = variant.props
+        high.units[0].variants[2] = variant._replace(
+            props=ResourceDemand(0, props.cpu, props.gpu_threads, props.exec_ms)
+        )
 
     assert changed(set_mem) == "unit 'FrontVision' variant 2: mem 0, the fold's 6.5"
     assert changed(lambda high: high.units[1].variants.pop()) == (

@@ -76,9 +76,11 @@ def test_model_dump_rejects_a_float_count(field, value):
     repo, platform, architecture = parse_model(robot_model_text())
     if field == "gpu_threads":
         component = repo.components[0]
-        component.demand = component.demand._replace(gpu_threads=value)
+        repo.components[0] = component._replace(
+            demand=component.demand._replace(gpu_threads=value)
+        )
     else:
-        platform.nodes[0].use_gpu = value
+        platform.nodes[0] = platform.nodes[0]._replace(use_gpu=value)
     with pytest.raises(TypeError):
         dump_model(repo, platform, architecture)
 

@@ -4,9 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from mvalloc import solver
+from mvalloc.compaction import (
+    AllocationScheme,
+    HighLayerModel,
+    MultiVariantUnit,
+    Placement,
+    Variant,
+)
 from mvalloc.model import (
     Assembly,
     Component,
+    Diagnostic,
+    FeasibilityResult,
     HardwareNode,
     Kind,
     Platform,
@@ -372,17 +382,134 @@ def test_feasibility_unknown_ids_raise():
         check_feasibility({"a": "nowhere"}, repo, _two_node_platform())
 
 
-def test_a_resource_demand_is_an_immutable_hashable_tuple():
-    demand = ResourceDemand(Fraction(3, 2), Fraction(1, 10), 512, Fraction(2))
+_DEMAND = ResourceDemand(Fraction(3, 2), Fraction(1, 10), 512, Fraction(2))
+_DEMAND_TEXT = (
+    "ResourceDemand(mem=Fraction(3, 2), cpu=Fraction(1, 10), gpu_threads=512, "
+    "exec_ms=Fraction(2, 1))"
+)
+_NODE = HardwareNode("G1", Fraction(4096), Fraction(5, 2))
+_NODE_TEXT = "HardwareNode(id='G1', use_mem=Fraction(4096, 1), use_cpu=Fraction(5, 2), use_gpu=0)"
+_COMPONENT = Component("Cam", Kind.GPU, "capture", _DEMAND)
+_COMPONENT_TEXT = (
+    f"Component(id='Cam', kind=<Kind.GPU: 'GPU'>, function='capture', demand={_DEMAND_TEXT})"
+)
+
+# (record, a field, another value for it, the record's repr)
+_TUPLE_RECORDS = [
+    (_DEMAND, "exec_ms", Fraction(5), _DEMAND_TEXT),
+    (_COMPONENT, "function", "detect", _COMPONENT_TEXT),
+    (_NODE, "use_gpu", 1024, _NODE_TEXT),
+    (
+        UnitSpec("Vision", "declared"),
+        "policy",
+        "all_combinations",
+        "UnitSpec(id='Vision', policy='declared', topology=None, alternatives=None)",
+    ),
+    (
+        Diagnostic("mem-negative", "Cam", "mem is -1"),
+        "subject",
+        None,
+        "Diagnostic(rule='mem-negative', subject='Cam', message='mem is -1')",
+    ),
+    (
+        FeasibilityResult(True, []),
+        "feasible",
+        False,
+        "FeasibilityResult(feasible=True, violations=[])",
+    ),
+    (
+        Variant(["Cam"], _DEMAND),
+        "members",
+        ["Cam", "Gpu"],
+        f"Variant(members=['Cam'], props={_DEMAND_TEXT})",
+    ),
+    (MultiVariantUnit("Vision", []), "id", "Other", "MultiVariantUnit(id='Vision', variants=[])"),
+    (Placement(1, "G1"), "node", "H1", "Placement(variant=1, node='G1')"),
+    (
+        solver._Scaled(["Vision"], ["G1"], ([1], [0]), 2),
+        "cost_den",
+        3,
+        "_Scaled(unit_ids=['Vision'], node_ids=['G1'], kernel_args=([1], [0]), cost_den=2)",
+    ),
+    (
+        solver._Search(["Vision"], ([1], [0]), None),
+        "infeasible",
+        "total mem demand exceeds capacity",
+        "_Search(unit_ids=['Vision'], args=([1], [0]), infeasible=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, name, value, text", _TUPLE_RECORDS, ids=[type(r[0]).__name__ for r in _TUPLE_RECORDS]
+)
+def test_a_resource_demand_is_an_immutable_hashable_tuple(record, name, value, text):
+    """Each record that is never changed after construction is a named
+    tuple: immutable, equal to the plain tuple of its values, changed by
+    `_replace` into a copy, and hashable when its values are."""
+    before = getattr(record, name)
     with pytest.raises(AttributeError):
-        demand.mem = Fraction(1)
-    assert demand == (Fraction(3, 2), Fraction(1, 10), 512, Fraction(2))
-    assert hash(demand) == hash(ResourceDemand(Fraction(3, 2), Fraction(1, 10), 512, Fraction(2)))
-    assert len({demand, ResourceDemand(*demand)}) == 1
-    changed = demand._replace(exec_ms=Fraction(5))
-    assert changed == ResourceDemand(Fraction(3, 2), Fraction(1, 10), 512, Fraction(5))
-    assert demand.exec_ms == Fraction(2)
-    assert repr(demand) == (
-        "ResourceDemand(mem=Fraction(3, 2), cpu=Fraction(1, 10), gpu_threads=512, "
-        "exec_ms=Fraction(2, 1))"
-    )
+        setattr(record, name, value)
+    assert record == tuple(record)
+    assert type(record)(*record) == record
+    changed = record._replace(**{name: value})
+    assert getattr(changed, name) == value
+    assert changed == tuple(value if f == name else v for f, v in zip(record._fields, record))
+    assert getattr(record, name) == before
+    assert repr(record) == text
+    if all(type(v) not in (list, dict, tuple) for v in record):
+        assert hash(record) == hash(type(record)(*record))
+        assert len({record, type(record)(*record)}) == 1
+
+
+# (a factory of a record, the record's repr); each call builds a new record
+_SLOTTED_RECORDS = [
+    (
+        lambda: Repository([_COMPONENT]),
+        f"Repository(components=[{_COMPONENT_TEXT}], version_groups={{}})",
+    ),
+    (lambda: Platform([_NODE]), f"Platform(nodes=[{_NODE_TEXT}])"),
+    (lambda: Assembly(["Cam"]), "Assembly(components=['Cam'], connections=[])"),
+    (lambda: SystemArchitecture([]), "SystemArchitecture(units=[], singletons=[], connections=[])"),
+    (
+        lambda: HighLayerModel([MultiVariantUnit("Vision", [])]),
+        "HighLayerModel(units=[MultiVariantUnit(id='Vision', variants=[])], connections=[])",
+    ),
+    (
+        lambda: AllocationScheme("optimal", Fraction(3), {"Vision": Placement(1, "G1")}, 7, "c"),
+        "AllocationScheme(status='optimal', objective_ms=Fraction(3, 1), "
+        "placements={'Vision': Placement(variant=1, node='G1')}, visited=7, backend='c')",
+    ),
+    (lambda: solver.SolverConfig(), "SolverConfig(unit_weights={}, time_limit_ms=None)"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, text", _SLOTTED_RECORDS, ids=[text[: text.index("(")] for _, text in _SLOTTED_RECORDS]
+)
+def test_a_record_with_assignable_fields_compares_by_value(make, text):
+    """The records whose fields may be reassigned keep their values in
+    slots: equal by value, never equal to a plain tuple, unhashable, each
+    with default lists and dicts of its own, and shown like a dataclass."""
+    record, twin = make(), make()
+    assert record == twin
+    assert record != tuple(getattr(record, name) for name in record._fields)
+    setattr(twin, record._fields[0], None)
+    assert record != twin
+    with pytest.raises(AttributeError):
+        record.unknown_field = 1  # slots hold the fields only
+    with pytest.raises(TypeError):
+        hash(record)
+    for name in record._fields:
+        value = getattr(record, name)
+        if isinstance(value, (list, dict)) and not value:  # a default
+            assert value is not getattr(make(), name)
+    assert repr(record) == text
+
+
+def test_a_scheme_compares_without_its_search_nodes_and_backend():
+    placements = {"Vision": Placement(1, "G1")}
+    scheme = AllocationScheme("optimal", Fraction(3), placements, visited=7, backend="c")
+    assert scheme == AllocationScheme("optimal", Fraction(3), dict(placements))
+    assert scheme != AllocationScheme("optimal", Fraction(4), placements, visited=7, backend="c")
+    assert scheme != AllocationScheme("infeasible", Fraction(3), placements, visited=7)
